@@ -6,92 +6,26 @@ functions, and cross-checks every scheme against an independent adaptive
 quadrature oracle.
 """
 
-from .special import FractionalOrder, KernelMoment, gamma, kernel_moment
-from .holder import (
-    HolderTestFunction,
-    NotAGridNodeError,
-    RegularityClass,
-    UniformGrid,
-    grid_node_index,
-    modulus_probe,
-)
-from .interp import (
-    LagrangePiece,
-    PiecewisePolynomial,
-    SchemeKind,
-    SchemeTag,
-    backward_difference,
-    build_interpolant,
-    divided_coeff,
-    lagrange_eval,
-    omega,
-)
-from .schemes import (
-    DiscreteCaputoValue,
-    caputo_of_piece,
-    discrete_caputo,
-    l1_convolution,
-    l1_weights,
-)
-from .oracle import (
-    QuadratureConvergenceError,
-    exact_caputo_monomial,
-    quad_caputo_integrated,
-    quad_caputo_piecewise,
-)
-from .harness import (
-    ConvergenceRow,
-    DegenerateDifferenceError,
-    FirstNodeRow,
-    Report,
-    emit,
-    order_first_node,
-    order_interior,
-    render,
-    reproduce_table,
-    scheme_value,
-)
+from .holder import HolderTestFunction, RegularityClass, UniformGrid
+from .interp import SchemeKind, build_interpolant
+from .schemes import discrete_caputo
+from .oracle import QuadratureConvergenceError, quad_caputo_integrated, quad_caputo_piecewise
+from .harness import order_first_node, order_interior, reproduce_table
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FractionalOrder",
-    "KernelMoment",
-    "gamma",
-    "kernel_moment",
     "HolderTestFunction",
-    "NotAGridNodeError",
     "RegularityClass",
     "UniformGrid",
-    "grid_node_index",
-    "modulus_probe",
-    "LagrangePiece",
-    "PiecewisePolynomial",
     "SchemeKind",
-    "SchemeTag",
-    "backward_difference",
     "build_interpolant",
-    "divided_coeff",
-    "lagrange_eval",
-    "omega",
-    "DiscreteCaputoValue",
-    "caputo_of_piece",
     "discrete_caputo",
-    "l1_convolution",
-    "l1_weights",
     "QuadratureConvergenceError",
-    "exact_caputo_monomial",
     "quad_caputo_integrated",
     "quad_caputo_piecewise",
-    "ConvergenceRow",
-    "DegenerateDifferenceError",
-    "FirstNodeRow",
-    "Report",
-    "emit",
     "order_first_node",
     "order_interior",
-    "render",
     "reproduce_table",
-    "scheme_value",
     "__version__",
 ]

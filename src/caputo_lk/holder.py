@@ -16,7 +16,6 @@ __all__ = [
     "RegularityClass",
     "HolderTestFunction",
     "NotAGridNodeError",
-    "eval_test_function",
     "grid_node_index",
     "modulus_probe",
 ]
@@ -37,8 +36,8 @@ class UniformGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ValueError(f"grid horizon must be positive, got {self.horizon!r}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"grid horizon must be positive and finite, got {self.horizon!r}")
         if self.steps < 1:
             raise ValueError(f"grid needs at least one step, got {self.steps!r}")
 
@@ -102,8 +101,8 @@ class HolderTestFunction:
 
     def __post_init__(self) -> None:
         RegularityClass(self.m, self.beta)
-        if not self.xi > 0.0:
-            raise ValueError(f"kink location must be positive, got {self.xi!r}")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError(f"kink location must be positive and finite, got {self.xi!r}")
 
     @property
     def regularity(self) -> RegularityClass:
@@ -129,11 +128,6 @@ class HolderTestFunction:
         for i in range(order):
             factor *= self.m + self.beta - i
         return factor * d ** (self.m - order) * abs(d) ** self.beta
-
-
-def eval_test_function(f: HolderTestFunction, t: float) -> float:
-    """Value of the test function at time t."""
-    return f(t)
 
 
 def modulus_probe(

@@ -195,15 +195,6 @@ class LagrangePiece:
     def __call__(self, s: float) -> float:
         return lagrange_eval(self, s)
 
-    def derivative_at(self, s: float) -> float:
-        """First derivative of the piece at s, from the monomial form."""
-        coeffs = self.monomial_coefficients()
-        sigma = (s - self.node_times[-1]) / self.tau
-        acc = 0.0
-        for r in range(self.degree, 0, -1):
-            acc = acc * sigma + r * coeffs[r]
-        return acc / self.tau
-
 
 def lagrange_eval(piece: LagrangePiece, s: float) -> float:
     """Evaluate a piece at s through the nodal-polynomial weight form.
@@ -295,8 +286,8 @@ def build_interpolant(
 ) -> PiecewisePolynomial:
     """Assemble the scheme's interpolant for evaluation at node n.
 
-    Needs node values u^0..u^n.  Piece layout per scheme, writing I_j for
-    the grid interval (t_{j-1}, t_j):
+    Needs finite node values u^0..u^n.  Piece layout per scheme, writing
+    I_j for the grid interval (t_{j-1}, t_j):
 
     * L1: linear through {j-1, j} on each I_j.
     * L2 (n >= 2): quadratic through {j-1, j, j+1} on I_j for j < n, and the
@@ -314,6 +305,9 @@ def build_interpolant(
         raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
     if len(values) < n + 1:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
+    for i in range(n + 1):
+        if not math.isfinite(values[i]):
+            raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
 
     tag = scheme.tag
     pieces: list[LagrangePiece] = []

@@ -126,6 +126,9 @@ def l1_convolution(
     n = len(values) - 1
     if n < 1:
         raise ValueError("need node values u^0..u^n with n >= 1")
+    for j, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"node value u^{j} is not finite: {v!r}")
     al = _as_alpha(alpha)
     weights = l1_weights(n, al)
     acc = math.fsum(

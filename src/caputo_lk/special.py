@@ -17,21 +17,6 @@ from dataclasses import dataclass
 __all__ = ["FractionalOrder", "KernelMoment", "gamma", "kernel_moment"]
 
 
-# Lanczos coefficients for g = 7 (Godfrey's table, also used by the GSL).
-# Relative error stays below 1e-13 for positive real arguments.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # Binomial table up to the largest monomial degree handled by kernel_moment.
 _BINOM = tuple(tuple(math.comb(q, i) for i in range(q + 1)) for q in range(7))
 
@@ -59,21 +44,10 @@ def _as_alpha(alpha: FractionalOrder | float) -> float:
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0 (Lanczos approximation).
-
-    Arguments below 0.5 are routed through the reflection formula so the
-    core series is always evaluated away from the poles.
-    """
+    """Gamma function for real x > 0 (``math.gamma`` on a checked domain)."""
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a positive finite argument, got {x!r}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 @dataclass(frozen=True)

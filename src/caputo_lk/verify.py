@@ -4,6 +4,10 @@ Every check is deterministic (seeded RNG) and compares two independent
 routes to the same quantity: algebraic identities of the interpolation
 machinery, closed-form values of the discrete operators, and the adaptive
 quadrature oracle against the production kernel-moment path.
+
+Checks are registered by the name ``verify`` prints.  The acceptance tests
+run the same checks through ``run_check``, so each invariant is written
+once, at the strength the acceptance gate holds it to.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .holder import HolderTestFunction, UniformGrid
+from .holder import HolderTestFunction, RegularityClass, UniformGrid
 from .interp import (
     LagrangePiece,
     SchemeKind,
@@ -27,9 +32,19 @@ from .schemes import discrete_caputo, l1_convolution, l1_weights
 from .special import KernelMoment, FractionalOrder, gamma, kernel_moment
 from .harness import order_first_node, order_interior
 
-__all__ = ["CheckResult", "run_verification"]
+__all__ = ["CheckResult", "run_check", "run_verification"]
 
 _SEED = 20260817
+
+_ALL_SCHEMES = (
+    SchemeKind.l1(),
+    SchemeKind.l2(),
+    SchemeKind.l12(),
+    SchemeKind.lk(3),
+    SchemeKind.lk(4),
+    SchemeKind.lk(5),
+    SchemeKind.lk(6),
+)
 
 
 @dataclass(frozen=True)
@@ -39,7 +54,23 @@ class CheckResult:
     detail: str
 
 
-def _check_gamma(rng: random.Random) -> CheckResult:
+# name -> check; a check takes a seeded RNG and returns (ok, detail)
+_CHECKS: dict[str, Callable[[random.Random], tuple[bool, str]]] = {}
+
+
+def _check(name: str):
+    """Register a check under the name ``verify`` prints; definition order
+    is run order."""
+
+    def register(fn):
+        _CHECKS[name] = fn
+        return fn
+
+    return register
+
+
+@_check("gamma recurrence and anchors")
+def _check_gamma(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(200):
         x = rng.uniform(0.05, 6.0)
@@ -57,12 +88,11 @@ def _check_gamma(rng: random.Random) -> CheckResult:
     for _ in range(50):
         x = rng.uniform(0.05, 6.0)
         worst = max(worst, abs(gamma(x) - math.gamma(x)) / math.gamma(x))
-    return CheckResult(
-        "gamma recurrence and anchors", worst < 1e-12, f"worst rel dev {worst:.2e}"
-    )
+    return worst < 1e-12, f"worst rel dev {worst:.2e}"
 
 
-def _check_moment_additivity(rng: random.Random) -> CheckResult:
+@_check("kernel moment window additivity")
+def _check_moment_additivity(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(60):
         alpha = FractionalOrder(rng.uniform(0.05, 0.95))
@@ -78,12 +108,11 @@ def _check_moment_additivity(rng: random.Random) -> CheckResult:
         ) + kernel_moment(KernelMoment(t=t, a=mid, b=b, c=c, q=q, alpha=alpha))
         scale = max(abs(whole), abs(parts), 1e-30)
         worst = max(worst, abs(whole - parts) / scale)
-    return CheckResult(
-        "kernel moment window additivity", worst < 1e-9, f"worst rel dev {worst:.2e}"
-    )
+    return worst < 1e-9, f"worst rel dev {worst:.2e}"
 
 
-def _check_moment_recentring(rng: random.Random) -> CheckResult:
+@_check("kernel moment recentring identity")
+def _check_moment_recentring(rng: random.Random) -> tuple[bool, str]:
     # (s - c')^q expands binomially in (s - c), so the recentred moment is a
     # fixed linear combination of lower-degree moments
     worst = 0.0
@@ -104,81 +133,65 @@ def _check_moment_recentring(rng: random.Random) -> CheckResult:
         )
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
-    return CheckResult(
-        "kernel moment recentring identity", worst < 1e-8, f"worst rel dev {worst:.2e}"
-    )
+    return worst < 1e-8, f"worst rel dev {worst:.2e}"
 
 
-def _random_piece(rng: random.Random, k: int) -> LagrangePiece:
-    tau = 2.0 ** -rng.randrange(2, 8)
-    start = rng.randrange(0, 20)
-    times = tuple((start + i) * tau for i in range(k + 1))
-    values = tuple(rng.uniform(-2.0, 2.0) for _ in range(k + 1))
-    return LagrangePiece(
-        degree=k,
-        anchor=start + k,
-        node_times=times,
-        node_values=values,
-        interval=(times[-2], times[-1]),
-        tau=tau,
-    )
-
-
-def _check_partition_of_unity(rng: random.Random) -> CheckResult:
+@_check("partition of unity (k <= 6)")
+def _check_partition_of_unity(rng: random.Random) -> tuple[bool, str]:
+    # stencils start anywhere in [0, 20 tau), not only on grid nodes, and
+    # points reach two steps past either end
     worst = 0.0
+    count = 0
     for k in range(1, 7):
-        for _ in range(34):
-            piece = _random_piece(rng, k)
+        for _ in range(40):
+            tau = 2.0 ** -rng.randrange(2, 8)
+            start = rng.uniform(0.0, 20.0) * tau
+            times = tuple(start + i * tau for i in range(k + 1))
             ones = LagrangePiece(
                 degree=k,
-                anchor=piece.anchor,
-                node_times=piece.node_times,
+                anchor=k,
+                node_times=times,
                 node_values=(1.0,) * (k + 1),
-                interval=piece.interval,
-                tau=piece.tau,
+                interval=(times[-2], times[-1]),
+                tau=tau,
             )
-            lo = piece.node_times[0] - piece.tau
-            hi = piece.node_times[-1] + piece.tau
-            s = rng.uniform(lo, hi)
-            worst = max(worst, abs(lagrange_eval(ones, s) - 1.0))
-    return CheckResult(
-        "partition of unity (k <= 6)", worst < 1e-11, f"worst dev {worst:.2e}"
-    )
+            for _ in range(5):
+                s = rng.uniform(times[0] - 2.0 * tau, times[-1] + 2.0 * tau)
+                worst = max(worst, abs(lagrange_eval(ones, s) - 1.0))
+                count += 1
+    return worst < 1e-11, f"{count} points, worst dev {worst:.2e}"
 
 
-def _check_divided_coeff_sum(_: random.Random) -> CheckResult:
+@_check("lagrange weight reciprocals sum to zero")
+def _check_divided_coeff_sum(_: random.Random) -> tuple[bool, str]:
     for k in range(1, 7):
         total = sum(Fraction(1, divided_coeff(k, l)) for l in range(k + 1))
         if total != 0:
-            return CheckResult(
-                "lagrange weight reciprocals sum to zero", False, f"k={k}: {total}"
-            )
-    return CheckResult(
-        "lagrange weight reciprocals sum to zero", True, "exact for k = 1..6"
-    )
+            return False, f"k={k}: {total}"
+    return True, "exact for k = 1..6"
 
 
-def _check_backward_difference(rng: random.Random) -> CheckResult:
+@_check("difference operators annihilate low degrees")
+def _check_backward_difference(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for order in range(1, 7):
         for _ in range(20):
             deg = rng.randrange(0, order)
-            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(deg + 1)]
+            coeffs = [rng.uniform(-2.0, 2.0) for _ in range(deg + 1)]
+            t0 = rng.uniform(0.0, 0.2)
+            h = rng.uniform(0.05, 1.0)
             length = order + 1 + rng.randrange(0, 3)
             samples = [
-                math.fsum(c * (i * 1.0) ** p for p, c in enumerate(coeffs))
+                math.fsum(c * (t0 + h * i) ** p for p, c in enumerate(coeffs))
                 for i in range(length)
             ]
-            scale = max(abs(v) for v in samples) + 1.0
+            scale = max(1.0, max(abs(v) for v in samples))
             worst = max(worst, abs(backward_difference(samples, order)) / scale)
-    return CheckResult(
-        "difference operators annihilate low degrees",
-        worst < 1e-12,
-        f"worst scaled dev {worst:.2e}",
-    )
+    return worst < 1e-12, f"120 polynomials, worst scaled dev {worst:.2e}"
 
 
-def _check_interpolation_exactness(rng: random.Random) -> CheckResult:
+@_check("polynomial reproduction (k <= 6)")
+def _check_interpolation_exactness(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for k in range(1, 7):
         for _ in range(12):
@@ -202,26 +215,14 @@ def _check_interpolation_exactness(rng: random.Random) -> CheckResult:
                 s = rng.uniform(times[0], times[-1])
                 scale = max(1.0, abs(poly(s)))
                 worst = max(worst, abs(lagrange_eval(piece, s) - poly(s)) / scale)
-    return CheckResult(
-        "polynomial reproduction (k <= 6)", worst < 1e-10, f"worst rel dev {worst:.2e}"
-    )
+    return worst < 1e-10, f"worst rel dev {worst:.2e}"
 
 
-def _all_schemes() -> list[SchemeKind]:
-    return [
-        SchemeKind.l1(),
-        SchemeKind.l2(),
-        SchemeKind.l12(),
-        SchemeKind.lk(3),
-        SchemeKind.lk(4),
-        SchemeKind.lk(5),
-        SchemeKind.lk(6),
-    ]
-
-
-def _check_linear_exactness(rng: random.Random) -> CheckResult:
+@_check("linear inputs recover the power rule")
+def _check_linear_exactness(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
-    for scheme in _all_schemes():
+    count = 0
+    for scheme in _ALL_SCHEMES:
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             c0 = rng.uniform(-2.0, 2.0)
             c1 = rng.uniform(0.5, 2.0)
@@ -232,12 +233,12 @@ def _check_linear_exactness(rng: random.Random) -> CheckResult:
                 ).value
                 want = c1 * grid.time(n) ** (1.0 - alpha) / gamma(2.0 - alpha)
                 worst = max(worst, abs(got - want) / abs(want))
-    return CheckResult(
-        "linear inputs recover the power rule", worst < 1e-10, f"worst rel dev {worst:.2e}"
-    )
+                count += 1
+    return worst < 1e-10, f"{count} (scheme, alpha, node) triples, worst rel dev {worst:.2e}"
 
 
-def _check_l1_convolution(rng: random.Random) -> CheckResult:
+@_check("L1 convolution weights match the piecewise form")
+def _check_l1_convolution(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(20):
         n = rng.randrange(1, 40)
@@ -251,58 +252,63 @@ def _check_l1_convolution(rng: random.Random) -> CheckResult:
         worst = max(worst, abs(a - b) / scale)
     weights = l1_weights(12, 0.4)
     monotone = all(x > y > 0.0 for x, y in zip(weights, weights[1:]))
-    ok = worst < 1e-11 and monotone
-    return CheckResult(
-        "L1 convolution weights match the piecewise form",
-        ok,
+    return (
+        worst < 1e-11 and monotone,
         f"worst rel dev {worst:.2e}, weights decreasing: {monotone}",
     )
 
 
-def _check_scheme_coincidences(rng: random.Random) -> CheckResult:
+@_check("degree-family collapses (L1 = Lk1, L1-2 = Lk2)")
+def _check_scheme_coincidences(rng: random.Random) -> tuple[bool, str]:
+    # odd draws sample a Holder test function, even draws take random values
     worst = 0.0
-    for _ in range(10):
-        n = rng.randrange(2, 24)
-        grid = UniformGrid(horizon=1.0, steps=max(n, rng.randrange(n, n + 4)))
+    for i in range(20):
+        steps = rng.randrange(2, 33)
+        n = rng.randrange(2, steps + 1)
+        grid = UniformGrid(horizon=1.0, steps=steps)
         alpha = rng.uniform(0.05, 0.95)
-        values = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
-        lk1 = discrete_caputo(SchemeKind.lk(1), grid, values, n, alpha).value
-        l1 = discrete_caputo(SchemeKind.l1(), grid, values, n, alpha).value
-        lk2 = discrete_caputo(SchemeKind.lk(2), grid, values, n, alpha).value
-        l12 = discrete_caputo(SchemeKind.l12(), grid, values, n, alpha).value
-        scale = max(abs(l1), abs(l12), 1e-30)
-        worst = max(worst, abs(lk1 - l1) / scale, abs(lk2 - l12) / scale)
-    return CheckResult(
-        "degree-family collapses (L1 = Lk1, L1-2 = Lk2)",
-        worst < 1e-12,
-        f"worst rel dev {worst:.2e}",
-    )
+        if i % 2:
+            u = HolderTestFunction(
+                m=rng.randrange(0, 3),
+                beta=rng.uniform(0.1, 1.0),
+                xi=rng.uniform(0.15, 0.95),
+            )
+            values = [u(grid.time(j)) for j in range(n + 1)]
+        else:
+            values = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
+        for a, b in ((SchemeKind.lk(1), SchemeKind.l1()), (SchemeKind.lk(2), SchemeKind.l12())):
+            va = discrete_caputo(a, grid, values, n, alpha).value
+            vb = discrete_caputo(b, grid, values, n, alpha).value
+            worst = max(worst, abs(va - vb) / max(abs(va), abs(vb), 1e-30))
+    return worst < 1e-12, f"20 instances, worst rel dev {worst:.2e}"
 
 
-def _check_scheme_vs_oracle(rng: random.Random) -> CheckResult:
+@_check("closed-form moments match adaptive quadrature")
+def _check_scheme_vs_oracle(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
-    schemes = [SchemeKind.l1(), SchemeKind.l2(), SchemeKind.l12(), SchemeKind.lk(3)]
-    for scheme in schemes:
-        n = rng.randrange(max(2, scheme.degree), 14)
-        grid = UniformGrid(horizon=1.0, steps=rng.randrange(n, n + 8))
-        alpha = rng.uniform(0.1, 0.9)
-        m = rng.randrange(0, 3)
-        beta = rng.uniform(0.1, 1.0)
-        u = HolderTestFunction(m=m, beta=beta, xi=rng.uniform(0.2, 0.9))
-        values = [u(grid.time(i)) for i in range(n + 1)]
-        fast = discrete_caputo(scheme, grid, values, n, alpha).value
-        interp = build_interpolant(scheme, grid, values, n)
-        slow = quad_caputo_piecewise(interp, grid.time(n), alpha, tol=1e-12)
-        scale = max(abs(fast), abs(slow), 1e-12)
-        worst = max(worst, abs(fast - slow) / scale)
-    return CheckResult(
-        "closed-form moments match adaptive quadrature",
-        worst < 1e-9,
-        f"worst rel dev {worst:.2e}",
-    )
+    count = 0
+    for scheme in _ALL_SCHEMES:
+        for _ in range(20):
+            steps = rng.randrange(max(2, scheme.degree), 65)
+            n = rng.randrange(max(2, scheme.degree), steps + 1)
+            grid = UniformGrid(horizon=1.0, steps=steps)
+            alpha = rng.uniform(0.05, 0.95)
+            u = HolderTestFunction(
+                m=rng.randrange(0, 3),
+                beta=rng.uniform(0.1, 1.0),
+                xi=rng.uniform(0.15, 0.95),
+            )
+            values = [u(grid.time(i)) for i in range(n + 1)]
+            fast = discrete_caputo(scheme, grid, values, n, alpha).value
+            interp = build_interpolant(scheme, grid, values, n)
+            slow = quad_caputo_piecewise(interp, grid.time(n), alpha, tol=1e-12)
+            worst = max(worst, abs(fast - slow) / max(abs(fast), abs(slow), 1e-12))
+            count += 1
+    return worst < 1e-9, f"{count} instances, worst rel dev {worst:.2e}"
 
 
-def _check_oracle_two_forms(rng: random.Random) -> CheckResult:
+@_check("derivative-form and integrated-form quadratures agree")
+def _check_oracle_two_forms(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(2):
         n = rng.randrange(3, 7)
@@ -315,14 +321,11 @@ def _check_oracle_two_forms(rng: random.Random) -> CheckResult:
         b = quad_caputo_integrated(interp, grid.time(n), alpha, tol=1e-11)
         scale = max(abs(a), abs(b), 1e-10)
         worst = max(worst, abs(a - b) / scale)
-    return CheckResult(
-        "derivative-form and integrated-form quadratures agree",
-        worst < 1e-7,
-        f"worst rel dev {worst:.2e}",
-    )
+    return worst < 1e-7, f"worst rel dev {worst:.2e}"
 
 
-def _check_power_rule(rng: random.Random) -> CheckResult:
+@_check("monomial power rule against quadrature")
+def _check_power_rule(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for p in (1, 2, 3):
         alpha = rng.uniform(0.15, 0.85)
@@ -330,72 +333,79 @@ def _check_power_rule(rng: random.Random) -> CheckResult:
         want = exact_caputo_monomial(p, t, alpha)
         got = quad_caputo_integrated(lambda s: s**p, t, alpha, tol=1e-11)
         worst = max(worst, abs(got - want) / abs(want))
-    return CheckResult(
-        "monomial power rule against quadrature", worst < 1e-8, f"worst rel dev {worst:.2e}"
-    )
+    return worst < 1e-8, f"worst rel dev {worst:.2e}"
 
 
-def _check_first_node_band(_: random.Random) -> CheckResult:
-    worst_note = []
+@_check("first-node order sits in the 2 - alpha band")
+def _check_first_node_band(_: random.Random) -> tuple[bool, str]:
     ok = True
-    for alpha in (0.3, 0.5, 0.7):
-        row = order_first_node(
-            SchemeKind.l2(), HolderTestFunction(m=2, beta=0.5, xi=0.5), alpha, 2.0**-7
-        )
-        lo, hi = 2.0 - alpha - 0.1, 2.0 - alpha + 0.15
-        if not lo <= row.measured_R <= hi:
-            ok = False
-        worst_note.append(f"alpha={alpha}: R={row.measured_R:.3f}")
-    return CheckResult(
-        "first-node order sits in the 2 - alpha band", ok, "; ".join(worst_note)
-    )
+    notes = []
+    for scheme in (SchemeKind.l2(), SchemeKind.l12()):
+        for alpha in (0.3, 0.5, 0.7):
+            row = order_first_node(
+                scheme, HolderTestFunction(m=2, beta=0.5, xi=0.5), alpha, 2.0**-7
+            )
+            ok = ok and 2.0 - alpha - 0.10 <= row.measured_R <= 2.0 - alpha + 0.15
+            notes.append(f"{scheme.label} alpha={alpha}: R={row.measured_R:.3f}")
+    return ok, "; ".join(notes)
 
 
-def _check_interior_orders(_: random.Random) -> CheckResult:
-    cases = [
-        (SchemeKind.l1(), 0.5, 1, 0.3, 0.5),
-        (SchemeKind.l2(), 0.5, 2, 0.5, 0.5),
-        (SchemeKind.l12(), 0.3, 1, 0.9, 0.5),
-        (SchemeKind.lk(3), 0.5, 2, 0.3, 0.25),
+# Rate caps of the drawn interior probes, per scheme degree.  High-degree
+# schemes are capped below their design order: their rate transients at
+# tau = 2^-7 exceed the 0.15 band even though the asymptotic rate is right.
+_RATE_CAPS = {1: 9.9, 2: 9.9, 3: 2.2, 4: 2.2, 5: 2.0, 6: 2.0}
+
+
+def _draw_interior_probes(
+    rng: random.Random, count: int
+) -> list[tuple[SchemeKind, float, HolderTestFunction]]:
+    """Random (scheme, alpha, test function) probes inside the envelope
+    where the tau = 2^-7 three-grid ratio has settled.
+
+    beta is kept off both endpoints, where the probe degenerates to a
+    polynomial (reproduced exactly, no measurable ratio) or the transient
+    is slowest.
+    """
+    out = []
+    while len(out) < count:
+        scheme = _ALL_SCHEMES[rng.randrange(len(_ALL_SCHEMES))]
+        k = scheme.degree
+        alpha = rng.uniform(0.1, 0.9)
+        rate = rng.uniform(0.3, min(k + 1.0 - alpha - 0.5, _RATE_CAPS[k]))
+        rc = RegularityClass.from_total(alpha + rate)
+        if rc.m > k or not 0.2 <= rc.beta <= 0.95:
+            continue
+        xi = rng.randrange(8, 97) * 2.0**-7
+        out.append((scheme, alpha, HolderTestFunction(m=rc.m, beta=rc.beta, xi=xi)))
+    return out
+
+
+@_check("interior orders track m + beta - alpha")
+def _check_interior_orders(rng: random.Random) -> tuple[bool, str]:
+    fixed = [
+        (SchemeKind.l1(), 0.5, HolderTestFunction(m=1, beta=0.3, xi=0.5)),
+        (SchemeKind.l2(), 0.5, HolderTestFunction(m=2, beta=0.5, xi=0.5)),
+        (SchemeKind.l12(), 0.3, HolderTestFunction(m=1, beta=0.9, xi=0.5)),
+        (SchemeKind.lk(3), 0.5, HolderTestFunction(m=2, beta=0.3, xi=0.25)),
     ]
+    probes = fixed + _draw_interior_probes(rng, 30)
     worst = 0.0
     notes = []
-    for scheme, alpha, m, beta, xi in cases:
-        row = order_interior(
-            scheme, HolderTestFunction(m=m, beta=beta, xi=xi), alpha, 2.0**-7
-        )
-        dev = abs(row.measured_R - row.theoretical_order)
-        worst = max(worst, dev)
-        notes.append(f"{scheme.label}: {row.measured_R:.3f} vs {row.theoretical_order:.2f}")
-    return CheckResult(
-        "interior orders track m + beta - alpha",
-        worst < 0.15,
-        "; ".join(notes),
-    )
+    for i, (scheme, alpha, f) in enumerate(probes):
+        row = order_interior(scheme, f, alpha, 2.0**-7)
+        worst = max(worst, abs(row.measured_R - row.theoretical_order))
+        if i < len(fixed):
+            notes.append(f"{scheme.label}: {row.measured_R:.3f} vs {row.theoretical_order:.2f}")
+    notes.append(f"worst dev {worst:.3f} over {len(probes)} probes")
+    return worst < 0.15, "; ".join(notes)
 
 
-_CHECKS = [
-    _check_gamma,
-    _check_moment_additivity,
-    _check_moment_recentring,
-    _check_partition_of_unity,
-    _check_divided_coeff_sum,
-    _check_backward_difference,
-    _check_interpolation_exactness,
-    _check_linear_exactness,
-    _check_l1_convolution,
-    _check_scheme_coincidences,
-    _check_scheme_vs_oracle,
-    _check_oracle_two_forms,
-    _check_power_rule,
-    _check_first_node_band,
-    _check_interior_orders,
-]
+def run_check(name: str, seed: int = _SEED) -> CheckResult:
+    """Run the check registered under ``name`` with a fresh seeded RNG."""
+    ok, detail = _CHECKS[name](random.Random(seed))
+    return CheckResult(name, ok, detail)
 
 
 def run_verification(seed: int = _SEED) -> list[CheckResult]:
-    """Run every verification check with a fixed seed; deterministic."""
-    results = []
-    for check in _CHECKS:
-        results.append(check(random.Random(seed)))
-    return results
+    """Run every registered check in order; deterministic for a given seed."""
+    return [run_check(name, seed) for name in _CHECKS]

@@ -41,6 +41,9 @@ class TestUniformGrid:
             UniformGrid(horizon=0.0, steps=4)
         with pytest.raises(ValueError):
             UniformGrid(horizon=1.0, steps=0)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                UniformGrid(horizon=horizon, steps=4)
 
 
 class TestRegularityClass:
@@ -103,6 +106,9 @@ class TestHolderTestFunction:
     def test_rejects_kink_at_origin(self):
         with pytest.raises(ValueError):
             HolderTestFunction(m=0, beta=0.5, xi=0.0)
+        for xi in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                HolderTestFunction(m=0, beta=0.5, xi=xi)
 
 
 class TestModulusProbe:

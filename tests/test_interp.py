@@ -301,3 +301,6 @@ class TestBuildInterpolant:
         g = UniformGrid(horizon=1.0, steps=8)
         with pytest.raises(ValueError):
             build_interpolant(SchemeKind.l1(), g, [0.0, 1.0], 4)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="u\\^2 is not finite"):
+                build_interpolant(SchemeKind.l2(), g, [0.0, 1.0, bad, 3.0, 4.0], 4)

@@ -196,6 +196,14 @@ class TestDiscreteCaputo:
             discrete_caputo(SchemeKind.l1(), g, lambda t: t, 0, 0.5)
         with pytest.raises(ValueError):
             discrete_caputo(SchemeKind.l1(), g, lambda t: t, 9, 0.5)
+        # a non-finite node value fails loudly instead of propagating
+        for bad in (math.nan, math.inf):
+            vals = [0.0, 0.1, bad, 0.3, 0.4]
+            for scheme in (SchemeKind.l1(), SchemeKind.l2()):
+                with pytest.raises(ValueError, match="not finite"):
+                    discrete_caputo(scheme, g, vals, 4, 0.5)
+            with pytest.raises(ValueError, match="not finite"):
+                l1_convolution(vals, g.tau, 0.5)
 
     def test_against_quadrature_oracle(self):
         """Closed-form kernel moments against adaptive quadrature on the

@@ -8,10 +8,12 @@ stencil node, and the single grid interval on which it is in force.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .holder import UniformGrid
@@ -156,6 +158,11 @@ _BASIS: dict[int, tuple[tuple[float, ...], ...]] = {
     k: _basis_coefficients(k) for k in range(1, MAX_DEGREE + 1)
 }
 
+# _DIVIDED[k][l] == divided_coeff(k, l), read by lagrange_eval per term
+_DIVIDED: dict[int, tuple[int, ...]] = {
+    k: tuple(divided_coeff(k, l) for l in range(k + 1)) for k in range(1, MAX_DEGREE + 1)
+}
+
 
 @dataclass(frozen=True)
 class LagrangePiece:
@@ -206,12 +213,13 @@ def lagrange_eval(piece: LagrangePiece, s: float) -> float:
     k = piece.degree
     times = piece.node_times
     tau_k = piece.tau**k
+    divided = _DIVIDED[k]
     w = omega(times, s)
     terms = []
     for l in range(k + 1):
         # l counts back from the rightmost node to match divided_coeff
         t_l = times[k - l]
-        d_l = divided_coeff(k, l)
+        d_l = divided[l]
         if abs(s - t_l) < piece.tau * _NODE_EPS:
             rest = 1.0
             for i, t_i in enumerate(times):
@@ -240,13 +248,19 @@ class PiecewisePolynomial:
     def t_end(self) -> float:
         return self.pieces[-1].interval[1]
 
+    @cached_property
+    def right_ends(self) -> tuple[float, ...]:
+        """Right ends of the pieces' validity intervals, ascending; the
+        interior ones are where the interpolant's derivative may jump."""
+        return tuple(piece.interval[1] for piece in self.pieces)
+
     def piece_at(self, s: float) -> LagrangePiece:
+        """The first piece whose interval ends at or after s; a point on an
+        interior node belongs to the piece that ends there."""
         if not 0.0 <= s <= self.t_end * (1.0 + 1e-12):
             raise ValueError(f"point {s!r} outside [0, {self.t_end}]")
-        for piece in self.pieces:
-            if s <= piece.interval[1]:
-                return piece
-        return self.pieces[-1]
+        i = bisect.bisect_left(self.right_ends, s)
+        return self.pieces[min(i, len(self.pieces) - 1)]
 
     def __call__(self, s: float) -> float:
         return lagrange_eval(self.piece_at(s), s)

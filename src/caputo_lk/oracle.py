@@ -9,18 +9,23 @@ Two independent routes to the same quantity:
 * ``quad_caputo_integrated`` evaluates the integrated-by-parts form, whose
   integrand only needs function values.  Dyadic bands clustered at s = t
   resolve the endpoint; the geometric band-to-band decay is extrapolated
-  once successive estimates agree.
+  once successive estimates agree.  When u is a scheme interpolant, each
+  band starts from the interpolant's piece boundaries inside it, where the
+  derivative of u may jump, so refinement never has to hunt for them.
 
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
 below is self-contained, and piece derivatives are taken in product form
-straight from the stencil data.
+straight from the stencil data.  The adaptive routine follows QUADPACK's
+QAGP: one starting region per pair of consecutive break points, then
+global bisection of the worst region.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from .interp import LagrangePiece, PiecewisePolynomial
 from .special import FractionalOrder, _as_alpha, gamma
@@ -92,14 +97,22 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kron, abs(kron - gauss)
 
 
-def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Globally adaptive Gauss-Kronrod with bisection of the worst region."""
-    if a == b:
-        return 0.0
+def _adaptive(f: Callable[[float], float], points: Sequence[float], tol: float) -> float:
+    """Globally adaptive Gauss-Kronrod over the ascending break points:
+    one GK15 region per pair of consecutive points to start, then
+    bisection of the worst region until the summed error estimate meets tol."""
     tol = max(tol, _MIN_TOL)
-    value, err = _gk15(f, a, b)
-    heap = [(-err, a, b, value, 0)]
-    total_err = err
+    heap = []
+    total_err = 0.0
+    for lo, hi in zip(points, points[1:]):
+        if lo == hi:
+            continue
+        value, err = _gk15(f, lo, hi)
+        heap.append((-err, lo, hi, value, 0))
+        total_err += err
+    if not heap:
+        return 0.0
+    heapq.heapify(heap)
     while total_err > tol:
         if len(heap) >= _MAX_REGIONS:
             raise QuadratureConvergenceError(
@@ -109,7 +122,7 @@ def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> fl
         neg_err, lo, hi, val, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise QuadratureConvergenceError(
-                "adaptive quadrature exceeded depth 40",
+                f"adaptive quadrature exceeded depth {_MAX_DEPTH}",
                 math.fsum(r[3] for r in heap) + val,
             )
         mid = 0.5 * (lo + hi)
@@ -121,18 +134,29 @@ def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> fl
     return math.fsum(r[3] for r in heap)
 
 
-def _piece_derivative(piece: LagrangePiece, s: float) -> float:
-    # Derivative of the Lagrange interpolant in product form,
-    #   p'(s) = sum_l v_l sum_{i != l} prod_{j != l, i} (s - t_j) / denom_l,
-    # built from the stencil alone; shares nothing with the monomial path.
+def _stencil_denominators(piece: LagrangePiece) -> tuple[float, ...]:
+    # denom_l = prod_{i != l} (t_l - t_i) of _piece_derivative, once per piece
     times = piece.node_times
     k = piece.degree
-    acc = 0.0
+    out = []
     for l in range(k + 1):
         denom = 1.0
         for i in range(k + 1):
             if i != l:
                 denom *= times[l] - times[i]
+        out.append(denom)
+    return tuple(out)
+
+
+def _piece_derivative(piece: LagrangePiece, s: float, denoms: Sequence[float]) -> float:
+    # Derivative of the Lagrange interpolant in product form,
+    #   p'(s) = sum_l v_l sum_{i != l} prod_{j != l, i} (s - t_j) / denom_l,
+    # built from the stencil alone; shares nothing with the monomial path.
+    # ``denoms`` is _stencil_denominators(piece).
+    times = piece.node_times
+    k = piece.degree
+    acc = 0.0
+    for l in range(k + 1):
         basis_deriv = 0.0
         for i in range(k + 1):
             if i == l:
@@ -142,7 +166,7 @@ def _piece_derivative(piece: LagrangePiece, s: float) -> float:
                 if j != l and j != i:
                     prod *= s - times[j]
             basis_deriv += prod
-        acc += piece.node_values[l] * basis_deriv / denom
+        acc += piece.node_values[l] * basis_deriv / denoms[l]
     return acc
 
 
@@ -165,12 +189,13 @@ def quad_caputo_piecewise(
     contributions = []
     for piece in p.pieces:
         lo, hi = piece.interval
+        denoms = _stencil_denominators(piece)
         if hi < t_n * (1.0 - 1e-12) or t_n == 0.0:
             contributions.append(
                 _adaptive(
-                    lambda s, pc=piece: (t_n - s) ** (-al) * _piece_derivative(pc, s),
-                    lo,
-                    hi,
+                    lambda s, pc=piece, dn=denoms: (t_n - s) ** (-al)
+                    * _piece_derivative(pc, s, dn),
+                    [lo, hi],
                     per_piece,
                 )
             )
@@ -181,9 +206,8 @@ def quad_caputo_piecewise(
             contributions.append(
                 gamma_exp
                 * _adaptive(
-                    lambda w, pc=piece: _piece_derivative(pc, t_n - w**gamma_exp),
-                    0.0,
-                    w_top,
+                    lambda w, pc=piece, dn=denoms: _piece_derivative(pc, t_n - w**gamma_exp, dn),
+                    [0.0, w_top],
                     per_piece / gamma_exp,
                 )
             )
@@ -204,13 +228,17 @@ def quad_caputo_integrated(
     Only uses point values of u, so it is meaningful for merely Holder
     continuous inputs (exponent above alpha near t).  The integral is taken
     over dyadic bands shrinking toward s = t; once two successive
-    tail-extrapolated totals agree to tol/4 the sum is accepted.
+    tail-extrapolated totals agree to tol/4 the sum is accepted.  When u is
+    a ``PiecewisePolynomial``, each band's adaptive quadrature starts from
+    the band split at the piece boundaries inside it, where u' may jump;
+    any other u starts from the whole band.
     """
     al = _as_alpha(alpha)
     if t <= 0.0:
         raise ValueError(f"evaluation time must be positive, got {t!r}")
     tol = max(tol, _MIN_TOL)
     u_t = u(t)
+    breaks = u.right_ends if isinstance(u, PiecewisePolynomial) else ()
 
     def integrand(s: float) -> float:
         return (u_t - u(s)) * (t - s) ** (-1.0 - al)
@@ -238,7 +266,8 @@ def quad_caputo_integrated(
         noise = 8.0 * 2.3e-16 * scale * (t - hi) ** (-1.0 - al) * (hi - lo)
         noise_sum += noise
         band_tol = max(tol / (4.0 * (i + 1) * (i + 2)), noise)
-        band = _adaptive(integrand, lo, hi, band_tol)
+        inside = breaks[bisect.bisect_right(breaks, lo) : bisect.bisect_left(breaks, hi)]
+        band = _adaptive(integrand, [lo, *inside, hi], band_tol)
         partial.append(band)
         total = math.fsum(partial) + band * tail_factor
         # cancellation noise accumulated across bands bounds what the float

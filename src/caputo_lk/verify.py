@@ -310,18 +310,21 @@ def _check_scheme_vs_oracle(rng: random.Random) -> tuple[bool, str]:
 @_check("derivative-form and integrated-form quadratures agree")
 def _check_oracle_two_forms(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
-    for _ in range(2):
-        n = rng.randrange(3, 7)
-        grid = UniformGrid(horizon=1.0, steps=n)
-        alpha = rng.uniform(0.2, 0.8)
-        u = HolderTestFunction(m=2, beta=rng.uniform(0.3, 1.0), xi=rng.uniform(0.3, 0.7))
-        values = [u(grid.time(i)) for i in range(n + 1)]
-        interp = build_interpolant(SchemeKind.l12(), grid, values, n)
-        a = quad_caputo_piecewise(interp, grid.time(n), alpha, tol=1e-12)
-        b = quad_caputo_integrated(interp, grid.time(n), alpha, tol=1e-11)
-        scale = max(abs(a), abs(b), 1e-10)
-        worst = max(worst, abs(a - b) / scale)
-    return worst < 1e-7, f"worst rel dev {worst:.2e}"
+    count = 0
+    for scheme in _ALL_SCHEMES:
+        for _ in range(4):
+            n = rng.randrange(3, 33)
+            grid = UniformGrid(horizon=1.0, steps=n)
+            alpha = rng.uniform(0.2, 0.8)
+            u = HolderTestFunction(m=2, beta=rng.uniform(0.3, 1.0), xi=rng.uniform(0.3, 0.7))
+            values = [u(grid.time(i)) for i in range(n + 1)]
+            interp = build_interpolant(scheme, grid, values, n)
+            a = quad_caputo_piecewise(interp, grid.time(n), alpha, tol=1e-12)
+            b = quad_caputo_integrated(interp, grid.time(n), alpha, tol=1e-11)
+            scale = max(abs(a), abs(b), 1e-10)
+            worst = max(worst, abs(a - b) / scale)
+            count += 1
+    return worst < 1e-7, f"{count} instances, worst rel dev {worst:.2e}"
 
 
 @_check("monomial power rule against quadrature")

@@ -304,3 +304,18 @@ class TestBuildInterpolant:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="u\\^2 is not finite"):
                 build_interpolant(SchemeKind.l2(), g, [0.0, 1.0, bad, 3.0, 4.0], 4)
+
+    def test_piece_at_boundaries(self):
+        u = HolderTestFunction(m=1, beta=0.8, xi=0.5)
+        g, vals = self.grid_and_values(6, u, steps=8)
+        p = build_interpolant(SchemeKind.l12(), g, vals, 6)
+        # an interior node belongs to the piece that ends there
+        for j in range(1, 6):
+            assert p.piece_at(g.time(j)) is p.pieces[j - 1]
+            assert p.piece_at(0.5 * (g.time(j - 1) + g.time(j))) is p.pieces[j - 1]
+        assert p.piece_at(0.0) is p.pieces[0]
+        assert p.piece_at(p.t_end) is p.pieces[-1]
+        assert p.piece_at(p.t_end * (1.0 + 1e-13)) is p.pieces[-1]
+        for outside in (-1e-15, -0.5, p.t_end * (1.0 + 1e-11), 2.0, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                p.piece_at(outside)

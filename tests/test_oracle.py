@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from caputo_lk import interp as interp_module
 from caputo_lk import oracle
 from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.interp import LagrangePiece, PiecewisePolynomial, SchemeKind, build_interpolant
@@ -16,6 +17,7 @@ from caputo_lk.oracle import (
     quad_caputo_integrated,
     quad_caputo_piecewise,
 )
+from caputo_lk.verify import run_check
 
 
 def monomial_interpolant(p: int, t_end: float) -> PiecewisePolynomial:
@@ -53,11 +55,11 @@ class TestAdaptiveCore:
             assert err <= 1e-11 * max(1.0, abs(exact))
 
     def test_adaptive_smooth(self):
-        got = oracle._adaptive(math.exp, 0.0, 1.0, 1e-13)
+        got = oracle._adaptive(math.exp, [0.0, 1.0], 1e-13)
         assert got == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_adaptive_oscillatory(self):
-        got = oracle._adaptive(lambda s: math.sin(20.0 * s), 0.0, 2.0, 1e-12)
+        got = oracle._adaptive(lambda s: math.sin(20.0 * s), [0.0, 2.0], 1e-12)
         want = (1.0 - math.cos(40.0)) / 20.0
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -69,7 +71,7 @@ class TestAdaptiveCore:
         p = 1.0 - al
         # int_0^t (t-s)^-al s ds via the substitution, against the exact
         # Beta-function value t^(2-al) / ((1-al)(2-al))
-        got = oracle._adaptive(lambda w: t - w ** (1.0 / p), 0.0, t**p, 1e-13) / p
+        got = oracle._adaptive(lambda w: t - w ** (1.0 / p), [0.0, t**p], 1e-13) / p
         want = t ** (2 - al) / ((1 - al) * (2 - al))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -79,10 +81,31 @@ class TestAdaptiveCore:
         # transport the accumulated estimate
         c = 1.0 / math.sqrt(7.0)
         with pytest.raises(QuadratureConvergenceError) as info:
-            oracle._adaptive(lambda s: abs(s - c) ** -0.5, 0.0, 1.0, 1e-14)
+            oracle._adaptive(lambda s: abs(s - c) ** -0.5, [0.0, 1.0], 1e-14)
         best = info.value.best
         want = 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c))
         assert best == pytest.approx(want, rel=1e-3)
+
+    def test_break_point_starts_a_region(self):
+        # a kink passed as a break point is integrated exactly by the two
+        # starting regions; bisecting toward it from [0, 1] takes 585 calls
+        c = 1.0 / math.sqrt(7.0)
+        calls = 0
+
+        def kink(s):
+            nonlocal calls
+            calls += 1
+            return abs(s - c)
+
+        got = oracle._adaptive(kink, [0.0, c, 1.0], 1e-14)
+        assert got == pytest.approx(0.5 * (c * c + (1.0 - c) ** 2), rel=0.0, abs=1e-13)
+        assert calls <= 60
+
+    def test_depth_error_names_the_limit(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_DEPTH", 3)
+        c = 1.0 / math.sqrt(7.0)
+        with pytest.raises(QuadratureConvergenceError, match="exceeded depth 3 "):
+            oracle._adaptive(lambda s: abs(s - c) ** -0.5, [0.0, 1.0], 1e-14)
 
 
 class TestExactMonomial:
@@ -138,17 +161,30 @@ class TestIntegratedOracle:
         assert got == pytest.approx(0.17292951293090558, rel=5e-9)
 
     def test_agrees_with_piecewise_on_interpolants(self):
-        rng = random.Random(33)
-        for _ in range(2):
-            n = rng.randrange(3, 7)
-            g = UniformGrid(horizon=1.0, steps=n)
-            alpha = rng.uniform(0.2, 0.8)
-            u = HolderTestFunction(m=2, beta=rng.uniform(0.3, 1.0), xi=rng.uniform(0.3, 0.7))
-            vals = [u(g.time(i)) for i in range(n + 1)]
-            interp = build_interpolant(SchemeKind.l12(), g, vals, n)
-            a = quad_caputo_piecewise(interp, g.time(n), alpha, tol=1e-12)
-            b = quad_caputo_integrated(interp, g.time(n), alpha, tol=1e-11)
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-10)
+        result = run_check("derivative-form and integrated-form quadratures agree")
+        assert result.ok, result.detail
+
+    def test_interpolant_bands_start_at_piece_boundaries(self, monkeypatch):
+        """Crosscheck case c140/L1 (n = 31, kink at node 28): with the bands
+        split at the grid nodes it takes 654 interpolant evaluations, where
+        bisecting toward each derivative jump took 9804."""
+        calls = 0
+        evaluate = interp_module.lagrange_eval
+
+        def counted(piece, s):
+            nonlocal calls
+            calls += 1
+            return evaluate(piece, s)
+
+        g = UniformGrid(horizon=1.0, steps=33)
+        u = HolderTestFunction(m=1, beta=0.5360585648920434, xi=g.time(28))
+        alpha = 0.6648678540080026
+        p = build_interpolant(SchemeKind.l1(), g, [u(g.time(i)) for i in range(32)], 31)
+        want = quad_caputo_piecewise(p, g.time(31), alpha, tol=1e-12)
+        monkeypatch.setattr(interp_module, "lagrange_eval", counted)
+        got = quad_caputo_integrated(p, g.time(31), alpha, tol=1e-11)
+        assert calls <= 1500
+        assert got == pytest.approx(want, rel=1e-7)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import TextIO, Union
 
-from .holder import HolderTestFunction, RegularityClass, UniformGrid, grid_node_index
+from .holder import HolderTestFunction, RegularityClass, UniformGrid
 from .interp import SchemeKind, SchemeTag
 from .schemes import discrete_caputo
 
@@ -57,6 +57,9 @@ _FIRST_NODE_REFINEMENT = 128
 _FIXED_TIME_REFINEMENT = 64
 
 _HORIZON = 1.0
+
+# Coarsest step 2^-7 of the interior studies.
+_INTERIOR_TAU_EXP = 7
 
 
 class DegenerateDifferenceError(ArithmeticError):
@@ -116,6 +119,24 @@ class FixedTimeRow:
     measured_R: float
 
 
+def _unit_grid(tau: float) -> UniformGrid:
+    """The step-tau grid over [0, 1]; 1/tau must be integral."""
+    steps = round(_HORIZON / tau)
+    if steps < 1 or abs(steps * tau - _HORIZON) > 1e-9 * _HORIZON:
+        raise ValueError(f"step {tau!r} does not divide the unit horizon")
+    return UniformGrid(horizon=_HORIZON, steps=steps)
+
+
+def _rate(coarse: float, fine: float, what: str, alpha: float, f: HolderTestFunction) -> float:
+    """log2(coarse / fine), refused when either quantity is round-off."""
+    if coarse < _MIN_DIFF or fine < _MIN_DIFF:
+        raise DegenerateDifferenceError(
+            f"{what} {coarse:.3e} / {fine:.3e} are below the "
+            f"round-off floor at alpha={alpha}, m={f.m}, beta={f.beta}"
+        )
+    return math.log2(coarse / fine)
+
+
 def scheme_value(
     scheme: SchemeKind,
     u,
@@ -129,11 +150,8 @@ def scheme_value(
     Both 1/tau and t/tau must be integral; t is mapped to its node index
     through the grid so off-grid times are refused.
     """
-    steps = round(_HORIZON / tau)
-    if steps < 1 or abs(steps * tau - _HORIZON) > 1e-9 * _HORIZON:
-        raise ValueError(f"step {tau!r} does not divide the unit horizon")
-    grid = UniformGrid(horizon=_HORIZON, steps=steps)
-    n = grid_node_index(grid, t)
+    grid = _unit_grid(tau)
+    n = grid.node_index(t)
     if n == 0:
         raise ValueError("the discrete operator starts at the first node")
     return discrete_caputo(scheme, grid, u, n, alpha).value
@@ -144,11 +162,10 @@ def order_interior(
     f: HolderTestFunction,
     alpha: float,
     tau: float,
-    xi: float | None = None,
 ) -> ConvergenceRow:
     """Estimate the convergence order at the kink of the test function.
 
-    The operator is evaluated at the fixed time xi on grids with steps
+    The operator is evaluated at the kink xi on grids with steps
     tau, tau/2 and tau/4, and the order is read off as
 
         R = log2 |d(tau) - d(tau/2)| / |d(tau/2) - d(tau/4)|.
@@ -159,14 +176,8 @@ def order_interior(
     difference falls below 1e-15; a scheme that is exact on the probe has
     no measurable order.
     """
-    if xi is None:
-        xi = f.xi
-    if abs(xi - f.xi) > 1e-12:
-        raise ValueError(f"evaluation time {xi!r} is not the kink {f.xi!r}")
-    ratio = xi / tau
-    n_coarse = round(ratio)
-    if abs(ratio - n_coarse) > 1e-9:
-        raise ValueError(f"kink {xi!r} is not a node of the step-{tau!r} grid")
+    xi = f.xi
+    n_coarse = _unit_grid(tau).node_index(xi)
     if n_coarse < scheme.degree:
         raise ValueError(
             f"need xi >= {scheme.degree} * tau for {scheme.label}, "
@@ -176,13 +187,7 @@ def order_interior(
     d1 = scheme_value(scheme, f, alpha, tau, xi)
     d2 = scheme_value(scheme, f, alpha, tau / 2.0, xi)
     d4 = scheme_value(scheme, f, alpha, tau / 4.0, xi)
-    num = abs(d1 - d2)
-    den = abs(d2 - d4)
-    if num < _MIN_DIFF or den < _MIN_DIFF:
-        raise DegenerateDifferenceError(
-            f"refinement differences {num:.3e} / {den:.3e} are below the "
-            f"round-off floor at alpha={alpha}, m={f.m}, beta={f.beta}"
-        )
+    rate = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
     return ConvergenceRow(
         scheme=scheme,
         alpha=alpha,
@@ -190,7 +195,7 @@ def order_interior(
         beta=f.beta,
         xi=xi,
         tau_base=tau,
-        measured_R=math.log2(num / den),
+        measured_R=rate,
         theoretical_order=f.m + f.beta - alpha,
     )
 
@@ -228,11 +233,7 @@ def order_first_node(
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
     err = _first_node_error(scheme, f, alpha, tau)
     err_half = _first_node_error(scheme, f, alpha, tau / 2.0)
-    if err < _MIN_DIFF or err_half < _MIN_DIFF:
-        raise DegenerateDifferenceError(
-            f"first-node errors {err:.3e} / {err_half:.3e} are below the "
-            f"round-off floor at alpha={alpha}, beta={f.beta}"
-        )
+    rate = _rate(err, err_half, "first-node errors", alpha, f)
     return FirstNodeRow(
         scheme=scheme,
         alpha=alpha,
@@ -241,7 +242,7 @@ def order_first_node(
         xi=f.xi,
         tau=tau,
         error=err,
-        measured_R=math.log2(err / err_half),
+        measured_R=rate,
     )
 
 
@@ -281,11 +282,7 @@ def order_fixed_time(
     ref = scheme_value(l1, f, alpha, tau_ref, t)
     err = abs(scheme_value(l1, f, alpha, tau, t) - ref)
     err_half = abs(scheme_value(l1, f, alpha, tau / 2.0, t) - ref)
-    if err < _MIN_DIFF or err_half < _MIN_DIFF:
-        raise DegenerateDifferenceError(
-            f"fixed-time errors {err:.3e} / {err_half:.3e} are below the "
-            f"round-off floor at alpha={alpha}, beta={f.beta}"
-        )
+    rate = _rate(err, err_half, "fixed-time errors", alpha, f)
     return FixedTimeRow(
         alpha=alpha,
         beta=f.beta,
@@ -296,7 +293,7 @@ def order_fixed_time(
         tau_ref=tau_ref,
         error=err,
         error_half=err_half,
-        measured_R=math.log2(err / err_half),
+        measured_R=rate,
     )
 
 
@@ -378,11 +375,11 @@ _TABLE3_BETAS = (0.2, 0.5, 0.8)
 _TABLE3_TAU_EXPS = (7, 8)
 
 
-def _interior_report(table_id: int, tau_exp: int) -> Report:
+def _interior_report(table_id: int) -> Report:
     params = _TABLE_PARAMS[table_id]
     scheme: SchemeKind = params["scheme"]
     xi: float = params["xi"]
-    tau = 2.0 ** (-tau_exp)
+    tau = 2.0 ** (-_INTERIOR_TAU_EXP)
     cells = []
     for alpha in params["alphas"]:
         for total in params["totals"]:
@@ -398,7 +395,7 @@ def _interior_report(table_id: int, tau_exp: int) -> Report:
         kind="interior",
         scheme=scheme,
         xi=xi,
-        tau_exp=tau_exp,
+        tau_exp=_INTERIOR_TAU_EXP,
         alphas=tuple(params["alphas"]),
         totals=tuple(params["totals"]),
         interior_cells=tuple(cells),
@@ -437,7 +434,7 @@ def _first_node_report(tau_exps: tuple[int, ...]) -> Report:
     )
 
 
-def reproduce_table(table_id: int, tau_exp: int = 7) -> Report:
+def reproduce_table(table_id: int) -> Report:
     """Run one of the four built-in convergence studies.
 
     1: interior orders of L2 at xi = 0.5 over ten regularity classes.
@@ -448,11 +445,10 @@ def reproduce_table(table_id: int, tau_exp: int = 7) -> Report:
        2^-13 grid, which reproduce the published errors and 2^-7 rates.
     4: interior orders of L1-2-3 at xi = 0.25 over nine classes.
 
-    ``tau_exp`` sets the coarsest step 2^-tau_exp for the interior studies
-    and is ignored for study 3, which fixes its own step pair.
+    The interior studies take their coarsest step as 2^-7.
     """
     if table_id in _TABLE_PARAMS:
-        return _interior_report(table_id, tau_exp)
+        return _interior_report(table_id)
     if table_id == 3:
         return _first_node_report(_TABLE3_TAU_EXPS)
     raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")

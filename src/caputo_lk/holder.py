@@ -16,8 +16,6 @@ __all__ = [
     "RegularityClass",
     "HolderTestFunction",
     "NotAGridNodeError",
-    "grid_node_index",
-    "modulus_probe",
 ]
 
 _MAX_M = 6
@@ -51,16 +49,12 @@ class UniformGrid:
         return n * self.tau
 
     def node_index(self, t: float) -> int:
-        return grid_node_index(self, t)
-
-
-def grid_node_index(grid: UniformGrid, t: float) -> int:
-    """Map a time to its node index, refusing off-grid times."""
-    x = t / grid.tau
-    n = round(x)
-    if abs(x - n) > _NODE_TOL or not 0 <= n <= grid.steps:
-        raise NotAGridNodeError(f"time {t!r} is not a node of {grid}")
-    return n
+        """Map a time to its node index, refusing off-grid times."""
+        x = t / self.tau
+        n = round(x)
+        if abs(x - n) > _NODE_TOL or not 0 <= n <= self.steps:
+            raise NotAGridNodeError(f"time {t!r} is not a node of {self}")
+        return n
 
 
 @dataclass(frozen=True)
@@ -129,50 +123,3 @@ class HolderTestFunction:
             factor *= self.m + self.beta - i
         return factor * d ** (self.m - order) * abs(d) ** self.beta
 
-
-def modulus_probe(
-    f: HolderTestFunction,
-    derivative_order: int,
-    delta: float,
-    samples: int,
-    horizon: float = 1.0,
-) -> float:
-    """Sampled modulus of continuity of u^(p) at scale delta.
-
-    Returns max |u^(p)(t) - u^(p)(s)| over sampled pairs with |t - s| <= delta.
-    The sample set joins a delta-independent uniform grid (so the probe is
-    monotone in delta) with pairs straddling the kink, including the pairs
-    (xi - delta, xi) and (xi, xi + delta) that realize the Holder rate.
-    """
-    if not 0 <= derivative_order <= f.m:
-        raise ValueError("derivative order exceeds the classical count")
-    if delta < 0.0 or delta > horizon:
-        raise ValueError(f"probe scale must lie in [0, horizon], got {delta!r}")
-    if samples < 2:
-        raise ValueError("need at least two sample points")
-    if delta == 0.0:
-        return 0.0
-
-    def deriv(t: float) -> float:
-        return f.derivative(derivative_order, t)
-
-    ts = [i * horizon / (samples - 1) for i in range(samples)]
-    vals = [deriv(t) for t in ts]
-    best = 0.0
-    for i in range(samples):
-        j = i + 1
-        while j < samples and ts[j] - ts[i] <= delta * (1.0 + 1e-12):
-            diff = abs(vals[j] - vals[i])
-            if diff > best:
-                best = diff
-            j += 1
-    # pairs straddling the kink at every split ratio, kink-endpoint included
-    for a in range(17):
-        frac = a / 16.0
-        lo = f.xi - frac * delta
-        hi = lo + delta
-        if lo >= 0.0 and hi <= horizon:
-            diff = abs(deriv(hi) - deriv(lo))
-            if diff > best:
-                best = diff
-    return best

@@ -24,7 +24,6 @@ __all__ = [
     "LagrangePiece",
     "PiecewisePolynomial",
     "divided_coeff",
-    "omega",
     "lagrange_eval",
     "backward_difference",
     "build_interpolant",
@@ -103,14 +102,6 @@ def divided_coeff(k: int, l: int) -> int:
         raise ValueError(f"need 0 <= l <= k <= {MAX_DEGREE}, got l={l}, k={k}")
     value = math.factorial(k - l) * math.factorial(l)
     return -value if l % 2 else value
-
-
-def omega(node_times: Sequence[float], s: float) -> float:
-    """Nodal polynomial prod_i (s - t_i)."""
-    out = 1.0
-    for t in node_times:
-        out *= s - t
-    return out
 
 
 def backward_difference(values: Sequence[float], order: int) -> float:
@@ -206,15 +197,18 @@ class LagrangePiece:
 def lagrange_eval(piece: LagrangePiece, s: float) -> float:
     """Evaluate a piece at s through the nodal-polynomial weight form.
 
-    Each term is node_value * omega(s) / ((s - t_l) d_l tau^k); when s falls
-    on a node the shared factor is cancelled symbolically instead of divided
-    out, so node values are reproduced exactly.
+    Each term is node_value * w(s) / ((s - t_l) d_l tau^k) with the nodal
+    polynomial w(s) = prod_i (s - t_i).  When s falls on a node the shared
+    factor is cancelled symbolically instead of divided out, so node values
+    are reproduced exactly.
     """
     k = piece.degree
     times = piece.node_times
     tau_k = piece.tau**k
     divided = _DIVIDED[k]
-    w = omega(times, s)
+    w = 1.0
+    for t_i in times:
+        w *= s - t_i
     terms = []
     for l in range(k + 1):
         # l counts back from the rightmost node to match divided_coeff
@@ -323,23 +317,17 @@ def build_interpolant(
         if not math.isfinite(values[i]):
             raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
 
-    tag = scheme.tag
     pieces: list[LagrangePiece] = []
-
-    if tag is SchemeTag.L2:
+    if scheme.tag is SchemeTag.L2:
         if n < 2:
             raise ValueError("the L2 layout starts at n = 2; use L1 for the first node")
         for j in range(1, n):
             pieces.append(_piece(grid, values, degree=2, anchor=j + 1, interval_right=j))
         pieces.append(_piece(grid, values, degree=2, anchor=n, interval_right=n))
-    elif tag is SchemeTag.L1:
-        for j in range(1, n + 1):
-            pieces.append(_piece(grid, values, degree=1, anchor=j, interval_right=j))
     else:
-        k = 2 if tag is SchemeTag.L12 else scheme.k
-        assert k is not None
+        # L1, L1-2 and Lk share the backward stencil; L1 is the k = 1 case
+        k = scheme.degree
         for j in range(1, n + 1):
-            degree = min(j, k)
-            pieces.append(_piece(grid, values, degree=degree, anchor=j, interval_right=j))
+            pieces.append(_piece(grid, values, degree=min(j, k), anchor=j, interval_right=j))
 
     return PiecewisePolynomial(tuple(pieces))

@@ -28,7 +28,7 @@ import math
 from typing import Callable, Sequence
 
 from .interp import LagrangePiece, PiecewisePolynomial
-from .special import FractionalOrder, _as_alpha, gamma
+from .special import _check_alpha, gamma
 
 __all__ = [
     "QuadratureConvergenceError",
@@ -173,7 +173,7 @@ def _piece_derivative(piece: LagrangePiece, s: float, denoms: Sequence[float]) -
 def quad_caputo_piecewise(
     p: PiecewisePolynomial,
     t_n: float,
-    alpha: FractionalOrder | float,
+    alpha: float,
     tol: float = 1e-12,
 ) -> float:
     """Numerical value of the discrete operator applied to interpolant p.
@@ -181,7 +181,7 @@ def quad_caputo_piecewise(
     Integrates (t_n - s)^(-alpha) p'(s) over every piece adaptively and
     divides by Gamma(1 - alpha).
     """
-    al = _as_alpha(alpha)
+    al = _check_alpha(alpha)
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
     tol = max(tol, _MIN_TOL)
@@ -217,7 +217,7 @@ def quad_caputo_piecewise(
 def quad_caputo_integrated(
     u: Callable[[float], float],
     t: float,
-    alpha: FractionalOrder | float,
+    alpha: float,
     tol: float = 1e-10,
 ) -> float:
     """Numerical Caputo derivative through the integrated-by-parts form
@@ -228,12 +228,13 @@ def quad_caputo_integrated(
     Only uses point values of u, so it is meaningful for merely Holder
     continuous inputs (exponent above alpha near t).  The integral is taken
     over dyadic bands shrinking toward s = t; once two successive
-    tail-extrapolated totals agree to tol/4 the sum is accepted.  When u is
+    tail-extrapolated totals agree to tol/4, or to the cancellation noise
+    that the tail model amplifies, the sum is accepted.  When u is
     a ``PiecewisePolynomial``, each band's adaptive quadrature starts from
     the band split at the piece boundaries inside it, where u' may jump;
     any other u starts from the whole band.
     """
-    al = _as_alpha(alpha)
+    al = _check_alpha(alpha)
     if t <= 0.0:
         raise ValueError(f"evaluation time must be positive, got {t!r}")
     tol = max(tol, _MIN_TOL)
@@ -271,8 +272,10 @@ def quad_caputo_integrated(
         partial.append(band)
         total = math.fsum(partial) + band * tail_factor
         # cancellation noise accumulated across bands bounds what the float
-        # route can resolve, so it joins the acceptance threshold
-        if i >= 4 and abs(total - prev_total) < max(tol / 4.0, noise_sum):
+        # route can resolve, so it joins the acceptance threshold; a band's
+        # noise enters the total once directly and tail_factor times through
+        # the tail estimate
+        if i >= 4 and abs(total - prev_total) < max(tol / 4.0, (1.0 + tail_factor) * noise_sum):
             head = (u_t - u(0.0)) / (gamma(1.0 - al) * t**al)
             return head + al / gamma(1.0 - al) * total
         prev_total = total
@@ -283,14 +286,14 @@ def quad_caputo_integrated(
     )
 
 
-def exact_caputo_monomial(p: int, t: float, alpha: FractionalOrder | float) -> float:
+def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:
     """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) t^(p-alpha),
     and zero for the constant p = 0."""
     if p < 0:
         raise ValueError(f"monomial degree must be nonnegative, got {p}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    al = _as_alpha(alpha)
+    al = _check_alpha(alpha)
     if p == 0:
         return 0.0
     if t == 0.0:

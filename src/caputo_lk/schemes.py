@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .holder import UniformGrid
 from .interp import LagrangePiece, PiecewisePolynomial, SchemeKind, build_interpolant
-from .special import FractionalOrder, KernelMoment, _as_alpha, gamma, kernel_moment
+from .special import KernelMoment, _check_alpha, gamma, kernel_moment
 
 __all__ = [
     "DiscreteCaputoValue",
@@ -43,7 +43,7 @@ def caputo_of_piece(
     piece: LagrangePiece,
     interval: tuple[float, float],
     t_n: float,
-    alpha: FractionalOrder | float,
+    alpha: float,
 ) -> float:
     """Kernel-weighted integral of one piece derivative over a subinterval.
 
@@ -60,8 +60,7 @@ def caputo_of_piece(
     if b > t_n + slack:
         raise ValueError(f"integration window {interval!r} reaches past the evaluation time {t_n!r}")
     b = min(b, t_n)
-    al = _as_alpha(alpha)
-    order = FractionalOrder(al)
+    al = _check_alpha(alpha)
     center = piece.node_times[-1]
     coeffs = piece.monomial_coefficients()
     tau = piece.tau
@@ -69,19 +68,9 @@ def caputo_of_piece(
     tau_r = 1.0
     for r in range(1, piece.degree + 1):
         tau_r *= tau
-        moment = kernel_moment(KernelMoment(t=t_n, a=a, b=b, c=center, q=r - 1, alpha=order))
+        moment = kernel_moment(KernelMoment(t=t_n, a=a, b=b, c=center, q=r - 1, alpha=al))
         terms.append(r * coeffs[r] / tau_r * moment)
     return math.fsum(terms) / gamma(1.0 - al)
-
-
-def _node_values(
-    u: Callable[[float], float] | Sequence[float], grid: UniformGrid, n: int
-) -> Sequence[float]:
-    if callable(u):
-        return [u(grid.time(i)) for i in range(n + 1)]
-    if len(u) < n + 1:
-        raise ValueError(f"need node values u^0..u^{n}, got {len(u)}")
-    return u
 
 
 def discrete_caputo(
@@ -89,7 +78,7 @@ def discrete_caputo(
     grid: UniformGrid,
     u: Callable[[float], float] | Sequence[float],
     n: int,
-    alpha: FractionalOrder | float,
+    alpha: float,
 ) -> DiscreteCaputoValue:
     """Discrete Caputo derivative of u at node n under the given scheme.
 
@@ -97,8 +86,8 @@ def discrete_caputo(
     values covering u^0..u^n.  At n = 1 every scheme collapses to the
     linear (L1) first step.
     """
-    al = _as_alpha(alpha)
-    values = _node_values(u, grid, n)
+    al = _check_alpha(alpha)
+    values = [u(grid.time(i)) for i in range(n + 1)] if callable(u) else u
     effective = SchemeKind.l1() if n == 1 else scheme
     interpolant = build_interpolant(effective, grid, values, n)
     t_n = grid.time(n)
@@ -108,19 +97,16 @@ def discrete_caputo(
     return DiscreteCaputoValue(scheme=scheme, node=n, time=t_n, alpha=al, value=total)
 
 
-def l1_weights(n: int, alpha: FractionalOrder | float) -> list[float]:
+def l1_weights(n: int, alpha: float) -> list[float]:
     """Convolution weights b_j = (j+1)^(1-alpha) - j^(1-alpha) of the L1
     scheme, for lags j = 0..n-1.  Positive and strictly decreasing."""
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    al = _as_alpha(alpha)
-    p = 1.0 - al
+    p = 1.0 - _check_alpha(alpha)
     return [(j + 1.0) ** p - float(j) ** p for j in range(n)]
 
 
-def l1_convolution(
-    values: Sequence[float], tau: float, alpha: FractionalOrder | float
-) -> float:
+def l1_convolution(values: Sequence[float], tau: float, alpha: float) -> float:
     """L1 value at the last node through the weight form
     tau^(-alpha)/Gamma(2-alpha) sum_j b_{n-j} (u^j - u^{j-1})."""
     n = len(values) - 1
@@ -129,7 +115,7 @@ def l1_convolution(
     for j, v in enumerate(values):
         if not math.isfinite(v):
             raise ValueError(f"node value u^{j} is not finite: {v!r}")
-    al = _as_alpha(alpha)
+    al = _check_alpha(alpha)
     weights = l1_weights(n, al)
     acc = math.fsum(
         weights[n - j] * (values[j] - values[j - 1]) for j in range(1, n + 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["FractionalOrder", "KernelMoment", "gamma", "kernel_moment"]
+__all__ = ["KernelMoment", "gamma", "kernel_moment"]
 
 
 # Binomial table up to the largest monomial degree handled by kernel_moment.
@@ -24,22 +24,11 @@ _MAX_MOMENT_DEGREE = 6
 _SERIES_MAX_TERMS = 72
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order of the fractional derivative, restricted to (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha!r}")
-
-
-def _as_alpha(alpha: FractionalOrder | float) -> float:
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
+def _check_alpha(alpha: float) -> float:
+    """The fractional order as a float, refused unless it lies in (0, 1)."""
     a = float(alpha)
-    FractionalOrder(a)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
     return a
 
 
@@ -64,9 +53,10 @@ class KernelMoment:
     b: float
     c: float
     q: int
-    alpha: FractionalOrder
+    alpha: float
 
     def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
         if not 0.0 <= self.a <= self.b <= self.t:
             raise ValueError(
                 f"kernel moment needs 0 <= a <= b <= t, got a={self.a}, b={self.b}, t={self.t}"
@@ -133,8 +123,7 @@ def kernel_moment(m: KernelMoment) -> float:
     a geometric series around t - c, which evaluates the identical quantity
     without the cancellation the binomial form suffers there.
     """
-    t, a, b, c, q = m.t, m.a, m.b, m.c, m.q
-    alpha = m.alpha.alpha
+    t, a, b, c, q, alpha = m.t, m.a, m.b, m.c, m.q, m.alpha
     if a == b:
         return 0.0
     w0 = t - c

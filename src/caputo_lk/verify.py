@@ -29,7 +29,7 @@ from .interp import (
 )
 from .oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
 from .schemes import discrete_caputo, l1_convolution, l1_weights
-from .special import KernelMoment, FractionalOrder, gamma, kernel_moment
+from .special import KernelMoment, gamma, kernel_moment
 from .harness import order_first_node, order_interior
 
 __all__ = ["CheckResult", "run_check", "run_verification"]
@@ -95,7 +95,7 @@ def _check_gamma(rng: random.Random) -> tuple[bool, str]:
 def _check_moment_additivity(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(60):
-        alpha = FractionalOrder(rng.uniform(0.05, 0.95))
+        alpha = rng.uniform(0.05, 0.95)
         t = rng.uniform(0.5, 2.0)
         a = rng.uniform(0.0, 0.6) * t
         b = rng.uniform(a / t + 1e-3, 0.999) * t
@@ -117,7 +117,7 @@ def _check_moment_recentring(rng: random.Random) -> tuple[bool, str]:
     # fixed linear combination of lower-degree moments
     worst = 0.0
     for _ in range(40):
-        alpha = FractionalOrder(rng.uniform(0.05, 0.95))
+        alpha = rng.uniform(0.05, 0.95)
         t = rng.uniform(0.5, 2.0)
         a = rng.uniform(0.0, 0.5) * t
         b = rng.uniform(a / t + 1e-3, 0.99) * t

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from caputo_lk import cli
 from caputo_lk.cli import main
+from caputo_lk.verify import CheckResult
 
 
 def test_order_subcommand(capsys):
@@ -83,12 +85,36 @@ def test_order_table_rejects_unknown_id():
     assert info.value.code == 2
 
 
-def test_verify_subcommand(capsys):
+def _stub_verification(monkeypatch, results):
+    # the registry itself runs in tests/test_verify.py and the acceptance
+    # tests; here only the CLI's reporting is under test
+    monkeypatch.setattr(cli, "run_verification", lambda: results)
+
+
+def test_verify_subcommand(monkeypatch, capsys):
+    _stub_verification(
+        monkeypatch, [CheckResult("first", True, "a"), CheckResult("second", True, "b")]
+    )
     code = main(["verify"])
-    out = capsys.readouterr().out
     assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   first: a",
+        "ok   second: b",
+        "2/2 checks passed",
+    ]
+
+
+def test_verify_reports_failures(monkeypatch, capsys):
+    _stub_verification(
+        monkeypatch, [CheckResult("first", True, "a"), CheckResult("second", False, "b")]
+    )
+    code = main(["verify"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   first: a",
+        "FAIL second: b",
+        "1/2 checks passed",
+    ]
 
 
 def test_usage_error_without_subcommand():

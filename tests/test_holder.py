@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 
@@ -12,8 +11,6 @@ from caputo_lk.holder import (
     NotAGridNodeError,
     RegularityClass,
     UniformGrid,
-    grid_node_index,
-    modulus_probe,
 )
 
 
@@ -26,15 +23,15 @@ class TestUniformGrid:
 
     def test_node_lookup(self):
         g = UniformGrid(horizon=1.0, steps=128)
-        assert grid_node_index(g, 0.5) == 64
+        assert g.node_index(0.5) == 64
         assert g.node_index(1.0) == 128
 
     def test_off_grid_time_rejected(self):
         g = UniformGrid(horizon=1.0, steps=8)
         with pytest.raises(NotAGridNodeError):
-            grid_node_index(g, 0.3)
+            g.node_index(0.3)
         with pytest.raises(NotAGridNodeError):
-            grid_node_index(g, 1.125)
+            g.node_index(1.125)
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):
@@ -112,28 +109,18 @@ class TestHolderTestFunction:
 
 
 class TestModulusProbe:
+    """The m-th derivative's modulus of continuity at the kink, probed
+    directly: it is exactly the Holder power of the offset."""
+
     @pytest.mark.parametrize("m,beta", [(0, 0.5), (1, 0.3), (2, 0.8)])
     def test_holder_slope(self, m, beta):
-        """log-log slope of the sampled modulus of the m-th derivative
-        must sit near the Holder exponent beta."""
-        u = HolderTestFunction(m=m, beta=beta, xi=0.5)
-        deltas = [2.0**-e for e in range(4, 11)]
-        vals = [modulus_probe(u, m, d, samples=2001) for d in deltas]
-        slopes = [
-            math.log2(vals[i] / vals[i + 1]) for i in range(len(vals) - 1)
-        ]
-        fitted = sum(slopes) / len(slopes)
-        assert abs(fitted - beta) <= 0.1
-
-    def test_monotone_in_delta(self):
-        u = HolderTestFunction(m=1, beta=0.6, xi=0.5)
-        rng = random.Random(7)
-        prev = 0.0
-        for d in sorted(rng.uniform(0.001, 0.5) for _ in range(10)):
-            cur = modulus_probe(u, 1, d, samples=501)
-            assert cur >= prev - 1e-15
-            prev = cur
-
-    def test_zero_scale(self):
-        u = HolderTestFunction(m=0, beta=0.5, xi=0.5)
-        assert modulus_probe(u, 0, 0.0, samples=100) == 0.0
+        """|u^(m)(xi +- d) - u^(m)(xi)| = prod_{i<m} (m+beta-i) d^beta."""
+        xi = 0.5
+        u = HolderTestFunction(m=m, beta=beta, xi=xi)
+        factor = math.prod(m + beta - i for i in range(m))
+        for e in range(4, 11):
+            d = 2.0**-e
+            want = factor * d**beta
+            for t in (xi - d, xi + d):
+                got = abs(u.derivative(m, t) - u.derivative(m, xi))
+                assert got == pytest.approx(want, rel=1e-12)

@@ -17,7 +17,6 @@ from caputo_lk.interp import (
     build_interpolant,
     divided_coeff,
     lagrange_eval,
-    omega,
 )
 
 
@@ -118,12 +117,6 @@ class TestLagrangeEval:
             for _ in range(20):
                 s = rng.uniform(times[0], times[-1])
                 assert lagrange_eval(piece, s) == pytest.approx(poly(s), rel=1e-10, abs=1e-12)
-
-    def test_omega_roots(self):
-        times = (0.0, 0.25, 0.5)
-        for t in times:
-            assert omega(times, t) == 0.0
-        assert omega(times, 0.75) == pytest.approx(0.75 * 0.5 * 0.25)
 
     def test_near_node_evaluation_is_stable(self):
         # evaluation within a node's cancellation guard must fall back to

@@ -186,6 +186,20 @@ class TestIntegratedOracle:
         assert calls <= 1500
         assert got == pytest.approx(want, rel=1e-7)
 
+    def test_c113_l2_integrated_form(self):
+        """Crosscheck case c113/L2 (alpha = 0.738): the tail estimate
+        carries a band's cancellation noise 1 + tail_factor (about 6)
+        times, so acceptance must allow for that; against the bare noise
+        sum the loop descends into noise-dominated bands and settles
+        7.2e-6 from the derivative form."""
+        g = UniformGrid(horizon=1.0, steps=15)
+        u = HolderTestFunction(m=2, beta=0.11434350759744143, xi=g.time(10))
+        alpha = 0.7384427445363815
+        p = build_interpolant(SchemeKind.l2(), g, [u(g.time(i)) for i in range(10)], 9)
+        want = quad_caputo_piecewise(p, g.time(9), alpha, tol=1e-12)
+        got = quad_caputo_integrated(p, g.time(9), alpha, tol=1e-11)
+        assert got == pytest.approx(want, rel=1e-7)
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             quad_caputo_integrated(lambda s: s, 0.0, 0.5)

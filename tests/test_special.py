@@ -1,17 +1,24 @@
-"""Tests for the gamma function and the singular kernel moments."""
+"""Tests for the gamma function, the fractional-order check and the singular
+kernel moments."""
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from caputo_lk.special import FractionalOrder, KernelMoment, gamma, kernel_moment
+from caputo_lk.harness import order_interior
+from caputo_lk.holder import HolderTestFunction, UniformGrid
+from caputo_lk.interp import SchemeKind, build_interpolant
+from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
+from caputo_lk.schemes import caputo_of_piece, discrete_caputo, l1_convolution, l1_weights
+from caputo_lk.special import KernelMoment, _check_alpha, gamma, kernel_moment
 
 
 def moment(t, a, b, c, q, alpha):
-    return kernel_moment(KernelMoment(t=t, a=a, b=b, c=c, q=q, alpha=FractionalOrder(alpha)))
+    return kernel_moment(KernelMoment(t=t, a=a, b=b, c=c, q=q, alpha=alpha))
 
 
 class TestGamma:
@@ -43,14 +50,48 @@ class TestGamma:
             gamma(-1.5)
 
 
+_BAD_ALPHAS = [0.0, 1.0, -0.2, 1.7, math.nan, math.inf]
+
+_GRID = UniformGrid(horizon=1.0, steps=8)
+_VALUES = [t * t for t in (_GRID.time(i) for i in range(5))]
+_INTERPOLANT = build_interpolant(SchemeKind.l2(), _GRID, _VALUES, 4)
+
+# every public entry that takes the fractional order, called on valid
+# inputs apart from alpha
+_ALPHA_ENTRIES = {
+    "discrete_caputo": lambda al: discrete_caputo(SchemeKind.l2(), _GRID, _VALUES, 4, al),
+    "caputo_of_piece": lambda al: caputo_of_piece(
+        _INTERPOLANT.pieces[-1], _INTERPOLANT.pieces[-1].interval, _GRID.time(4), al
+    ),
+    "KernelMoment": lambda al: KernelMoment(t=1.0, a=0.0, b=0.5, c=0.0, q=1, alpha=al),
+    "quad_caputo_piecewise": lambda al: quad_caputo_piecewise(_INTERPOLANT, _GRID.time(4), al),
+    "quad_caputo_integrated": lambda al: quad_caputo_integrated(lambda s: s, 0.5, al),
+    "exact_caputo_monomial": lambda al: exact_caputo_monomial(2, 0.5, al),
+    "l1_weights": lambda al: l1_weights(4, al),
+    "l1_convolution": lambda al: l1_convolution(_VALUES, _GRID.tau, al),
+    "order_interior": lambda al: order_interior(
+        SchemeKind.l1(), HolderTestFunction(m=1, beta=0.5, xi=0.5), al, 2.0**-4
+    ),
+}
+
+
 class TestFractionalOrder:
     def test_accepts_interior(self):
-        assert FractionalOrder(0.5).alpha == 0.5
+        assert _check_alpha(0.5) == 0.5
+        half = _check_alpha(Fraction(1, 2))
+        assert half == 0.5 and type(half) is float
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_rejects_boundary(self, bad):
         with pytest.raises(ValueError):
-            FractionalOrder(bad)
+            _check_alpha(bad)
+
+    @pytest.mark.parametrize("bad", _BAD_ALPHAS)
+    @pytest.mark.parametrize("entry", list(_ALPHA_ENTRIES))
+    def test_every_entry_rejects(self, entry, bad):
+        """The one range check guards every public entry taking alpha."""
+        with pytest.raises(ValueError, match="fractional order"):
+            _ALPHA_ENTRIES[entry](bad)
 
 
 class TestKernelMoment:

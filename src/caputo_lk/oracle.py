@@ -8,16 +8,18 @@ Two independent routes to the same quantity:
   singularity exactly.
 * ``quad_caputo_integrated`` evaluates the integrated-by-parts form, whose
   integrand only needs function values.  Dyadic bands clustered at s = t
-  resolve the endpoint; the geometric band-to-band decay is extrapolated
-  once successive estimates agree.  When u is a scheme interpolant, each
-  band starts from the interpolant's piece boundaries inside it, where the
-  derivative of u may jump, so refinement never has to hunt for them.
+  resolve the endpoint, and the bands not taken are summed from the last
+  few: exactly for a scheme interpolant, whose band values inside its last
+  piece are a known mixture of geometric sequences, and by the one-ratio
+  decay of a differentiable function otherwise.  For an interpolant each
+  band starts from its piece boundaries inside it, where the derivative
+  of u may jump, so refinement never has to hunt for them.
 
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
-below is self-contained, and piece derivatives are taken in product form
-straight from the stencil data.  The adaptive routine follows QUADPACK's
-QAGP: one starting region per pair of consecutive break points, then
-global bisection of the worst region.
+below is self-contained, and piece derivatives are taken in Newton form
+from divided differences of the stencil data.  The adaptive routine
+follows QUADPACK's QAGP: one starting region per pair of consecutive
+break points, then global bisection of the worst region.
 """
 
 from __future__ import annotations
@@ -97,10 +99,16 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kron, abs(kron - gauss)
 
 
-def _adaptive(f: Callable[[float], float], points: Sequence[float], tol: float) -> float:
+def _adaptive(
+    f: Callable[[float], float],
+    points: Sequence[float],
+    tol: float,
+    stats: dict | None = None,
+) -> float:
     """Globally adaptive Gauss-Kronrod over the ascending break points:
     one GK15 region per pair of consecutive points to start, then
-    bisection of the worst region until the summed error estimate meets tol."""
+    bisection of the worst region until the summed error estimate meets tol.
+    A ``stats`` dict gains the final error estimate and region count."""
     tol = max(tol, _MIN_TOL)
     heap = []
     total_err = 0.0
@@ -131,43 +139,37 @@ def _adaptive(f: Callable[[float], float], points: Sequence[float], tol: float) 
         heapq.heappush(heap, (-e1, lo, mid, v1, depth + 1))
         heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1))
         total_err += e1 + e2 + neg_err
+    if stats is not None:
+        stats["err_estimate"] = stats.get("err_estimate", 0.0) + total_err
+        stats["regions"] = stats.get("regions", 0) + len(heap)
     return math.fsum(r[3] for r in heap)
 
 
-def _stencil_denominators(piece: LagrangePiece) -> tuple[float, ...]:
-    # denom_l = prod_{i != l} (t_l - t_i) of _piece_derivative, once per piece
-    times = piece.node_times
-    k = piece.degree
-    out = []
-    for l in range(k + 1):
-        denom = 1.0
-        for i in range(k + 1):
-            if i != l:
-                denom *= times[l] - times[i]
-        out.append(denom)
-    return tuple(out)
+def _newton_coefficients(piece: LagrangePiece) -> tuple[float, ...]:
+    # Divided differences c_j = p[x_0, ..., x_j] over the stencil taken
+    # newest node first (x_0 is the rightmost node), from the node values
+    # alone; once per piece per call
+    xs = piece.node_times[::-1]
+    c = list(piece.node_values[::-1])
+    for j in range(1, piece.degree + 1):
+        for i in range(piece.degree, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    return tuple(c)
 
 
-def _piece_derivative(piece: LagrangePiece, s: float, denoms: Sequence[float]) -> float:
-    # Derivative of the Lagrange interpolant in product form,
-    #   p'(s) = sum_l v_l sum_{i != l} prod_{j != l, i} (s - t_j) / denom_l,
-    # built from the stencil alone; shares nothing with the monomial path.
-    # ``denoms`` is _stencil_denominators(piece).
+def _piece_derivative(piece: LagrangePiece, s: float, coeffs: Sequence[float]) -> float:
+    # p'(s) of the Newton form p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)),
+    # by Horner's rule for p and p' together; ``coeffs`` is
+    # _newton_coefficients(piece), so nothing is shared with the monomial path
     times = piece.node_times
     k = piece.degree
-    acc = 0.0
-    for l in range(k + 1):
-        basis_deriv = 0.0
-        for i in range(k + 1):
-            if i == l:
-                continue
-            prod = 1.0
-            for j in range(k + 1):
-                if j != l and j != i:
-                    prod *= s - times[j]
-            basis_deriv += prod
-        acc += piece.node_values[l] * basis_deriv / denoms[l]
-    return acc
+    p = coeffs[k]
+    dp = 0.0
+    for i in range(k - 1, -1, -1):
+        d = s - times[k - i]
+        dp = dp * d + p
+        p = p * d + coeffs[i]
+    return dp
 
 
 def quad_caputo_piecewise(
@@ -175,43 +177,53 @@ def quad_caputo_piecewise(
     t_n: float,
     alpha: float,
     tol: float = 1e-12,
+    stats: dict | None = None,
 ) -> float:
     """Numerical value of the discrete operator applied to interpolant p.
 
     Integrates (t_n - s)^(-alpha) p'(s) over every piece adaptively and
-    divides by Gamma(1 - alpha).
+    divides by Gamma(1 - alpha).  A ``stats`` dict receives ``regions`` and
+    ``err_estimate``, the summed final Gauss-Kronrod error estimates.
     """
     al = _check_alpha(alpha)
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
     tol = max(tol, _MIN_TOL)
+    if stats is not None:
+        stats.update(err_estimate=0.0, regions=0)
     per_piece = tol / (len(p.pieces) + 1)
+    gamma_exp = 1.0 / (1.0 - al)
     contributions = []
     for piece in p.pieces:
         lo, hi = piece.interval
-        denoms = _stencil_denominators(piece)
+        c = _newton_coefficients(piece)
+        # each integrand is consumed by _adaptive before piece and c move on
         if hi < t_n * (1.0 - 1e-12) or t_n == 0.0:
-            contributions.append(
-                _adaptive(
-                    lambda s, pc=piece, dn=denoms: (t_n - s) ** (-al)
-                    * _piece_derivative(pc, s, dn),
-                    [lo, hi],
-                    per_piece,
-                )
-            )
+            f = lambda s: (t_n - s) ** (-al) * _piece_derivative(piece, s, c)
+            points = [lo, hi]
         else:
             # final piece: w = (t_n - s)^(1-alpha) absorbs the singularity
-            gamma_exp = 1.0 / (1.0 - al)
-            w_top = (t_n - lo) ** (1.0 - al)
-            contributions.append(
-                gamma_exp
-                * _adaptive(
-                    lambda w, pc=piece, dn=denoms: _piece_derivative(pc, t_n - w**gamma_exp, dn),
-                    [0.0, w_top],
-                    per_piece / gamma_exp,
-                )
-            )
-    return math.fsum(contributions) / gamma(1.0 - al)
+            f = lambda w: gamma_exp * _piece_derivative(piece, t_n - w**gamma_exp, c)
+            points = [0.0, (t_n - lo) ** (1.0 - al)]
+        contributions.append(_adaptive(f, points, per_piece, stats))
+    g = gamma(1.0 - al)
+    if stats is not None:
+        stats["err_estimate"] /= g
+    return math.fsum(contributions) / g
+
+
+def _tail_weights(ratios: Sequence[float]) -> tuple[float, ...]:
+    # A sequence sum_r A_r ratio_r^i obeys the recurrence whose
+    # characteristic polynomial is P(x) = prod_r (x - ratio_r) = sum_j e_j x^j;
+    # summing the recurrence over i gives sum_{i >= 0} b_i = sum_{m < d} w_m b_m
+    # with w_m = (e_{m+1} + ... + e_d) / P(1)
+    e = [1.0]
+    for rho in ratios:
+        e = [0.0, *e]
+        for j in range(len(e) - 1):
+            e[j] -= rho * e[j + 1]
+    p_one = math.fsum(e)
+    return tuple(math.fsum(e[m + 1 :]) / p_one for m in range(len(ratios)))
 
 
 def quad_caputo_integrated(
@@ -219,6 +231,7 @@ def quad_caputo_integrated(
     t: float,
     alpha: float,
     tol: float = 1e-10,
+    stats: dict | None = None,
 ) -> float:
     """Numerical Caputo derivative through the integrated-by-parts form
 
@@ -227,28 +240,48 @@ def quad_caputo_integrated(
 
     Only uses point values of u, so it is meaningful for merely Holder
     continuous inputs (exponent above alpha near t).  The integral is taken
-    over dyadic bands shrinking toward s = t; once two successive
-    tail-extrapolated totals agree to tol/4, or to the cancellation noise
-    that the tail model amplifies, the sum is accepted.  When u is
-    a ``PiecewisePolynomial``, each band's adaptive quadrature starts from
-    the band split at the piece boundaries inside it, where u' may jump;
-    any other u starts from the whole band.
+    over dyadic bands shrinking toward s = t; a tail model sums the rest.
+    When u is a ``PiecewisePolynomial`` whose last piece has degree d, the
+    band values inside that piece are exactly sum_{r=1..d} A_r rho_r^i with
+    rho_r = 2^(alpha-r), so the last d bands fix the whole remainder.  Any
+    other u takes the d = 1 model of a differentiable function from band 3
+    on.  Two successive totals agreeing to tol/4, or to the cancellation
+    noise the tail amplifies, are accepted.  For an interpolant each band's
+    adaptive quadrature starts from the piece boundaries inside it, where
+    u' may jump.  A ``stats`` dict receives ``err_estimate`` and
+    ``regions`` as in ``quad_caputo_piecewise``, ``bands`` and
+    ``tail_degree`` (d).
     """
     al = _check_alpha(alpha)
     if t <= 0.0:
         raise ValueError(f"evaluation time must be positive, got {t!r}")
     tol = max(tol, _MIN_TOL)
+    if stats is not None:
+        stats.update(err_estimate=0.0, regions=0)
     u_t = u(t)
-    breaks = u.right_ends if isinstance(u, PiecewisePolynomial) else ()
+    if isinstance(u, PiecewisePolynomial):
+        breaks = u.right_ends
+        degree = u.pieces[-1].degree
+        model_start = u.pieces[-1].interval[0]
+    else:
+        # no piece to wait for: the one-ratio model holds from band 3 on
+        breaks, degree = (), 1
+        model_start = t * (1.0 - 2.0**-3)
 
     def integrand(s: float) -> float:
         return (u_t - u(s)) * (t - s) ** (-1.0 - al)
 
-    # band-to-band decay for a differentiable u: contributions shrink by
-    # 2^-(1-alpha) per halving, which the tail estimate reuses
-    ratio = 2.0 ** (al - 1.0)
-    tail_factor = ratio / (1.0 - ratio)
+    def finish(total: float) -> float:
+        g = gamma(1.0 - al)
+        if stats is not None:
+            stats.update(bands=len(partial), tail_degree=degree)
+            stats["err_estimate"] *= al / g
+        return (u_t - u(0.0)) / (g * t**al) + al / g * total
+
+    weights = _tail_weights([2.0 ** (al - r) for r in range(1, degree + 1)])
+    amplify = math.fsum(abs(w) for w in weights)
     partial: list[float] = []
+    unmodelled = 0  # bands that start before model_start
     noise_sum = 0.0
     prev_total = math.inf
     for i in range(_MAX_BANDS):
@@ -258,8 +291,7 @@ def quad_caputo_integrated(
             # float resolution under t is exhausted; if the band values were
             # decaying the tail model in prev_total already covers the rest
             if len(partial) >= 8 and abs(partial[-1]) < abs(partial[-5]):
-                head = (u_t - u(0.0)) / (gamma(1.0 - al) * t**al)
-                return head + al / gamma(1.0 - al) * prev_total
+                return finish(prev_total)
             break
         # near t the difference u(t) - u(s) is pure cancellation, so a band
         # cannot be resolved below roughly eps * |u| * kernel * width
@@ -268,21 +300,22 @@ def quad_caputo_integrated(
         noise_sum += noise
         band_tol = max(tol / (4.0 * (i + 1) * (i + 2)), noise)
         inside = breaks[bisect.bisect_right(breaks, lo) : bisect.bisect_left(breaks, hi)]
-        band = _adaptive(integrand, [lo, *inside, hi], band_tol)
-        partial.append(band)
-        total = math.fsum(partial) + band * tail_factor
+        partial.append(_adaptive(integrand, [lo, *inside, hi], band_tol, stats))
+        if lo < model_start:
+            unmodelled = i + 1
+        if i + 1 - unmodelled < degree:
+            continue
+        tail = zip(weights, partial[-degree:])
+        total = math.fsum(partial[:-degree]) + math.fsum(w * b for w, b in tail)
         # cancellation noise accumulated across bands bounds what the float
         # route can resolve, so it joins the acceptance threshold; a band's
-        # noise enters the total once directly and tail_factor times through
-        # the tail estimate
-        if i >= 4 and abs(total - prev_total) < max(tol / 4.0, (1.0 + tail_factor) * noise_sum):
-            head = (u_t - u(0.0)) / (gamma(1.0 - al) * t**al)
-            return head + al / gamma(1.0 - al) * total
+        # noise reaches the total through the tail weights
+        if abs(total - prev_total) < max(tol / 4.0, amplify * noise_sum):
+            return finish(total)
         prev_total = total
-    best = (u_t - u(0.0)) / (gamma(1.0 - al) * t**al) + al / gamma(1.0 - al) * prev_total
     raise QuadratureConvergenceError(
         "integrated-form bands did not settle; is u Holder with exponent above alpha at t?",
-        best,
+        finish(prev_total),
     )
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,8 @@ from caputo_lk.oracle import (
     quad_caputo_integrated,
     quad_caputo_piecewise,
 )
-from caputo_lk.verify import run_check
+from caputo_lk.schemes import discrete_caputo
+from caputo_lk.verify import _ALL_SCHEMES, run_check
 
 
 def monomial_interpolant(p: int, t_end: float) -> PiecewisePolynomial:
@@ -122,6 +126,43 @@ class TestExactMonomial:
             exact_caputo_monomial(-1, 0.5, 0.5)
 
 
+def _exact_stencil_derivative(times, values, s):
+    """p'(s) of the stencil polynomial in product form, in exact rationals,
+    and the scale sum_l |v_l l_l'(s)| of its terms."""
+    x = [Fraction(t) for t in times]
+    s = Fraction(s)
+    value = scale = Fraction(0)
+    for l, v in enumerate(values):
+        denom = math.prod(x[l] - x[i] for i in range(len(x)) if i != l)
+        basis = sum(
+            math.prod(s - x[j] for j in range(len(x)) if j not in (l, i))
+            for i in range(len(x))
+            if i != l
+        )
+        term = Fraction(v) * basis / denom
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
+class TestNewtonDerivative:
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("tau", [1.0, 2.0**-6, 2.0**-12])
+    def test_matches_exact_stencil_derivative(self, k, tau):
+        rng = random.Random(100 * k + int(-math.log2(tau)))
+        for _ in range(5):
+            anchor = k + rng.randrange(0, 40)
+            times = tuple((anchor - k + i) * tau for i in range(k + 1))
+            values = tuple(rng.uniform(-1.0, 1.0) for _ in range(k + 1))
+            piece = LagrangePiece(k, anchor, times, values, (times[-2], times[-1]), tau)
+            coeffs = oracle._newton_coefficients(piece)
+            mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+            for s in [*times, *mids, times[0] - tau, times[-1] + tau]:
+                want, scale = _exact_stencil_derivative(times, values, s)
+                got = oracle._piece_derivative(piece, s, coeffs)
+                assert abs(Fraction(got) - want) <= 1e-12 * scale, (k, tau, s)
+
+
 class TestPiecewiseOracle:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_monomial_power_rule(self, p):
@@ -143,6 +184,14 @@ class TestPiecewiseOracle:
         interp = build_interpolant(SchemeKind.l12(), g, vals, 6)
         got = quad_caputo_piecewise(interp, g.time(6), 0.5, tol=1e-12)
         assert math.isfinite(got)
+
+    def test_stats_report_what_was_achieved(self):
+        interp = monomial_interpolant(3, 0.8)
+        stats = {"regions": 99}
+        got = quad_caputo_piecewise(interp, 0.8, 0.4, tol=1e-12, stats=stats)
+        assert got == quad_caputo_piecewise(interp, 0.8, 0.4, tol=1e-12)
+        assert stats["regions"] >= 1
+        assert 0.0 <= stats["err_estimate"] <= 1e-12
 
 
 class TestIntegratedOracle:
@@ -187,11 +236,12 @@ class TestIntegratedOracle:
         assert got == pytest.approx(want, rel=1e-7)
 
     def test_c113_l2_integrated_form(self):
-        """Crosscheck case c113/L2 (alpha = 0.738): the tail estimate
-        carries a band's cancellation noise 1 + tail_factor (about 6)
-        times, so acceptance must allow for that; against the bare noise
-        sum the loop descends into noise-dominated bands and settles
-        7.2e-6 from the derivative form."""
+        """Crosscheck case c113/L2 (alpha = 0.738): the quadratic tail
+        settles once two bands lie inside the last piece.  A tail model
+        that misses the quadratic term leaves the totals drifting until
+        acceptance fires deep among noise-dominated bands, 7.2e-6 from
+        the derivative form when it is measured against the bare noise
+        sum."""
         g = UniformGrid(horizon=1.0, steps=15)
         u = HolderTestFunction(m=2, beta=0.11434350759744143, xi=g.time(10))
         alpha = 0.7384427445363815
@@ -200,6 +250,72 @@ class TestIntegratedOracle:
         got = quad_caputo_integrated(p, g.time(9), alpha, tol=1e-11)
         assert got == pytest.approx(want, rel=1e-7)
 
+    @pytest.mark.parametrize("n", [2, 9, 32])
+    @pytest.mark.parametrize("scheme", _ALL_SCHEMES, ids=lambda s: s.label)
+    def test_exact_tail_settles_inside_the_last_piece(self, scheme, n):
+        """Band values inside the last piece (degree d) are exactly
+        sum_r A_r 2^((alpha-r) i), so the sum settles one band after d
+        bands lie inside it, about log2(n) bands in."""
+        g = UniformGrid(horizon=1.0, steps=n + 3)
+        u = HolderTestFunction(m=1, beta=0.6, xi=g.time(max(1, n // 2)))
+        values = [u(g.time(i)) for i in range(n + 1)]
+        p = build_interpolant(scheme, g, values, n)
+        d = p.pieces[-1].degree
+        for alpha in (0.15, 0.5, 0.85):
+            stats = {}
+            got = quad_caputo_integrated(p, g.time(n), alpha, tol=1e-11, stats=stats)
+            want = discrete_caputo(scheme, g, values, n, alpha).value
+            assert got == pytest.approx(want, rel=1e-10)
+            assert stats["tail_degree"] == d
+            assert stats["bands"] <= math.ceil(math.log2(n)) + d + 3
+            assert stats["regions"] >= stats["bands"]
+            assert 0.0 <= stats["err_estimate"] <= 1e-11
+
+    def test_tail_weights_sum_the_geometric_mixture(self):
+        rng = random.Random(6)
+        for d in range(1, 7):
+            ratios = [2.0 ** (0.3 - r) for r in range(1, d + 1)]
+            amps = [rng.uniform(-1.0, 1.0) for _ in ratios]
+            bands = [math.fsum(a * rho**i for a, rho in zip(amps, ratios)) for i in range(d)]
+            want = math.fsum(a / (1.0 - rho) for a, rho in zip(amps, ratios))
+            weights = oracle._tail_weights(ratios)
+            got = math.fsum(w * b for w, b in zip(weights, bands))
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             quad_caputo_integrated(lambda s: s, 0.0, 0.5)
+
+
+# Names of the closed-form route; the oracle must reach its values without them.
+_CLOSED_FORM_NAMES = {
+    "kernel_moment",
+    "KernelMoment",
+    "caputo_of_piece",
+    "monomial_coefficients",
+    "_BASIS",
+    "l1_weights",
+    "discrete_caputo",
+}
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname or "")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_oracle_names_nothing_of_the_closed_form():
+    """The oracle is the second route to every scheme value, so it must not
+    share code with the first: no name of the closed-form path may appear."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    assert not _identifiers(tree) & _CLOSED_FORM_NAMES

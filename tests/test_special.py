@@ -171,3 +171,31 @@ class TestKernelMoment:
             moment(1.0, 0.75, 0.5, 0.0, 1, 0.5)
         with pytest.raises(ValueError):
             moment(1.0, 0.5, 1.25, 0.0, 1, 0.5)
+
+    def test_precision_at_the_series_switch(self):
+        """Against a 40-digit quadrature on both sides of the switch
+        w0 = 2 vmax, error relative to int (t-s)^-alpha |s-c|^q ds.  The
+        series side stays near 1e-15; the closed side loses digits to
+        cancellation in its binomial sum as q grows (about 4e-11 at q = 6)."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(5)
+        worst: dict[bool, float] = {}  # series side? -> worst error
+        for q in range(7):
+            for alpha in (1e-3, 0.5, 0.999):
+                for _ in range(4):
+                    vmax = rng.uniform(0.05, 0.25)
+                    w0 = rng.uniform(1.5, 2.5) * vmax
+                    t, c = 1.0, 1.0 - w0
+                    edge = c - vmax if rng.random() < 0.5 else c + vmax
+                    a, b = sorted((edge, c + rng.uniform(-0.9, 0.9) * vmax))
+                    got = moment(t, a, b, c, q, alpha)
+                    with mpmath.workdps(40):
+                        T, A, B, C, al = map(mpmath.mpf, (t, a, b, c, alpha))
+                        pts = [A, C, B] if a < c < b else [A, B]
+                        want = mpmath.quad(lambda s: (T - s) ** -al * (s - C) ** q, pts)
+                        scale = mpmath.quad(lambda s: (T - s) ** -al * abs(s - C) ** q, pts)
+                    series = w0 >= 2.0 * max(abs(a - c), abs(b - c))
+                    err = float(abs(got - want) / scale)
+                    worst[series] = max(worst.get(series, 0.0), err)
+        assert worst[True] <= 1e-13
+        assert worst[False] <= 1e-9

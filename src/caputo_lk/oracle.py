@@ -288,10 +288,8 @@ def quad_caputo_integrated(
         lo = t * (1.0 - 2.0**-i)
         hi = t * (1.0 - 2.0 ** -(i + 1))
         if lo >= hi or t - hi <= 0.0:
-            # float resolution under t is exhausted; if the band values were
-            # decaying the tail model in prev_total already covers the rest
-            if len(partial) >= 8 and abs(partial[-1]) < abs(partial[-5]):
-                return finish(prev_total)
+            # float resolution under t is exhausted before two totals agreed;
+            # the last total carries noise-dominated bands, so it is no result
             break
         # near t the difference u(t) - u(s) is pure cancellation, so a band
         # cannot be resolved below roughly eps * |u| * kernel * width
@@ -314,7 +312,8 @@ def quad_caputo_integrated(
             return finish(total)
         prev_total = total
     raise QuadratureConvergenceError(
-        "integrated-form bands did not settle; is u Holder with exponent above alpha at t?",
+        "integrated-form bands did not settle before float resolution or the band"
+        " budget ran out; is u Holder with exponent above alpha at t?",
         finish(prev_total),
     )
 

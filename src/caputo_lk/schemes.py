@@ -5,8 +5,10 @@ A discrete value at node n is
     (1/Gamma(1-alpha)) * sum_pieces int (t_n - s)^(-alpha) p'(s) ds,
 
 with each piece derivative expanded in powers of (s - t_anchor) and every
-monomial integrated in closed form by ``kernel_moment``.  Cost is O(n k^2)
-per evaluated node.
+monomial integrated in closed form: one ``kernel_moments`` call per piece
+gives all k moments of its window.  A node costs n such calls; near t_n a
+moment is a binomial sum of at most k terms, farther away a Horner pass
+over a series that shortens as the distance to t_n grows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import Callable, Sequence
 
 from .holder import UniformGrid
 from .interp import LagrangePiece, PiecewisePolynomial, SchemeKind, build_interpolant
-from .special import KernelMoment, _check_alpha, gamma, kernel_moment
+# KernelMoment and kernel_moment are not called here; they stay in this
+# namespace because perfbench/spans.py patches both by name (ROADMAP item 6)
+from .special import KernelMoment, _check_alpha, gamma, kernel_moment, kernel_moments
 
 __all__ = [
     "DiscreteCaputoValue",
@@ -64,12 +68,12 @@ def caputo_of_piece(
     center = piece.node_times[-1]
     coeffs = piece.monomial_coefficients()
     tau = piece.tau
+    moments = kernel_moments(t_n, a, b, center, piece.degree - 1, al)
     terms = []
     tau_r = 1.0
     for r in range(1, piece.degree + 1):
         tau_r *= tau
-        moment = kernel_moment(KernelMoment(t=t_n, a=a, b=b, c=center, q=r - 1, alpha=al))
-        terms.append(r * coeffs[r] / tau_r * moment)
+        terms.append(r * coeffs[r] / tau_r * moments[r - 1])
     return math.fsum(terms) / gamma(1.0 - al)
 
 

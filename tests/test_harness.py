@@ -93,6 +93,55 @@ class TestOrderInterior:
             order_interior(SchemeKind.l1(), f, 0.5, 2.0**-7)
 
 
+def _taylor_free(f, degree=7):
+    """f minus its Taylor polynomial of the given degree at t = 0.  Left of
+    the kink f(t) = (-1)^m xi^g (1 - t/xi)^g with g = m + beta, so the
+    coefficient of t^i is (-1)^m xi^g C(g, i) (-1/xi)^i."""
+    g = f.m + f.beta
+    coeffs = []
+    binom = 1.0
+    for i in range(degree + 1):
+        coeffs.append((-1) ** f.m * f.xi**g * binom * (-1.0 / f.xi) ** i)
+        binom *= (g - i) / (i + 1)
+    return lambda t: f(t) - math.fsum(c * t**i for i, c in enumerate(coeffs))
+
+
+def _interior_rate(scheme, u, alpha, tau, xi):
+    # R = log2 |d(tau) - d(tau/2)| / |d(tau/2) - d(tau/4)| at the kink
+    d1, d2, d4 = (scheme_value(scheme, u, alpha, tau / r, xi) for r in (1.0, 2.0, 4.0))
+    return math.log2(abs(d1 - d2) / abs(d2 - d4))
+
+
+class TestHigherOrderLk:
+    """Lk for k = 4..6 reaches m + beta - alpha above 3.  On the plain test
+    family the linear first piece of the growing-degree startup leaves an
+    O(tau^3) error at every interior time, and the rates stop near 3.0
+    (2.98 for k = 6 where the law is 3.9).  Taking out the degree-7 Taylor
+    polynomial at 0 makes the startup data O(t^8), so the kink alone sets
+    the rate."""
+
+    CASES = [(3, 0.7, 0.3), (4, 0.2, 0.3), (4, 0.5, 0.7)]  # m, beta, alpha
+
+    @pytest.mark.parametrize("m, beta, alpha", CASES)
+    def test_five_and_six_match_the_law(self, m, beta, alpha):
+        u = _taylor_free(HolderTestFunction(m=m, beta=beta, xi=0.5))
+        for k in (5, 6):
+            rate = _interior_rate(SchemeKind.lk(k), u, alpha, 2.0**-7, 0.5)
+            assert rate == pytest.approx(m + beta - alpha, abs=0.05)
+
+    @pytest.mark.parametrize("m, beta, alpha", CASES)
+    def test_four_closes_on_the_law(self, m, beta, alpha):
+        """k = 4 is still short of the law at these steps (3.64 and 3.69
+        against 3.80 at m + beta = 4.5), but the gap shrinks with tau."""
+        u = _taylor_free(HolderTestFunction(m=m, beta=beta, xi=0.5))
+        gaps = [
+            m + beta - alpha - _interior_rate(SchemeKind.lk(4), u, alpha, tau, 0.5)
+            for tau in (2.0**-7, 2.0**-8)
+        ]
+        assert all(abs(gap) < 0.2 for gap in gaps)
+        assert abs(gaps[1]) < abs(gaps[0])
+
+
 class TestOrderFirstNode:
     def test_matches_pinned_run(self):
         f = HolderTestFunction(m=2, beta=0.2, xi=0.5)

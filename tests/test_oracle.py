@@ -250,6 +250,17 @@ class TestIntegratedOracle:
         got = quad_caputo_integrated(p, g.time(9), alpha, tol=1e-11)
         assert got == pytest.approx(want, rel=1e-7)
 
+    def test_exhausted_resolution_raises(self):
+        """u(s) = -(1 - s)^0.75 at t = 1, alpha = 0.5: two totals never
+        agree before float resolution under t runs out (53 bands).  The
+        last total, 4.5e-5 from the exact 3/sqrt(pi) while the error
+        estimate reads 2.3e-12, comes back as the error's best estimate,
+        not as a result."""
+        with pytest.raises(QuadratureConvergenceError, match="did not settle") as info:
+            quad_caputo_integrated(lambda s: -((1.0 - s) ** 0.75), 1.0, 0.5, tol=1e-10)
+        exact = 3.0 / math.sqrt(math.pi)
+        assert info.value.best == pytest.approx(exact, rel=1e-4)
+
     @pytest.mark.parametrize("n", [2, 9, 32])
     @pytest.mark.parametrize("scheme", _ALL_SCHEMES, ids=lambda s: s.label)
     def test_exact_tail_settles_inside_the_last_piece(self, scheme, n):

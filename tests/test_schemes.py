@@ -9,7 +9,7 @@ import pytest
 
 from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.interp import LagrangePiece, SchemeKind, build_interpolant
-from caputo_lk.oracle import quad_caputo_piecewise
+from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_piecewise
 from caputo_lk.schemes import (
     caputo_of_piece,
     discrete_caputo,
@@ -221,3 +221,103 @@ class TestDiscreteCaputo:
             interp = build_interpolant(scheme, g, vals, n)
             slow = quad_caputo_piecewise(interp, g.time(n), alpha, tol=1e-12)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+
+
+def _property_tools():
+    """hypothesis, its strategies and the settings every property here
+    shares: derandomized, no example database, a few dozen examples.
+    Skips the calling test when hypothesis is not installed."""
+    hp = pytest.importorskip("hypothesis")
+    settings = hp.settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    return hp, hp.strategies, settings
+
+
+# the step shared by every property grid; dyadic, so node times are exact
+_TAU = 2.0**-6
+
+
+def _grid(n):
+    return UniformGrid(horizon=n * _TAU, steps=n)
+
+
+class TestProperties:
+    """Properties of discrete_caputo over random alpha, n <= 64 and all
+    seven schemes.  Rounding in the value grows like tau^-alpha times the
+    node count, which sets the absolute slack below."""
+
+    def test_linear_in_node_values(self):
+        hp, st, settings = _property_tools()
+
+        @settings
+        @hp.given(
+            scheme=st.sampled_from(ALL_SCHEMES),
+            alpha=st.floats(0.01, 0.99),
+            coeffs=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+            data=st.data(),
+        )
+        def check(scheme, alpha, coeffs, data):
+            n = data.draw(st.integers(1, 64))
+            nodes = st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)
+            u, v = data.draw(nodes), data.draw(nodes)
+            a, b = coeffs
+            g = _grid(n)
+            combined = [a * x + b * y for x, y in zip(u, v)]
+            mixed = discrete_caputo(scheme, g, combined, n, alpha).value
+            du = discrete_caputo(scheme, g, u, n, alpha).value
+            dv = discrete_caputo(scheme, g, v, n, alpha).value
+            slack = 1e-13 * (abs(a) + abs(b)) * n * _TAU**-alpha
+            assert mixed == pytest.approx(a * du + b * dv, rel=1e-12, abs=slack)
+
+        check()
+
+    def test_exact_on_the_smallest_piece_degree(self):
+        """Every layout reproduces polynomials up to the degree of its
+        lowest-degree piece: linear ones for L1, L1-2 and Lk, whose first
+        piece is linear, and quadratics for L2 from n = 2 on."""
+        hp, st, settings = _property_tools()
+
+        @settings
+        @hp.given(
+            scheme=st.sampled_from(ALL_SCHEMES),
+            alpha=st.floats(0.01, 0.99),
+            n=st.integers(1, 64),
+            coeffs=st.tuples(*(st.floats(-2.0, 2.0) for _ in range(3))),
+        )
+        def check(scheme, alpha, n, coeffs):
+            degree = 2 if scheme == SchemeKind.l2() and n >= 2 else 1
+            c = coeffs[: degree + 1]
+            g = _grid(n)
+            values = [
+                math.fsum(ci * g.time(i) ** p for p, ci in enumerate(c)) for i in range(n + 1)
+            ]
+            got = discrete_caputo(scheme, g, values, n, alpha).value
+            t_n = g.time(n)
+            parts = [ci * exact_caputo_monomial(p, t_n, alpha) for p, ci in enumerate(c)]
+            slack = 1e-13 * sum(map(abs, c)) * n * _TAU**-alpha
+            assert got == pytest.approx(math.fsum(parts), rel=1e-10, abs=slack)
+
+        check()
+
+    def test_shift_invariance(self):
+        """Values that vanish on nodes 0..k (k the scheme degree) never meet
+        a startup piece, so prepending m zeros on a grid with the same step
+        moves the value from node n to node n + m unchanged."""
+        hp, st, settings = _property_tools()
+
+        @settings
+        @hp.given(
+            scheme=st.sampled_from(ALL_SCHEMES),
+            alpha=st.floats(0.01, 0.99),
+            m=st.integers(1, 16),
+            data=st.data(),
+        )
+        def check(scheme, alpha, m, data):
+            k = scheme.degree
+            n = data.draw(st.integers(k + 1, 48))
+            tail = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n - k, max_size=n - k))
+            values = [0.0] * (k + 1) + tail
+            here = discrete_caputo(scheme, _grid(n), values, n, alpha).value
+            shifted = discrete_caputo(scheme, _grid(n + m), [0.0] * m + values, n + m, alpha).value
+            assert shifted == pytest.approx(here, rel=1e-13, abs=1e-13 * n * _TAU**-alpha)
+
+        check()

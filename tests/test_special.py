@@ -14,7 +14,7 @@ from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.interp import SchemeKind, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
 from caputo_lk.schemes import caputo_of_piece, discrete_caputo, l1_convolution, l1_weights
-from caputo_lk.special import KernelMoment, _check_alpha, gamma, kernel_moment
+from caputo_lk.special import KernelMoment, _check_alpha, gamma, kernel_moment, kernel_moments
 
 
 def moment(t, a, b, c, q, alpha):
@@ -64,6 +64,7 @@ _ALPHA_ENTRIES = {
         _INTERPOLANT.pieces[-1], _INTERPOLANT.pieces[-1].interval, _GRID.time(4), al
     ),
     "KernelMoment": lambda al: KernelMoment(t=1.0, a=0.0, b=0.5, c=0.0, q=1, alpha=al),
+    "kernel_moments": lambda al: kernel_moments(1.0, 0.0, 0.5, 0.0, 1, al),
     "quad_caputo_piecewise": lambda al: quad_caputo_piecewise(_INTERPOLANT, _GRID.time(4), al),
     "quad_caputo_integrated": lambda al: quad_caputo_integrated(lambda s: s, 0.5, al),
     "exact_caputo_monomial": lambda al: exact_caputo_monomial(2, 0.5, al),
@@ -167,19 +168,40 @@ class TestKernelMoment:
         assert moment(1.0, 0.5, 0.75, 0.25, 2, 0.6) > 0.0
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            moment(1.0, 0.75, 0.5, 0.0, 1, 0.5)
-        with pytest.raises(ValueError):
-            moment(1.0, 0.5, 1.25, 0.0, 1, 0.5)
+        for evaluate in (moment, kernel_moments):
+            with pytest.raises(ValueError, match="0 <= a <= b <= t"):
+                evaluate(1.0, 0.75, 0.5, 0.0, 1, 0.5)
+            with pytest.raises(ValueError, match="0 <= a <= b <= t"):
+                evaluate(1.0, 0.5, 1.25, 0.0, 1, 0.5)
+            with pytest.raises(ValueError, match="monomial degree"):
+                evaluate(1.0, 0.25, 0.5, 0.0, 7, 0.5)
+
+    def test_batch_matches_single_moments(self):
+        """Entry q of one batched call is the moment of degree q, bit for
+        bit, on both branches and for the empty window."""
+        rng = random.Random(17)
+        for _ in range(40):
+            alpha = rng.uniform(0.05, 0.95)
+            t = rng.uniform(0.5, 2.0)
+            a = rng.uniform(0.0, 0.6) * t
+            b = rng.choice([a, rng.uniform(a, t)])
+            c = rng.uniform(0.0, b)
+            batch = kernel_moments(t, a, b, c, 6, alpha)
+            assert len(batch) == 7
+            assert batch == tuple(moment(t, a, b, c, q, alpha) for q in range(7))
 
     def test_precision_at_the_series_switch(self):
-        """Against a 40-digit quadrature on both sides of the switch
-        w0 = 2 vmax, error relative to int (t-s)^-alpha |s-c|^q ds.  The
-        series side stays near 1e-15; the closed side loses digits to
-        cancellation in its binomial sum as q grows (about 4e-11 at q = 6)."""
+        """Against a 40-digit quadrature, error relative to
+        int (t-s)^-alpha |s-c|^q ds, on two sets of inputs: random windows
+        on both sides of the switch w0 = 2 vmax, and one-step windows L
+        steps behind t, centred as in a backward stencil (c = b) or an L2
+        interior piece (c = b + tau).  The series side stays near 1e-15;
+        the closed side loses digits to cancellation in its binomial sum
+        as q grows (about 5e-11 at q = 6).  No window reaches t, so every
+        integrand is smooth and Gauss-Legendre converges fast."""
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(5)
-        worst: dict[bool, float] = {}  # series side? -> worst error
+        cases = []
         for q in range(7):
             for alpha in (1e-3, 0.5, 0.999):
                 for _ in range(4):
@@ -188,14 +210,25 @@ class TestKernelMoment:
                     t, c = 1.0, 1.0 - w0
                     edge = c - vmax if rng.random() < 0.5 else c + vmax
                     a, b = sorted((edge, c + rng.uniform(-0.9, 0.9) * vmax))
-                    got = moment(t, a, b, c, q, alpha)
-                    with mpmath.workdps(40):
-                        T, A, B, C, al = map(mpmath.mpf, (t, a, b, c, alpha))
-                        pts = [A, C, B] if a < c < b else [A, B]
-                        want = mpmath.quad(lambda s: (T - s) ** -al * (s - C) ** q, pts)
-                        scale = mpmath.quad(lambda s: (T - s) ** -al * abs(s - C) ** q, pts)
-                    series = w0 >= 2.0 * max(abs(a - c), abs(b - c))
-                    err = float(abs(got - want) / scale)
-                    worst[series] = max(worst.get(series, 0.0), err)
+                    cases.append((t, a, b, c, q, alpha))
+        tau = 2.0**-14
+        for lag in (2, 3, 5, 17, 100, 1000, 2**14):
+            b = 1.0 - (lag - 1) * tau
+            for c in (b, b + tau):
+                for q in range(7):
+                    for alpha in (1e-3, 0.3, 0.7, 0.999):
+                        cases.append((1.0, b - tau, b, c, q, alpha))
+        worst: dict[bool, float] = {}  # series side? -> worst error
+        for t, a, b, c, q, alpha in cases:
+            got = moment(t, a, b, c, q, alpha)
+            with mpmath.workdps(40):
+                T, A, B, C, al = map(mpmath.mpf, (t, a, b, c, alpha))
+                pts = [A, C, B] if a < c < b else [A, B]
+                gl = "gauss-legendre"
+                want = mpmath.quad(lambda s: (T - s) ** -al * (s - C) ** q, pts, method=gl)
+                scale = mpmath.quad(lambda s: (T - s) ** -al * abs(s - C) ** q, pts, method=gl)
+            series = t - c >= 2.0 * max(abs(a - c), abs(b - c))
+            err = float(abs(got - want) / scale)
+            worst[series] = max(worst.get(series, 0.0), err)
         assert worst[True] <= 1e-13
         assert worst[False] <= 1e-9

@@ -1,9 +1,14 @@
 """Lagrange stencils, backward differences and scheme interpolants.
 
 Every scheme below approximates the integrand by a piecewise polynomial
-whose pieces interpolate on k+1 consecutive grid nodes.  A piece is stored
-with its stencil (ascending node times/values), the index of the rightmost
-stencil node, and the single grid interval on which it is in force.
+whose pieces interpolate on k+1 consecutive grid nodes.  On a uniform grid
+a piece is fixed by its degree, its anchor (the index of the rightmost
+stencil node) and the grid interval on which it is in force; ``_layout``
+gives these triples for a scheme, and ``_BASIS``/``_DERIV`` hold the
+monomial coefficients of the Lagrange basis and of its derivative in grid
+units, which is all ``schemes.discrete_caputo`` needs.  ``LagrangePiece``
+stores one piece with its stencil (ascending node times/values) for
+pointwise evaluation.
 """
 
 from __future__ import annotations
@@ -149,6 +154,13 @@ _BASIS: dict[int, tuple[tuple[float, ...], ...]] = {
     k: _basis_coefficients(k) for k in range(1, MAX_DEGREE + 1)
 }
 
+# _DERIV[k][l][q] is the coefficient of sigma^q in the derivative of basis
+# row _BASIS[k][l], sigma in grid units as there
+_DERIV: dict[int, tuple[tuple[float, ...], ...]] = {
+    k: tuple(tuple((q + 1) * row[q + 1] for q in range(k)) for row in rows)
+    for k, rows in _BASIS.items()
+}
+
 # _DIVIDED[k][l] == divided_coeff(k, l), read by lagrange_eval per term
 _DIVIDED: dict[int, tuple[int, ...]] = {
     k: tuple(divided_coeff(k, l) for l in range(k + 1)) for k in range(1, MAX_DEGREE + 1)
@@ -260,42 +272,37 @@ class PiecewisePolynomial:
         return lagrange_eval(self.piece_at(s), s)
 
 
-def _node_slice(
-    grid: UniformGrid, values: Sequence[float], lo: int, hi: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    times = tuple(grid.time(i) for i in range(lo, hi + 1))
-    vals = tuple(float(values[i]) for i in range(lo, hi + 1))
-    return times, vals
-
-
-def _piece(
-    grid: UniformGrid,
-    values: Sequence[float],
-    degree: int,
-    anchor: int,
-    interval_right: int,
-) -> LagrangePiece:
-    times, vals = _node_slice(grid, values, anchor - degree, anchor)
+def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: int) -> LagrangePiece:
+    lo = anchor - degree
     return LagrangePiece(
         degree=degree,
         anchor=anchor,
-        node_times=times,
-        node_values=vals,
-        interval=(grid.time(interval_right - 1), grid.time(interval_right)),
+        node_times=tuple(grid.time(i) for i in range(lo, anchor + 1)),
+        node_values=tuple(vals[lo : anchor + 1]),
+        interval=(grid.time(j - 1), grid.time(j)),
         tau=grid.tau,
     )
 
 
-def build_interpolant(
-    scheme: SchemeKind,
-    grid: UniformGrid,
-    values: Sequence[float],
-    n: int,
-) -> PiecewisePolynomial:
-    """Assemble the scheme's interpolant for evaluation at node n.
+def _check_nodes(grid: UniformGrid, values: Sequence[float], n: int) -> list[float]:
+    """Check node n and the values u^0..u^n for evaluation at node n;
+    return those values as floats."""
+    if n < 1:
+        raise ValueError(f"evaluation node must be at least 1, got {n}")
+    if n > grid.steps:
+        raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
+    if len(values) < n + 1:
+        raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
+    out = [float(values[i]) for i in range(n + 1)]
+    for i, v in enumerate(out):
+        if not math.isfinite(v):
+            raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
+    return out
 
-    Needs finite node values u^0..u^n.  Piece layout per scheme, writing
-    I_j for the grid interval (t_{j-1}, t_j):
+
+def _layout(scheme: SchemeKind, n: int) -> list[tuple[int, int, int]]:
+    """The scheme's pieces for evaluation at node n, as (degree, anchor, j)
+    for each grid interval I_j = (t_{j-1}, t_j), left to right.
 
     * L1: linear through {j-1, j} on each I_j.
     * L2 (n >= 2): quadratic through {j-1, j, j+1} on I_j for j < n, and the
@@ -307,27 +314,26 @@ def build_interpolant(
     * Lk: degree grows along the startup intervals (degree j through
       {0..j} on I_j while j < k), then the backward stencil {j-k..j}.
     """
-    if n < 1:
-        raise ValueError(f"evaluation node must be at least 1, got {n}")
-    if n > grid.steps:
-        raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
-    if len(values) < n + 1:
-        raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
-    for i in range(n + 1):
-        if not math.isfinite(values[i]):
-            raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
-
-    pieces: list[LagrangePiece] = []
     if scheme.tag is SchemeTag.L2:
         if n < 2:
             raise ValueError("the L2 layout starts at n = 2; use L1 for the first node")
-        for j in range(1, n):
-            pieces.append(_piece(grid, values, degree=2, anchor=j + 1, interval_right=j))
-        pieces.append(_piece(grid, values, degree=2, anchor=n, interval_right=n))
-    else:
-        # L1, L1-2 and Lk share the backward stencil; L1 is the k = 1 case
-        k = scheme.degree
-        for j in range(1, n + 1):
-            pieces.append(_piece(grid, values, degree=min(j, k), anchor=j, interval_right=j))
+        return [(2, j + 1, j) for j in range(1, n)] + [(2, n, n)]
+    # L1, L1-2 and Lk share the backward stencil; L1 is the k = 1 case
+    k = scheme.degree
+    return [(min(j, k), j, j) for j in range(1, n + 1)]
 
-    return PiecewisePolynomial(tuple(pieces))
+
+def build_interpolant(
+    scheme: SchemeKind,
+    grid: UniformGrid,
+    values: Sequence[float],
+    n: int,
+) -> PiecewisePolynomial:
+    """Assemble the scheme's interpolant for evaluation at node n.
+
+    Needs finite node values u^0..u^n; the pieces follow ``_layout``.
+    """
+    vals = _check_nodes(grid, values, n)
+    return PiecewisePolynomial(
+        tuple(_piece(grid, vals, degree, anchor, j) for degree, anchor, j in _layout(scheme, n))
+    )

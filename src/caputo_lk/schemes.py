@@ -2,25 +2,34 @@
 
 A discrete value at node n is
 
-    (1/Gamma(1-alpha)) * sum_pieces int (t_n - s)^(-alpha) p'(s) ds,
+    (1/Gamma(1-alpha)) * sum_pieces int (t_n - s)^(-alpha) p'(s) ds.
 
-with each piece derivative expanded in powers of (s - t_anchor) and every
-monomial integrated in closed form: one ``kernel_moments`` call per piece
-gives all k moments of its window.  A node costs n such calls; near t_n a
-moment is a binomial sum of at most k terms, farther away a Horner pass
-over a series that shortens as the distance to t_n grows.
+In grid units sigma = s/tau this is tau^(-alpha)/Gamma(1-alpha) times
+
+    sum_j sum_l u^(anchor-l) int_{j-1}^{j} (n - sigma)^(-alpha) L_l'(sigma) dsigma,
+
+one term per interval I_j of the scheme's layout (``interp._layout``) and
+per stencil node l, with L_l' the derivative of the Lagrange basis
+polynomial expanded in powers of (sigma - anchor) (``interp._DERIV``).  One
+``kernel_moments`` call on integer-valued windows gives all k moments of an
+interval, so a node costs n such calls and no interpolant is built; near
+t_n a moment is a binomial sum of at most k terms, farther away a Horner
+pass over a series that shortens as the distance to t_n grows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .holder import UniformGrid
-from .interp import LagrangePiece, PiecewisePolynomial, SchemeKind, build_interpolant
-# KernelMoment and kernel_moment are not called here; they stay in this
-# namespace because perfbench/spans.py patches both by name (ROADMAP item 6)
+# build_interpolant, KernelMoment and kernel_moment are not called here, and
+# caputo_of_piece is only the per-piece reference route the tests compare
+# discrete_caputo with; all four stay in this namespace because
+# perfbench/spans.py patches them by name (ROADMAP item 6)
+from .interp import _DERIV, LagrangePiece, SchemeKind, _check_nodes, _layout, build_interpolant
 from .special import KernelMoment, _check_alpha, gamma, kernel_moment, kernel_moments
 
 __all__ = [
@@ -93,12 +102,19 @@ def discrete_caputo(
     al = _check_alpha(alpha)
     values = [u(grid.time(i)) for i in range(n + 1)] if callable(u) else u
     effective = SchemeKind.l1() if n == 1 else scheme
-    interpolant = build_interpolant(effective, grid, values, n)
-    t_n = grid.time(n)
-    total = math.fsum(
-        caputo_of_piece(piece, piece.interval, t_n, al) for piece in interpolant.pieces
-    )
-    return DiscreteCaputoValue(scheme=scheme, node=n, time=t_n, alpha=al, value=total)
+    vals = _check_nodes(grid, values, n)
+    # in grid units every window end is an integer, so the moments' window
+    # arithmetic is exact whatever tau is
+    t = float(n)
+    terms = []
+    for degree, anchor, j in _layout(effective, n):
+        moments = kernel_moments(t, j - 1.0, float(j), float(anchor), degree - 1, al)
+        terms.extend(
+            vals[anchor - l] * sum(map(operator.mul, row, moments))
+            for l, row in enumerate(_DERIV[degree])
+        )
+    total = math.fsum(terms) * grid.tau ** (-al) / gamma(1.0 - al)
+    return DiscreteCaputoValue(scheme=scheme, node=n, time=grid.time(n), alpha=al, value=total)
 
 
 def l1_weights(n: int, alpha: float) -> list[float]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +247,18 @@ class TestReproduceTable:
         am = render(reproduce_table(4), "markdown")
         bm = render(reproduce_table(4), "markdown")
         assert am == bm
+
+    def test_golden_bytes(self):
+        """Every built-in table renders to the committed bytes, in both
+        formats.  The files are ``caputo-lk order-table --table N
+        --format csv|markdown`` output; re-render them only with a change
+        that explains why the numbers move."""
+        data = Path(__file__).parent / "data"
+        for table in (1, 2, 3, 4):
+            report = reproduce_table(table)
+            for fmt, ext in (("csv", "csv"), ("markdown", "md")):
+                golden = (data / f"table{table}.{ext}").read_bytes()
+                assert render(report, fmt).encode("utf-8") == golden, (table, fmt)
 
 
 class TestRendering:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import caputo_lk.schemes
 from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.interp import LagrangePiece, SchemeKind, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_piecewise
@@ -223,6 +224,70 @@ class TestDiscreteCaputo:
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
 
+def _reference_terms(scheme, grid, vals, n, alpha):
+    """Per-piece values of the reference route: ``caputo_of_piece`` over
+    the pieces of the scheme's interpolant, L1 at n = 1."""
+    effective = SchemeKind.l1() if n == 1 else scheme
+    interp = build_interpolant(effective, grid, vals, n)
+    t_n = grid.time(n)
+    return [caputo_of_piece(p, p.interval, t_n, alpha) for p in interp.pieces]
+
+
+class TestReferenceRoute:
+    """discrete_caputo works from the layout in grid units; the per-piece
+    route through Lagrange pieces in time units stays as its reference."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_matches_per_piece_route(self, scheme):
+        rng = random.Random(9)
+        k = scheme.degree
+        for n in sorted({1, 2, k, k + 1, 33, 256}):
+            # a dyadic step and one that is not
+            for steps in (256, 3 * n + 7):
+                if n > steps:
+                    continue
+                g = UniformGrid(horizon=1.0, steps=steps)
+                vals = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
+                for alpha in (0.05, 0.5, 0.95):
+                    got = discrete_caputo(scheme, g, vals, n, alpha).value
+                    parts = _reference_terms(scheme, g, vals, n, alpha)
+                    bound = 1e-12 * sum(map(abs, parts))
+                    assert abs(got - math.fsum(parts)) <= bound, (n, steps, alpha)
+
+    def test_hot_path_builds_no_pieces(self, monkeypatch):
+        """A node needs no interpolant, no Lagrange piece and no per-piece
+        route: n kernel_moments calls and one gamma call."""
+        g = UniformGrid(horizon=1.0, steps=23)
+        n, alpha = 20, 0.4
+        vals = [math.sin(3.0 * g.time(i)) for i in range(n + 1)]
+        want = {s: math.fsum(_reference_terms(s, g, vals, n, alpha)) for s in ALL_SCHEMES}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("piece route called on the hot path")
+
+        monkeypatch.setattr(caputo_lk.schemes, "build_interpolant", refuse)
+        monkeypatch.setattr(caputo_lk.schemes, "caputo_of_piece", refuse)
+        monkeypatch.setattr(LagrangePiece, "monomial_coefficients", refuse)
+        calls = {"kernel_moments": 0, "gamma": 0}
+
+        def counted(name):
+            original = getattr(caputo_lk.schemes, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(caputo_lk.schemes, name, counted(name))
+        for scheme in ALL_SCHEMES:
+            calls.update(kernel_moments=0, gamma=0)
+            got = discrete_caputo(scheme, g, vals, n, alpha).value
+            assert got == pytest.approx(want[scheme], rel=1e-13, abs=1e-15)
+            assert calls == {"kernel_moments": n, "gamma": 1}
+
+
 def _property_tools():
     """hypothesis, its strategies and the settings every property here
     shares: derandomized, no example database, a few dozen examples.
@@ -300,8 +365,9 @@ class TestProperties:
 
     def test_shift_invariance(self):
         """Values that vanish on nodes 0..k (k the scheme degree) never meet
-        a startup piece, so prepending m zeros on a grid with the same step
-        moves the value from node n to node n + m unchanged."""
+        a startup piece, so prepending m zeros on the same grid moves the
+        value from node n to node n + m bit for bit.  The grid's step is
+        usually not dyadic."""
         hp, st, settings = _property_tools()
 
         @settings
@@ -316,8 +382,9 @@ class TestProperties:
             n = data.draw(st.integers(k + 1, 48))
             tail = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n - k, max_size=n - k))
             values = [0.0] * (k + 1) + tail
-            here = discrete_caputo(scheme, _grid(n), values, n, alpha).value
-            shifted = discrete_caputo(scheme, _grid(n + m), [0.0] * m + values, n + m, alpha).value
-            assert shifted == pytest.approx(here, rel=1e-13, abs=1e-13 * n * _TAU**-alpha)
+            g = UniformGrid(horizon=1.0, steps=data.draw(st.integers(n + m, n + m + 16)))
+            here = discrete_caputo(scheme, g, values, n, alpha).value
+            shifted = discrete_caputo(scheme, g, [0.0] * m + values, n + m, alpha).value
+            assert shifted == here
 
         check()

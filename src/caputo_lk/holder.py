@@ -1,4 +1,4 @@
-"""Uniform grids and the family of Holder-continuous test functions.
+"""Uniform grids, Holder-continuous test functions and the alpha check.
 
 The test family is u_xi(t) = (t - xi)^m |t - xi|^beta: a function whose
 m-th derivative is exactly beta-Holder at the interior point xi and smooth
@@ -20,6 +20,14 @@ __all__ = [
 
 _MAX_M = 6
 _NODE_TOL = 1e-9
+
+
+def _check_alpha(alpha: float) -> float:
+    """The fractional order as a float, refused unless it lies in (0, 1)."""
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
+    return a
 
 
 class NotAGridNodeError(ValueError):

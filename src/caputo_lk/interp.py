@@ -304,7 +304,7 @@ def _layout(scheme: SchemeKind, n: int) -> list[tuple[int, int, int]]:
     """The scheme's pieces for evaluation at node n, as (degree, anchor, j)
     for each grid interval I_j = (t_{j-1}, t_j), left to right.
 
-    * L1: linear through {j-1, j} on each I_j.
+    * L1, and every scheme at n = 1: linear through {j-1, j} on each I_j.
     * L2 (n >= 2): quadratic through {j-1, j, j+1} on I_j for j < n, and the
       final interval reuses the quadratic through {n-2, n-1, n}.  Every
       interior interval therefore borrows one node ahead; the last one,
@@ -314,9 +314,7 @@ def _layout(scheme: SchemeKind, n: int) -> list[tuple[int, int, int]]:
     * Lk: degree grows along the startup intervals (degree j through
       {0..j} on I_j while j < k), then the backward stencil {j-k..j}.
     """
-    if scheme.tag is SchemeTag.L2:
-        if n < 2:
-            raise ValueError("the L2 layout starts at n = 2; use L1 for the first node")
+    if scheme.tag is SchemeTag.L2 and n > 1:
         return [(2, j + 1, j) for j in range(1, n)] + [(2, n, n)]
     # L1, L1-2 and Lk share the backward stencil; L1 is the k = 1 case
     k = scheme.degree

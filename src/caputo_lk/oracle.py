@@ -27,10 +27,11 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from math import gamma
 from typing import Callable, Sequence
 
+from .holder import _check_alpha
 from .interp import LagrangePiece, PiecewisePolynomial
-from .special import _check_alpha, gamma
 
 __all__ = [
     "QuadratureConvergenceError",

@@ -28,8 +28,7 @@ from .interp import (
     lagrange_eval,
 )
 from .oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
-from .schemes import discrete_caputo, l1_convolution, l1_weights
-from .special import KernelMoment, gamma, kernel_moment
+from .schemes import KernelMoment, discrete_caputo, kernel_moment, l1_convolution, l1_weights
 from .harness import order_first_node, order_interior
 
 __all__ = ["CheckResult", "run_check", "run_verification"]
@@ -67,28 +66,6 @@ def _check(name: str):
         return fn
 
     return register
-
-
-@_check("gamma recurrence and anchors")
-def _check_gamma(rng: random.Random) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(200):
-        x = rng.uniform(0.05, 6.0)
-        lhs = gamma(x + 1.0)
-        rhs = x * gamma(x)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    anchors = [
-        (0.5, math.sqrt(math.pi)),
-        (1.0, 1.0),
-        (2.0, 1.0),
-        (5.0, 24.0),
-    ]
-    for x, want in anchors:
-        worst = max(worst, abs(gamma(x) - want) / want)
-    for _ in range(50):
-        x = rng.uniform(0.05, 6.0)
-        worst = max(worst, abs(gamma(x) - math.gamma(x)) / math.gamma(x))
-    return worst < 1e-12, f"worst rel dev {worst:.2e}"
 
 
 @_check("kernel moment window additivity")
@@ -231,7 +208,7 @@ def _check_linear_exactness(rng: random.Random) -> tuple[bool, str]:
                 got = discrete_caputo(
                     scheme, grid, lambda t: c0 + c1 * t, n, alpha
                 ).value
-                want = c1 * grid.time(n) ** (1.0 - alpha) / gamma(2.0 - alpha)
+                want = c1 * grid.time(n) ** (1.0 - alpha) / math.gamma(2.0 - alpha)
                 worst = max(worst, abs(got - want) / abs(want))
                 count += 1
     return worst < 1e-10, f"{count} (scheme, alpha, node) triples, worst rel dev {worst:.2e}"

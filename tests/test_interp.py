@@ -227,11 +227,12 @@ class TestBuildInterpolant:
     def test_covers_evaluation_window(self):
         u = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         for scheme in [SchemeKind.l1(), SchemeKind.l2(), SchemeKind.l12(), SchemeKind.lk(4)]:
-            # the all-quadratic layout has no single-interval form
-            ns = (2, 5, 9) if scheme.tag is SchemeTag.L2 else (1, 2, 5, 9)
-            for n in ns:
+            for n in (1, 2, 5, 9):
                 g, vals = self.grid_and_values(n, u, steps=16)
                 p = build_interpolant(scheme, g, vals, n)
+                if n == 1:
+                    # every scheme's first step is the single L1 piece
+                    assert [(q.degree, q.anchor) for q in p.pieces] == [(1, 1)]
                 assert p.pieces[0].interval[0] == 0.0
                 assert p.t_end == pytest.approx(g.time(n), abs=1e-15)
                 for a, b in zip(p.pieces, p.pieces[1:]):

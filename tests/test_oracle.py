@@ -185,6 +185,17 @@ class TestPiecewiseOracle:
         got = quad_caputo_piecewise(interp, g.time(6), 0.5, tol=1e-12)
         assert math.isfinite(got)
 
+    def test_l2_first_step(self):
+        """At n = 1 the L2 interpolant is the single L1 piece, and its
+        quadrature value is the closed-form L2 value of that node."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        vals = [math.sin(3.0 * g.time(i)) for i in range(2)]
+        interp = build_interpolant(SchemeKind.l2(), g, vals, 1)
+        for alpha in (0.05, 0.5, 0.95):
+            got = quad_caputo_piecewise(interp, g.time(1), alpha)
+            want = discrete_caputo(SchemeKind.l2(), g, vals, 1, alpha).value
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_stats_report_what_was_achieved(self):
         interp = monomial_interpolant(3, 0.8)
         stats = {"regions": 99}
@@ -301,6 +312,8 @@ class TestIntegratedOracle:
 # Names of the closed-form route; the oracle must reach its values without them.
 _CLOSED_FORM_NAMES = {
     "kernel_moment",
+    "kernel_moments",
+    "_DERIV",
     "KernelMoment",
     "caputo_of_piece",
     "monomial_coefficients",
@@ -330,3 +343,8 @@ def test_oracle_names_nothing_of_the_closed_form():
     share code with the first: no name of the closed-form path may appear."""
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     assert not _identifiers(tree) & _CLOSED_FORM_NAMES
+    # from the package, only the problem's inputs and the interpolants
+    package = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert package == {"holder", "interp"}

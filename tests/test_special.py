@@ -1,5 +1,5 @@
-"""Tests for the gamma function, the fractional-order check and the singular
-kernel moments."""
+"""Tests for the fractional-order check (``holder._check_alpha``) and the
+singular kernel moments of ``schemes``."""
 
 from __future__ import annotations
 
@@ -10,44 +10,22 @@ from fractions import Fraction
 import pytest
 
 from caputo_lk.harness import order_interior
-from caputo_lk.holder import HolderTestFunction, UniformGrid
+from caputo_lk.holder import HolderTestFunction, UniformGrid, _check_alpha
 from caputo_lk.interp import SchemeKind, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
-from caputo_lk.schemes import caputo_of_piece, discrete_caputo, l1_convolution, l1_weights
-from caputo_lk.special import KernelMoment, _check_alpha, gamma, kernel_moment, kernel_moments
+from caputo_lk.schemes import (
+    KernelMoment,
+    caputo_of_piece,
+    discrete_caputo,
+    kernel_moment,
+    kernel_moments,
+    l1_convolution,
+    l1_weights,
+)
 
 
 def moment(t, a, b, c, q, alpha):
     return kernel_moment(KernelMoment(t=t, a=a, b=b, c=c, q=q, alpha=alpha))
-
-
-class TestGamma:
-    def test_against_stdlib(self):
-        for x in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0, 3.7, 5.25, 6.9]:
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
-
-    def test_half_integer_anchor(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_factorials(self):
-        for n in range(1, 9):
-            assert gamma(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
-
-    def test_recurrence(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            x = rng.uniform(0.05, 7.0)
-            assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
-
-    def test_frozen_value(self):
-        # pinned from an independent high-precision evaluation
-        assert gamma(0.7) == pytest.approx(1.2980553326475577, rel=1e-13)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma(0.0)
-        with pytest.raises(ValueError):
-            gamma(-1.5)
 
 
 _BAD_ALPHAS = [0.0, 1.0, -0.2, 1.7, math.nan, math.inf]
@@ -195,10 +173,11 @@ class TestKernelMoment:
         int (t-s)^-alpha |s-c|^q ds, on two sets of inputs: random windows
         on both sides of the switch w0 = 2 vmax, and one-step windows L
         steps behind t, centred as in a backward stencil (c = b) or an L2
-        interior piece (c = b + tau).  The series side stays near 1e-15;
-        the closed side loses digits to cancellation in its binomial sum
-        as q grows (about 5e-11 at q = 6).  No window reaches t, so every
-        integrand is smooth and Gauss-Legendre converges fast."""
+        interior piece (c = b + tau).  The series side stays near 1e-15
+        (9e-16 measured); the closed side loses digits to cancellation in
+        its binomial sum as q grows (4.3e-11 measured, at q = 6).  Both
+        bounds sit just above what was measured.  No window reaches t, so
+        every integrand is smooth and Gauss-Legendre converges fast."""
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(5)
         cases = []
@@ -230,5 +209,5 @@ class TestKernelMoment:
             series = t - c >= 2.0 * max(abs(a - c), abs(b - c))
             err = float(abs(got - want) / scale)
             worst[series] = max(worst.get(series, 0.0), err)
-        assert worst[True] <= 1e-13
-        assert worst[False] <= 1e-9
+        assert worst[True] <= 5e-15
+        assert worst[False] <= 1e-10

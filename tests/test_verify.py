@@ -10,7 +10,6 @@ import pytest
 from caputo_lk.verify import run_check
 
 OWN_CHECKS = [
-    "gamma recurrence and anchors",
     "kernel moment window additivity",
     "kernel moment recentring identity",
     "polynomial reproduction (k <= 6)",

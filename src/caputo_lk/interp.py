@@ -7,8 +7,9 @@ stencil node) and the grid interval on which it is in force; ``_layout``
 gives these triples for a scheme, and ``_BASIS``/``_DERIV`` hold the
 monomial coefficients of the Lagrange basis and of its derivative in grid
 units, which is all ``schemes.discrete_caputo`` needs.  ``LagrangePiece``
-stores one piece with its stencil (ascending node times/values) for
-pointwise evaluation.
+stores one piece with its stencil (ascending node times/values) and
+evaluates it pointwise in Newton form, from divided differences computed
+once per piece; the quadrature oracle reads the same differences.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .holder import UniformGrid
 
@@ -29,15 +30,11 @@ __all__ = [
     "LagrangePiece",
     "PiecewisePolynomial",
     "divided_coeff",
-    "lagrange_eval",
     "backward_difference",
     "build_interpolant",
 ]
 
 MAX_DEGREE = 6
-
-# Distance below which s counts as sitting on a stencil node, in units of tau.
-_NODE_EPS = 1e-9
 
 
 class SchemeTag(enum.Enum):
@@ -161,11 +158,6 @@ _DERIV: dict[int, tuple[tuple[float, ...], ...]] = {
     for k, rows in _BASIS.items()
 }
 
-# _DIVIDED[k][l] == divided_coeff(k, l), read by lagrange_eval per term
-_DIVIDED: dict[int, tuple[int, ...]] = {
-    k: tuple(divided_coeff(k, l) for l in range(k + 1)) for k in range(1, MAX_DEGREE + 1)
-}
-
 
 @dataclass(frozen=True)
 class LagrangePiece:
@@ -202,39 +194,27 @@ class LagrangePiece:
             for r in range(k + 1)
         )
 
+    @cached_property
+    def newton(self) -> tuple[float, ...]:
+        """Divided differences c_j = p[x_0, ..., x_j] over the stencil taken
+        newest node first (x_0 is the anchor), from the node values alone."""
+        xs = self.node_times[::-1]
+        c = list(self.node_values[::-1])
+        for j in range(1, self.degree + 1):
+            for i in range(self.degree, j - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+        return tuple(c)
+
     def __call__(self, s: float) -> float:
-        return lagrange_eval(self, s)
-
-
-def lagrange_eval(piece: LagrangePiece, s: float) -> float:
-    """Evaluate a piece at s through the nodal-polynomial weight form.
-
-    Each term is node_value * w(s) / ((s - t_l) d_l tau^k) with the nodal
-    polynomial w(s) = prod_i (s - t_i).  When s falls on a node the shared
-    factor is cancelled symbolically instead of divided out, so node values
-    are reproduced exactly.
-    """
-    k = piece.degree
-    times = piece.node_times
-    tau_k = piece.tau**k
-    divided = _DIVIDED[k]
-    w = 1.0
-    for t_i in times:
-        w *= s - t_i
-    terms = []
-    for l in range(k + 1):
-        # l counts back from the rightmost node to match divided_coeff
-        t_l = times[k - l]
-        d_l = divided[l]
-        if abs(s - t_l) < piece.tau * _NODE_EPS:
-            rest = 1.0
-            for i, t_i in enumerate(times):
-                if i != k - l:
-                    rest *= s - t_i
-            terms.append(piece.node_values[k - l] * rest / (d_l * tau_k))
-        else:
-            terms.append(piece.node_values[k - l] * w / ((s - t_l) * d_l * tau_k))
-    return math.fsum(terms)
+        # Horner's rule on p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...));
+        # the last step leaves c_0, so the anchor value comes back exactly
+        c = self.newton
+        times = self.node_times
+        k = self.degree
+        p = c[k]
+        for i in range(k - 1, -1, -1):
+            p = p * (s - times[k - i]) + c[i]
+        return p
 
 
 @dataclass(frozen=True)
@@ -269,7 +249,7 @@ class PiecewisePolynomial:
         return self.pieces[min(i, len(self.pieces) - 1)]
 
     def __call__(self, s: float) -> float:
-        return lagrange_eval(self.piece_at(s), s)
+        return self.piece_at(s)(s)
 
 
 def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: int) -> LagrangePiece:

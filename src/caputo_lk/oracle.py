@@ -16,8 +16,10 @@ Two independent routes to the same quantity:
   of u may jump, so refinement never has to hunt for them.
 
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
-below is self-contained, and piece derivatives are taken in Newton form
-from divided differences of the stencil data.  The adaptive routine
+below is self-contained, and both routes read an interpolant through its
+pieces' Newton form (``LagrangePiece.newton``, divided differences of the
+stencil data): the integrated route through ``piece(s)``, the piecewise
+route through the derivative of the same form.  The adaptive routine
 follows QUADPACK's QAGP: one starting region per pair of consecutive
 break points, then global bisection of the worst region.
 """
@@ -146,30 +148,19 @@ def _adaptive(
     return math.fsum(r[3] for r in heap)
 
 
-def _newton_coefficients(piece: LagrangePiece) -> tuple[float, ...]:
-    # Divided differences c_j = p[x_0, ..., x_j] over the stencil taken
-    # newest node first (x_0 is the rightmost node), from the node values
-    # alone; once per piece per call
-    xs = piece.node_times[::-1]
-    c = list(piece.node_values[::-1])
-    for j in range(1, piece.degree + 1):
-        for i in range(piece.degree, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    return tuple(c)
-
-
-def _piece_derivative(piece: LagrangePiece, s: float, coeffs: Sequence[float]) -> float:
+def _piece_derivative(piece: LagrangePiece, s: float) -> float:
     # p'(s) of the Newton form p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)),
-    # by Horner's rule for p and p' together; ``coeffs`` is
-    # _newton_coefficients(piece), so nothing is shared with the monomial path
+    # by Horner's rule for p and p' together on the piece's cached
+    # differences, so nothing is shared with the monomial path
+    c = piece.newton
     times = piece.node_times
     k = piece.degree
-    p = coeffs[k]
+    p = c[k]
     dp = 0.0
     for i in range(k - 1, -1, -1):
         d = s - times[k - i]
         dp = dp * d + p
-        p = p * d + coeffs[i]
+        p = p * d + c[i]
     return dp
 
 
@@ -197,14 +188,13 @@ def quad_caputo_piecewise(
     contributions = []
     for piece in p.pieces:
         lo, hi = piece.interval
-        c = _newton_coefficients(piece)
-        # each integrand is consumed by _adaptive before piece and c move on
+        # each integrand is consumed by _adaptive before piece moves on
         if hi < t_n * (1.0 - 1e-12) or t_n == 0.0:
-            f = lambda s: (t_n - s) ** (-al) * _piece_derivative(piece, s, c)
+            f = lambda s: (t_n - s) ** (-al) * _piece_derivative(piece, s)
             points = [lo, hi]
         else:
             # final piece: w = (t_n - s)^(1-alpha) absorbs the singularity
-            f = lambda w: gamma_exp * _piece_derivative(piece, t_n - w**gamma_exp, c)
+            f = lambda w: gamma_exp * _piece_derivative(piece, t_n - w**gamma_exp)
             points = [0.0, (t_n - lo) ** (1.0 - al)]
         contributions.append(_adaptive(f, points, per_piece, stats))
     g = gamma(1.0 - al)
@@ -254,8 +244,8 @@ def quad_caputo_integrated(
     ``tail_degree`` (d).
     """
     al = _check_alpha(alpha)
-    if t <= 0.0:
-        raise ValueError(f"evaluation time must be positive, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"evaluation time must be positive and finite, got {t!r}")
     tol = max(tol, _MIN_TOL)
     if stats is not None:
         stats.update(err_estimate=0.0, regions=0)
@@ -324,8 +314,8 @@ def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:
     and zero for the constant p = 0."""
     if p < 0:
         raise ValueError(f"monomial degree must be nonnegative, got {p}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     al = _check_alpha(alpha)
     if p == 0:
         return 0.0

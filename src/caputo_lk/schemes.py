@@ -260,6 +260,8 @@ def l1_convolution(values: Sequence[float], tau: float, alpha: float) -> float:
     n = len(values) - 1
     if n < 1:
         raise ValueError("need node values u^0..u^n with n >= 1")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {tau!r}")
     for j, v in enumerate(values):
         if not math.isfinite(v):
             raise ValueError(f"node value u^{j} is not finite: {v!r}")

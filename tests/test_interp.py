@@ -16,7 +16,6 @@ from caputo_lk.interp import (
     backward_difference,
     build_interpolant,
     divided_coeff,
-    lagrange_eval,
 )
 
 
@@ -78,6 +77,8 @@ class TestDividedCoeff:
 
 class TestLagrangeEval:
     def test_partition_of_unity(self):
+        """Constant data, in the Newton form ``piece(s)`` evaluates and in
+        the monomial basis the closed form integrates."""
         rng = random.Random(101)
         worst = 0.0
         for k in range(1, 7):
@@ -86,7 +87,10 @@ class TestLagrangeEval:
                 lo = piece.node_times[0] - piece.tau
                 hi = piece.node_times[-1] + piece.tau
                 s = rng.uniform(lo, hi)
-                worst = max(worst, abs(lagrange_eval(piece, s) - 1.0))
+                sigma = (s - piece.node_times[-1]) / piece.tau
+                coeffs = piece.monomial_coefficients()
+                monomial = math.fsum(b * sigma**r for r, b in enumerate(coeffs))
+                worst = max(worst, abs(piece(s) - 1.0), abs(monomial - 1.0))
         assert worst < 1e-11
 
     def test_reproduces_node_values(self):
@@ -94,38 +98,40 @@ class TestLagrangeEval:
         for k in range(1, 7):
             piece = random_piece(rng, k)
             for t, v in zip(piece.node_times, piece.node_values):
-                assert lagrange_eval(piece, t) == pytest.approx(v, abs=5e-13)
+                assert piece(t) == pytest.approx(v, abs=5e-13)
+            # bit for bit at the anchor: the integrated oracle's u(t_n)
+            assert piece(piece.node_times[-1]) == piece.node_values[-1]
 
     def test_polynomial_exactness(self):
-        rng = random.Random(41)
-        for k in range(1, 7):
-            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(k + 1)]
+        for tau in (0.125, 2.0**-12):
+            rng = random.Random(41)
+            for k in range(1, 7):
+                coeffs = [rng.uniform(-1.0, 1.0) for _ in range(k + 1)]
 
-            def poly(s):
-                return math.fsum(c * s**p for p, c in enumerate(coeffs))
+                def poly(s):
+                    return math.fsum(c * s**p for p, c in enumerate(coeffs))
 
-            tau = 0.125
-            times = tuple(0.25 + i * tau for i in range(k + 1))
-            piece = LagrangePiece(
-                degree=k,
-                anchor=k,
-                node_times=times,
-                node_values=tuple(poly(t) for t in times),
-                interval=(times[-2], times[-1]),
-                tau=tau,
-            )
-            for _ in range(20):
-                s = rng.uniform(times[0], times[-1])
-                assert lagrange_eval(piece, s) == pytest.approx(poly(s), rel=1e-10, abs=1e-12)
+                times = tuple(0.25 + i * tau for i in range(k + 1))
+                piece = LagrangePiece(
+                    degree=k,
+                    anchor=k,
+                    node_times=times,
+                    node_values=tuple(poly(t) for t in times),
+                    interval=(times[-2], times[-1]),
+                    tau=tau,
+                )
+                for _ in range(20):
+                    s = rng.uniform(times[0], times[-1])
+                    assert piece(s) == pytest.approx(poly(s), rel=1e-10, abs=1e-12)
 
     def test_near_node_evaluation_is_stable(self):
-        # evaluation within a node's cancellation guard must fall back to
-        # the product form, not blow up
+        # the Newton form divides by no (s - t_l), so evaluation on or a
+        # rounding error away from an interior node needs no special case
         rng = random.Random(3)
         piece = random_piece(rng, 3)
         t1 = piece.node_times[1]
         for eps in (0.0, 1e-13 * piece.tau, -1e-13 * piece.tau):
-            got = lagrange_eval(piece, t1 + eps)
+            got = piece(t1 + eps)
             assert got == pytest.approx(piece.node_values[1], abs=1e-9)
 
     def test_kink_interpolation_error_scaling(self):
@@ -150,7 +156,7 @@ class TestLagrangeEval:
                     worst = 0.0
                     for i in range(401):
                         s = times[0] + (times[-1] - times[0]) * i / 400
-                        worst = max(worst, abs(u(s) - lagrange_eval(piece, s)))
+                        worst = max(worst, abs(u(s) - piece(s)))
                     errs.append(worst)
                 slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
                 fitted = sum(slopes) / len(slopes)

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from caputo_lk import interp as interp_module
-from caputo_lk import oracle
+from caputo_lk import oracle, schemes
 from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.interp import LagrangePiece, PiecewisePolynomial, SchemeKind, build_interpolant
 from caputo_lk.oracle import (
@@ -125,6 +124,12 @@ class TestExactMonomial:
         with pytest.raises(ValueError):
             exact_caputo_monomial(-1, 0.5, 0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError) as excinfo:
+            exact_caputo_monomial(2, t, 0.5)
+        assert repr(t) in str(excinfo.value)
+
 
 def _exact_stencil_derivative(times, values, s):
     """p'(s) of the stencil polynomial in product form, in exact rationals,
@@ -155,11 +160,11 @@ class TestNewtonDerivative:
             times = tuple((anchor - k + i) * tau for i in range(k + 1))
             values = tuple(rng.uniform(-1.0, 1.0) for _ in range(k + 1))
             piece = LagrangePiece(k, anchor, times, values, (times[-2], times[-1]), tau)
-            coeffs = oracle._newton_coefficients(piece)
+            assert piece.newton is piece.newton  # computed once per piece
             mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
             for s in [*times, *mids, times[0] - tau, times[-1] + tau]:
                 want, scale = _exact_stencil_derivative(times, values, s)
-                got = oracle._piece_derivative(piece, s, coeffs)
+                got = oracle._piece_derivative(piece, s)
                 assert abs(Fraction(got) - want) <= 1e-12 * scale, (k, tau, s)
 
 
@@ -229,7 +234,7 @@ class TestIntegratedOracle:
         split at the grid nodes it takes 654 interpolant evaluations, where
         bisecting toward each derivative jump took 9804."""
         calls = 0
-        evaluate = interp_module.lagrange_eval
+        evaluate = LagrangePiece.__call__
 
         def counted(piece, s):
             nonlocal calls
@@ -241,7 +246,7 @@ class TestIntegratedOracle:
         alpha = 0.6648678540080026
         p = build_interpolant(SchemeKind.l1(), g, [u(g.time(i)) for i in range(32)], 31)
         want = quad_caputo_piecewise(p, g.time(31), alpha, tol=1e-12)
-        monkeypatch.setattr(interp_module, "lagrange_eval", counted)
+        monkeypatch.setattr(LagrangePiece, "__call__", counted)
         got = quad_caputo_integrated(p, g.time(31), alpha, tol=1e-11)
         assert calls <= 1500
         assert got == pytest.approx(want, rel=1e-7)
@@ -308,6 +313,12 @@ class TestIntegratedOracle:
         with pytest.raises(ValueError):
             quad_caputo_integrated(lambda s: s, 0.0, 0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError) as excinfo:
+            quad_caputo_integrated(lambda s: s, t, 0.5)
+        assert repr(t) in str(excinfo.value)
+
 
 # Names of the closed-form route; the oracle must reach its values without them.
 _CLOSED_FORM_NAMES = {
@@ -340,7 +351,9 @@ def _identifiers(tree: ast.AST) -> set[str]:
 
 def test_oracle_names_nothing_of_the_closed_form():
     """The oracle is the second route to every scheme value, so it must not
-    share code with the first: no name of the closed-form path may appear."""
+    share code with the first: no name of the closed-form path may appear
+    in the oracle, and no name of the oracle's Newton form in the closed
+    form."""
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     assert not _identifiers(tree) & _CLOSED_FORM_NAMES
     # from the package, only the problem's inputs and the interpolants
@@ -348,3 +361,6 @@ def test_oracle_names_nothing_of_the_closed_form():
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
     }
     assert package == {"holder", "interp"}
+    # and the closed form reads nothing of the oracle's Newton form
+    schemes_tree = ast.parse(Path(schemes.__file__).read_text(encoding="utf-8"))
+    assert not _identifiers(schemes_tree) & {"newton", "_piece_derivative"}

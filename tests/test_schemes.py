@@ -109,6 +109,12 @@ class TestL1Weights:
             b = l1_convolution(vals, g.tau, alpha)
             assert a == pytest.approx(b, rel=1e-11, abs=1e-13)
 
+    @pytest.mark.parametrize("tau", [-0.1, 0.0, math.nan, math.inf])
+    def test_convolution_rejects_bad_step(self, tau):
+        with pytest.raises(ValueError) as excinfo:
+            l1_convolution([0.0, 0.5, 1.0], tau, 0.5)
+        assert repr(tau) in str(excinfo.value)
+
 
 class TestDiscreteCaputo:
     def test_linear_exactness(self):

@@ -8,8 +8,8 @@ gives these triples for a scheme, and ``_BASIS``/``_DERIV`` hold the
 monomial coefficients of the Lagrange basis and of its derivative in grid
 units, which is all ``schemes.discrete_caputo`` needs.  ``LagrangePiece``
 stores one piece with its stencil (ascending node times/values) and
-evaluates it pointwise in Newton form, from divided differences computed
-once per piece; the quadrature oracle reads the same differences.
+evaluates it at a batch of points in Newton form, from divided differences
+computed once per piece; the quadrature oracle reads the same differences.
 """
 
 from __future__ import annotations
@@ -180,6 +180,16 @@ class LagrangePiece:
             raise ValueError(f"piece degree must lie in 1..{MAX_DEGREE}, got {self.degree}")
         if len(self.node_times) != self.degree + 1 or len(self.node_values) != self.degree + 1:
             raise ValueError("stencil needs exactly degree + 1 nodes and values")
+        prev = -math.inf
+        for x in self.node_times:
+            if not prev < x < math.inf:
+                raise ValueError(f"stencil node times must be finite and strictly ascending, got {x!r}")
+            prev = x
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got tau={self.tau!r}")
+        for end in self.interval:
+            if not math.isfinite(end):
+                raise ValueError(f"validity interval end is not finite: {end!r}")
         if not self.interval[0] < self.interval[1]:
             raise ValueError(f"empty validity interval {self.interval!r}")
 
@@ -205,16 +215,23 @@ class LagrangePiece:
                 c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
         return tuple(c)
 
-    def __call__(self, s: float) -> float:
-        # Horner's rule on p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...));
-        # the last step leaves c_0, so the anchor value comes back exactly
+    def evaluate(self, points: Sequence[float]) -> list[float]:
+        """p(s) at each of the points, by Horner's rule on the Newton form
+        p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)); the last step
+        leaves c_0, so the anchor value comes back exactly."""
         c = self.newton
-        times = self.node_times
-        k = self.degree
-        p = c[k]
-        for i in range(k - 1, -1, -1):
-            p = p * (s - times[k - i]) + c[i]
-        return p
+        top = c[-1]
+        steps = tuple(zip(self.node_times[1:], c[-2::-1]))
+        out = []
+        for s in points:
+            p = top
+            for x, ci in steps:
+                p = p * (s - x) + ci
+            out.append(p)
+        return out
+
+    def __call__(self, s: float) -> float:
+        return self.evaluate((s,))[0]
 
 
 @dataclass(frozen=True)

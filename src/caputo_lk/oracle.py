@@ -18,10 +18,13 @@ Two independent routes to the same quantity:
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
 below is self-contained, and both routes read an interpolant through its
 pieces' Newton form (``LagrangePiece.newton``, divided differences of the
-stencil data): the integrated route through ``piece(s)``, the piecewise
-route through the derivative of the same form.  The adaptive routine
-follows QUADPACK's QAGP: one starting region per pair of consecutive
-break points, then global bisection of the worst region.
+stencil data): the integrated route through ``piece.evaluate``, the
+piecewise route through the derivative of the same form.  The adaptive
+routine follows QUADPACK's QAGP: one starting region per pair of
+consecutive break points, then global bisection of the worst region.
+Integrands take a batch: each Gauss-Kronrod region passes its 15 nodes in
+one call and gets their values back as a list, so an interpolant's piece
+is looked up once per region, never per point.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ _WG = (
     0.381830050505119,
     0.417959183673469,
 )
+# The nodes' offsets from the centre in half-widths, in the order a batch
+# integrand receives them: the centre, then each Kronrod abscissa as a
+# (-x, +x) pair, outermost first.
+_OFFSETS = (0.0, *(x for a in _XK[:7] for x in (-a, a)))
+
+Integrand = Callable[[Sequence[float]], Sequence[float]]
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -84,26 +93,24 @@ class QuadratureConvergenceError(RuntimeError):
         self.best = best
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(mid)
-    kron = _WK[7] * fc
-    gauss = _WG[3] * fc
+    v = f([mid + half * x for x in _OFFSETS])
+    kron = _WK[7] * v[0]
+    gauss = _WG[3] * v[0]
     for i in range(7):
-        x = half * _XK[i]
-        lo = f(mid - x)
-        hi = f(mid + x)
-        kron += _WK[i] * (lo + hi)
+        pair = v[2 * i + 1] + v[2 * i + 2]
+        kron += _WK[i] * pair
         if i % 2 == 1:
-            gauss += _WG[i // 2] * (lo + hi)
+            gauss += _WG[i // 2] * pair
     kron *= half
     gauss *= half
     return kron, abs(kron - gauss)
 
 
 def _adaptive(
-    f: Callable[[float], float],
+    f: Integrand,
     points: Sequence[float],
     tol: float,
     stats: dict | None = None,
@@ -111,7 +118,9 @@ def _adaptive(
     """Globally adaptive Gauss-Kronrod over the ascending break points:
     one GK15 region per pair of consecutive points to start, then
     bisection of the worst region until the summed error estimate meets tol.
-    A ``stats`` dict gains the final error estimate and region count."""
+    ``f`` maps a batch of points to their values.  A ``stats`` dict gains
+    the final error estimate and region count, and ``evaluations``, the
+    points passed to ``f``."""
     tol = max(tol, _MIN_TOL)
     heap = []
     total_err = 0.0
@@ -124,6 +133,7 @@ def _adaptive(
     if not heap:
         return 0.0
     heapq.heapify(heap)
+    evaluated = len(heap)  # GK15 regions
     while total_err > tol:
         if len(heap) >= _MAX_REGIONS:
             raise QuadratureConvergenceError(
@@ -142,26 +152,32 @@ def _adaptive(
         heapq.heappush(heap, (-e1, lo, mid, v1, depth + 1))
         heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1))
         total_err += e1 + e2 + neg_err
+        evaluated += 2
     if stats is not None:
         stats["err_estimate"] = stats.get("err_estimate", 0.0) + total_err
         stats["regions"] = stats.get("regions", 0) + len(heap)
+        stats["evaluations"] = stats.get("evaluations", 0) + len(_OFFSETS) * evaluated
     return math.fsum(r[3] for r in heap)
 
 
-def _piece_derivative(piece: LagrangePiece, s: float) -> float:
-    # p'(s) of the Newton form p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)),
-    # by Horner's rule for p and p' together on the piece's cached
-    # differences, so nothing is shared with the monomial path
+def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
+    # p'(s) at each point, for the Newton form
+    # p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)), by Horner's rule
+    # for p and p' together on the piece's cached differences, so nothing
+    # is shared with the monomial path
     c = piece.newton
-    times = piece.node_times
-    k = piece.degree
-    p = c[k]
-    dp = 0.0
-    for i in range(k - 1, -1, -1):
-        d = s - times[k - i]
-        dp = dp * d + p
-        p = p * d + c[i]
-    return dp
+    top = c[-1]
+    steps = tuple(zip(piece.node_times[1:], c[-2::-1]))
+    out = []
+    for s in points:
+        p = top
+        dp = 0.0
+        for x, ci in steps:
+            d = s - x
+            dp = dp * d + p
+            p = p * d + ci
+        out.append(dp)
+    return out
 
 
 def quad_caputo_piecewise(
@@ -174,27 +190,33 @@ def quad_caputo_piecewise(
     """Numerical value of the discrete operator applied to interpolant p.
 
     Integrates (t_n - s)^(-alpha) p'(s) over every piece adaptively and
-    divides by Gamma(1 - alpha).  A ``stats`` dict receives ``regions`` and
-    ``err_estimate``, the summed final Gauss-Kronrod error estimates.
+    divides by Gamma(1 - alpha).  A ``stats`` dict receives ``regions``,
+    ``err_estimate``, the summed final Gauss-Kronrod error estimates, and
+    ``evaluations``, the integrand points evaluated (15 per region).
     """
     al = _check_alpha(alpha)
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
     tol = max(tol, _MIN_TOL)
     if stats is not None:
-        stats.update(err_estimate=0.0, regions=0)
+        stats.update(err_estimate=0.0, regions=0, evaluations=0)
     per_piece = tol / (len(p.pieces) + 1)
     gamma_exp = 1.0 / (1.0 - al)
+    kernel_exp = -al
     contributions = []
     for piece in p.pieces:
         lo, hi = piece.interval
         # each integrand is consumed by _adaptive before piece moves on
         if hi < t_n * (1.0 - 1e-12) or t_n == 0.0:
-            f = lambda s: (t_n - s) ** (-al) * _piece_derivative(piece, s)
+            f = lambda ss: [
+                (t_n - s) ** kernel_exp * d for s, d in zip(ss, _piece_derivative(piece, ss))
+            ]
             points = [lo, hi]
         else:
             # final piece: w = (t_n - s)^(1-alpha) absorbs the singularity
-            f = lambda w: gamma_exp * _piece_derivative(piece, t_n - w**gamma_exp)
+            f = lambda ws: [
+                gamma_exp * d for d in _piece_derivative(piece, [t_n - w**gamma_exp for w in ws])
+            ]
             points = [0.0, (t_n - lo) ** (1.0 - al)]
         contributions.append(_adaptive(f, points, per_piece, stats))
     g = gamma(1.0 - al)
@@ -239,8 +261,9 @@ def quad_caputo_integrated(
     on.  Two successive totals agreeing to tol/4, or to the cancellation
     noise the tail amplifies, are accepted.  For an interpolant each band's
     adaptive quadrature starts from the piece boundaries inside it, where
-    u' may jump.  A ``stats`` dict receives ``err_estimate`` and
-    ``regions`` as in ``quad_caputo_piecewise``, ``bands`` and
+    u' may jump, and each Gauss-Kronrod region reads its piece once.  A
+    ``stats`` dict receives ``err_estimate``, ``regions`` and
+    ``evaluations`` as in ``quad_caputo_piecewise``, ``bands`` and
     ``tail_degree`` (d).
     """
     al = _check_alpha(alpha)
@@ -248,19 +271,30 @@ def quad_caputo_integrated(
         raise ValueError(f"evaluation time must be positive and finite, got {t!r}")
     tol = max(tol, _MIN_TOL)
     if stats is not None:
-        stats.update(err_estimate=0.0, regions=0)
+        stats.update(err_estimate=0.0, regions=0, evaluations=0)
     u_t = u(t)
     if isinstance(u, PiecewisePolynomial):
         breaks = u.right_ends
         degree = u.pieces[-1].degree
         model_start = u.pieces[-1].interval[0]
+
+        def values(ss: Sequence[float]) -> list[float]:
+            # no region straddles a break, so its centre, the first point,
+            # names the piece every point of the batch lies in
+            return u.piece_at(ss[0]).evaluate(ss)
+
     else:
         # no piece to wait for: the one-ratio model holds from band 3 on
         breaks, degree = (), 1
         model_start = t * (1.0 - 2.0**-3)
 
-    def integrand(s: float) -> float:
-        return (u_t - u(s)) * (t - s) ** (-1.0 - al)
+        def values(ss: Sequence[float]) -> list[float]:
+            return [u(s) for s in ss]
+
+    kernel_exp = -1.0 - al
+
+    def integrand(ss: Sequence[float]) -> list[float]:
+        return [(u_t - v) * (t - s) ** kernel_exp for s, v in zip(ss, values(ss))]
 
     def finish(total: float) -> float:
         g = gamma(1.0 - al)

@@ -182,6 +182,49 @@ class TestLagrangeEval:
                 tau=0.25,
             )
 
+    # LagrangePiece(1, 1, (0.0, 0.5), (0.0, 1.0), (0.0, 0.5), 0.5) is valid;
+    # each case below replaces one field with a bad value it must name
+    _VALID = dict(
+        degree=1,
+        anchor=1,
+        node_times=(0.0, 0.5),
+        node_values=(0.0, 1.0),
+        interval=(0.0, 0.5),
+        tau=0.5,
+    )
+
+    @pytest.mark.parametrize(
+        "times, bad",
+        [
+            ((0.0, 0.0), 0.0),
+            ((0.5, 0.0), 0.0),
+            ((0.0, math.nan), math.nan),
+            ((-math.inf, 0.5), -math.inf),
+            ((0.0, math.inf), math.inf),
+        ],
+        ids=["repeated", "descending", "nan", "-inf", "inf"],
+    )
+    def test_rejects_bad_node_times(self, times, bad):
+        with pytest.raises(ValueError) as excinfo:
+            LagrangePiece(**{**self._VALID, "node_times": times})
+        assert repr(bad) in str(excinfo.value)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
+    def test_rejects_bad_step(self, tau):
+        with pytest.raises(ValueError) as excinfo:
+            LagrangePiece(**{**self._VALID, "tau": tau})
+        assert repr(tau) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "interval, bad",
+        [((0.0, math.inf), math.inf), ((-math.inf, 0.5), -math.inf)],
+        ids=["inf", "-inf"],
+    )
+    def test_rejects_non_finite_interval_end(self, interval, bad):
+        with pytest.raises(ValueError) as excinfo:
+            LagrangePiece(**{**self._VALID, "interval": interval})
+        assert repr(bad) in str(excinfo.value)
+
 
 class TestBackwardDifference:
     def test_annihilates_low_degrees(self):

@@ -38,7 +38,77 @@ def monomial_interpolant(p: int, t_end: float) -> PiecewisePolynomial:
     return PiecewisePolynomial(pieces=(piece,))
 
 
+def batch(f):
+    """A scalar callable in the oracle's batch convention."""
+    return lambda points: [f(s) for s in points]
+
+
+def scalar_gk15(f, a, b):
+    """The GK15 rule one point at a time, in the node and accumulation
+    order the batched ``oracle._gk15`` must keep: the reference that pins
+    its batch layout bit for bit."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(mid)
+    kron = oracle._WK[7] * fc
+    gauss = oracle._WG[3] * fc
+    for i in range(7):
+        x = half * oracle._XK[i]
+        lo = f(mid - x)
+        hi = f(mid + x)
+        kron += oracle._WK[i] * (lo + hi)
+        if i % 2 == 1:
+            gauss += oracle._WG[i // 2] * (lo + hi)
+    kron *= half
+    gauss *= half
+    return kron, abs(kron - gauss)
+
+
 class TestAdaptiveCore:
+    def test_batched_rule_matches_scalar_reference(self):
+        rng = random.Random(2)
+        family = [
+            lambda c: lambda s: math.exp(c * s),
+            lambda c: lambda s: math.sin(20.0 * c * s),
+            lambda c: lambda s: abs(s - c) ** 0.3,
+            lambda c: lambda s: (1.0 + c * s * s) ** -1.0,
+        ]
+        for _ in range(200):
+            a = rng.uniform(-2.0, 2.0)
+            b = a + 10.0 ** rng.uniform(-12.0, 1.0)
+            c = rng.uniform(-1.0, 1.0)
+            f = rng.choice(family)(c)
+            assert oracle._gk15(batch(f), a, b) == scalar_gk15(f, a, b), (a, b, c)
+
+    def test_batch_holds_the_centre_then_pairs(self):
+        seen = []
+
+        def record(points):
+            seen.append(list(points))
+            return [0.0] * len(points)
+
+        oracle._gk15(record, 1.0, 3.0)
+        (points,) = seen
+        assert points[0] == 2.0
+        for i, x in enumerate(oracle._XK[:7]):
+            assert points[2 * i + 1 : 2 * i + 3] == [2.0 - x, 2.0 + x]
+
+    def test_kronrod_degree_of_exactness(self):
+        # the Kronrod extension of the 7-point Gauss rule integrates every
+        # polynomial through degree 3 * 7 + 2 = 23 exactly (3n + 1, plus one
+        # by symmetry for odd n), and degree 24 visibly not; a node paired
+        # with the wrong weight breaks this at a low degree
+        a, b = -1.0, 3.0
+
+        def relative_error(deg):
+            val, _ = oracle._gk15(batch(lambda s: s**deg), a, b)
+            exact = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
+            return abs(val - exact) / abs(exact)
+
+        for deg in range(24):
+            assert relative_error(deg) <= 1e-13, deg
+        assert relative_error(24) > 1e-12
+
     def test_gk15_polynomial_exactness(self):
         # the 7-point Gauss rule is exact through degree 13, so the
         # Kronrod value and error estimate must both be tiny against it
@@ -53,16 +123,16 @@ class TestAdaptiveCore:
             exact = math.fsum(
                 c * (b ** (p + 1) - a ** (p + 1)) / (p + 1) for p, c in enumerate(coeffs)
             )
-            val, err = oracle._gk15(poly, a, b)
+            val, err = oracle._gk15(batch(poly), a, b)
             assert val == pytest.approx(exact, rel=1e-13)
             assert err <= 1e-11 * max(1.0, abs(exact))
 
     def test_adaptive_smooth(self):
-        got = oracle._adaptive(math.exp, [0.0, 1.0], 1e-13)
+        got = oracle._adaptive(batch(math.exp), [0.0, 1.0], 1e-13)
         assert got == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_adaptive_oscillatory(self):
-        got = oracle._adaptive(lambda s: math.sin(20.0 * s), [0.0, 2.0], 1e-12)
+        got = oracle._adaptive(batch(lambda s: math.sin(20.0 * s)), [0.0, 2.0], 1e-12)
         want = (1.0 - math.cos(40.0)) / 20.0
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -74,7 +144,7 @@ class TestAdaptiveCore:
         p = 1.0 - al
         # int_0^t (t-s)^-al s ds via the substitution, against the exact
         # Beta-function value t^(2-al) / ((1-al)(2-al))
-        got = oracle._adaptive(lambda w: t - w ** (1.0 / p), [0.0, t**p], 1e-13) / p
+        got = oracle._adaptive(batch(lambda w: t - w ** (1.0 / p)), [0.0, t**p], 1e-13) / p
         want = t ** (2 - al) / ((1 - al) * (2 - al))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -84,7 +154,7 @@ class TestAdaptiveCore:
         # transport the accumulated estimate
         c = 1.0 / math.sqrt(7.0)
         with pytest.raises(QuadratureConvergenceError) as info:
-            oracle._adaptive(lambda s: abs(s - c) ** -0.5, [0.0, 1.0], 1e-14)
+            oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
         best = info.value.best
         want = 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c))
         assert best == pytest.approx(want, rel=1e-3)
@@ -100,7 +170,7 @@ class TestAdaptiveCore:
             calls += 1
             return abs(s - c)
 
-        got = oracle._adaptive(kink, [0.0, c, 1.0], 1e-14)
+        got = oracle._adaptive(batch(kink), [0.0, c, 1.0], 1e-14)
         assert got == pytest.approx(0.5 * (c * c + (1.0 - c) ** 2), rel=0.0, abs=1e-13)
         assert calls <= 60
 
@@ -108,7 +178,7 @@ class TestAdaptiveCore:
         monkeypatch.setattr(oracle, "_MAX_DEPTH", 3)
         c = 1.0 / math.sqrt(7.0)
         with pytest.raises(QuadratureConvergenceError, match="exceeded depth 3 "):
-            oracle._adaptive(lambda s: abs(s - c) ** -0.5, [0.0, 1.0], 1e-14)
+            oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
 
 
 class TestExactMonomial:
@@ -162,10 +232,13 @@ class TestNewtonDerivative:
             piece = LagrangePiece(k, anchor, times, values, (times[-2], times[-1]), tau)
             assert piece.newton is piece.newton  # computed once per piece
             mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
-            for s in [*times, *mids, times[0] - tau, times[-1] + tau]:
+            points = [*times, *mids, times[0] - tau, times[-1] + tau]
+            batched = oracle._piece_derivative(piece, points)
+            for s, got in zip(points, batched, strict=True):
                 want, scale = _exact_stencil_derivative(times, values, s)
-                got = oracle._piece_derivative(piece, s)
                 assert abs(Fraction(got) - want) <= 1e-12 * scale, (k, tau, s)
+                # a point's value does not depend on the batch around it
+                assert oracle._piece_derivative(piece, [s]) == [got]
 
 
 class TestPiecewiseOracle:
@@ -232,24 +305,46 @@ class TestIntegratedOracle:
     def test_interpolant_bands_start_at_piece_boundaries(self, monkeypatch):
         """Crosscheck case c140/L1 (n = 31, kink at node 28): with the bands
         split at the grid nodes it takes 654 interpolant evaluations, where
-        bisecting toward each derivative jump took 9804."""
-        calls = 0
-        evaluate = LagrangePiece.__call__
+        bisecting toward each derivative jump took 9804.  Each
+        Gauss-Kronrod region looks its piece up once."""
+        points = lookups = reads = 0
+        evaluate = LagrangePiece.evaluate
+        piece_at = PiecewisePolynomial.piece_at
+        read = PiecewisePolynomial.__call__
 
-        def counted(piece, s):
-            nonlocal calls
-            calls += 1
-            return evaluate(piece, s)
+        def counted_evaluate(piece, ss):
+            nonlocal points
+            points += len(ss)
+            return evaluate(piece, ss)
+
+        def counted_piece_at(interp, s):
+            nonlocal lookups
+            lookups += 1
+            return piece_at(interp, s)
+
+        def counted_read(interp, s):
+            nonlocal reads
+            reads += 1
+            return read(interp, s)
 
         g = UniformGrid(horizon=1.0, steps=33)
         u = HolderTestFunction(m=1, beta=0.5360585648920434, xi=g.time(28))
         alpha = 0.6648678540080026
         p = build_interpolant(SchemeKind.l1(), g, [u(g.time(i)) for i in range(32)], 31)
         want = quad_caputo_piecewise(p, g.time(31), alpha, tol=1e-12)
-        monkeypatch.setattr(LagrangePiece, "__call__", counted)
-        got = quad_caputo_integrated(p, g.time(31), alpha, tol=1e-11)
-        assert calls <= 1500
+        monkeypatch.setattr(LagrangePiece, "evaluate", counted_evaluate)
+        monkeypatch.setattr(PiecewisePolynomial, "piece_at", counted_piece_at)
+        monkeypatch.setattr(PiecewisePolynomial, "__call__", counted_read)
+        stats = {}
+        got = quad_caputo_integrated(p, g.time(31), alpha, tol=1e-11, stats=stats)
+        assert points <= 1500
         assert got == pytest.approx(want, rel=1e-7)
+        # u(t), u(0) and one u per band are single-point reads; every other
+        # point is one of 15 in a region's batch, read from one piece
+        regions, rest = divmod(stats["evaluations"], 15)
+        assert rest == 0 and regions >= stats["regions"]
+        assert points == stats["evaluations"] + reads
+        assert lookups == regions + reads
 
     def test_c113_l2_integrated_form(self):
         """Crosscheck case c113/L2 (alpha = 0.738): the quadratic tail
@@ -318,6 +413,50 @@ class TestIntegratedOracle:
         with pytest.raises(ValueError) as excinfo:
             quad_caputo_integrated(lambda s: s, t, 0.5)
         assert repr(t) in str(excinfo.value)
+
+
+class TestEvaluationCounts:
+    """``stats["evaluations"]`` is the number of integrand points taken,
+    counted here at the batch evaluator each route reads the pieces by."""
+
+    def _interpolant(self):
+        g = UniformGrid(horizon=1.0, steps=12)
+        u = HolderTestFunction(m=1, beta=0.4, xi=g.time(7))
+        values = [u(g.time(i)) for i in range(11)]
+        return build_interpolant(SchemeKind.lk(3), g, values, 10), g.time(10)
+
+    def test_piecewise_counts_derivative_points(self, monkeypatch):
+        p, t = self._interpolant()
+        counted = 0
+        derivative = oracle._piece_derivative
+
+        def counting(piece, points):
+            nonlocal counted
+            counted += len(points)
+            return derivative(piece, points)
+
+        monkeypatch.setattr(oracle, "_piece_derivative", counting)
+        stats = {"evaluations": 99}
+        quad_caputo_piecewise(p, t, 0.4, tol=1e-12, stats=stats)
+        assert len(p.pieces) == 10
+        assert stats["evaluations"] == counted > 0
+
+    def test_integrated_counts_batch_points(self, monkeypatch):
+        p, t = self._interpolant()
+        counted = 0
+        evaluate = LagrangePiece.evaluate
+
+        def counting(piece, points):
+            nonlocal counted
+            if len(points) > 1:  # single-point reads of u are not integrand points
+                counted += len(points)
+            return evaluate(piece, points)
+
+        monkeypatch.setattr(LagrangePiece, "evaluate", counting)
+        stats = {}
+        quad_caputo_integrated(p, t, 0.4, tol=1e-11, stats=stats)
+        assert stats["evaluations"] == counted > 0
+        assert stats["evaluations"] % 15 == 0
 
 
 # Names of the closed-form route; the oracle must reach its values without them.

@@ -23,7 +23,8 @@ from typing import TextIO, Union
 
 from .holder import HolderTestFunction, RegularityClass, UniformGrid
 from .interp import SchemeKind, SchemeTag
-from .schemes import discrete_caputo
+# discrete_caputo is not called here; perfbench/spans.py patches it by name
+from .schemes import CaputoWeights, discrete_caputo
 
 __all__ = [
     "DASH",
@@ -66,7 +67,7 @@ class DegenerateDifferenceError(ArithmeticError):
     """Raised when a refinement difference is too small to carry an order."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceRow:
     """One interior-point order measurement."""
 
@@ -80,7 +81,7 @@ class ConvergenceRow:
     theoretical_order: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FirstNodeRow:
     """One first-node error and order measurement.
 
@@ -98,7 +99,7 @@ class FirstNodeRow:
     measured_R: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedTimeRow:
     """One fixed-time L1 error and order measurement.
 
@@ -121,6 +122,8 @@ class FixedTimeRow:
 
 def _unit_grid(tau: float) -> UniformGrid:
     """The step-tau grid over [0, 1]; 1/tau must be integral."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"step tau must be positive and finite, got tau={tau!r}")
     steps = round(_HORIZON / tau)
     if steps < 1 or abs(steps * tau - _HORIZON) > 1e-9 * _HORIZON:
         raise ValueError(f"step {tau!r} does not divide the unit horizon")
@@ -143,18 +146,28 @@ def scheme_value(
     alpha: float,
     tau: float,
     t: float,
+    weights: CaputoWeights | None = None,
 ) -> float:
     """Discrete Caputo value of u at physical time t on the step-tau grid
     over [0, 1].
 
     Both 1/tau and t/tau must be integral; t is mapped to its node index
-    through the grid so off-grid times are refused.
+    through the grid so off-grid times are refused.  ``weights``, built for
+    this scheme and alpha, is shared by the grids of one measurement so each
+    lag's moments are computed once; without it the call builds its own.
     """
+    if weights is None:
+        weights = CaputoWeights(scheme, alpha)
+    elif (weights.scheme, weights.alpha) != (scheme, float(alpha)):
+        raise ValueError(
+            f"weights of {weights.scheme.label} at alpha={weights.alpha} "
+            f"asked for {scheme.label} at alpha={alpha!r}"
+        )
     grid = _unit_grid(tau)
     n = grid.node_index(t)
     if n == 0:
         raise ValueError("the discrete operator starts at the first node")
-    return discrete_caputo(scheme, grid, u, n, alpha).value
+    return weights.value(grid, u, n)
 
 
 def order_interior(
@@ -184,9 +197,8 @@ def order_interior(
             f"got xi/tau = {n_coarse}"
         )
 
-    d1 = scheme_value(scheme, f, alpha, tau, xi)
-    d2 = scheme_value(scheme, f, alpha, tau / 2.0, xi)
-    d4 = scheme_value(scheme, f, alpha, tau / 4.0, xi)
+    weights = CaputoWeights(scheme, alpha)
+    d1, d2, d4 = (scheme_value(scheme, f, alpha, tau / r, xi, weights) for r in (1.0, 2.0, 4.0))
     rate = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
     return ConvergenceRow(
         scheme=scheme,
@@ -200,11 +212,12 @@ def order_interior(
     )
 
 
-def _first_node_error(scheme: SchemeKind, f, alpha: float, tau: float) -> float:
+def _first_node_error(weights: CaputoWeights, f, tau: float) -> float:
     """Error of the step-tau grid at its first node t = tau, measured
     against the same operator on the 128-fold refinement."""
-    coarse = scheme_value(scheme, f, alpha, tau, tau)
-    fine = scheme_value(scheme, f, alpha, tau / _FIRST_NODE_REFINEMENT, tau)
+    scheme, alpha = weights.scheme, weights.alpha
+    coarse = scheme_value(scheme, f, alpha, tau, tau, weights)
+    fine = scheme_value(scheme, f, alpha, tau / _FIRST_NODE_REFINEMENT, tau, weights)
     return abs(coarse - fine)
 
 
@@ -231,8 +244,9 @@ def order_first_node(
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
     if f.m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
-    err = _first_node_error(scheme, f, alpha, tau)
-    err_half = _first_node_error(scheme, f, alpha, tau / 2.0)
+    weights = CaputoWeights(scheme, alpha)
+    err = _first_node_error(weights, f, tau)
+    err_half = _first_node_error(weights, f, tau / 2.0)
     rate = _rate(err, err_half, "first-node errors", alpha, f)
     return FirstNodeRow(
         scheme=scheme,
@@ -278,10 +292,11 @@ def order_fixed_time(
             f"{t!r}/{_FIXED_TIME_REFINEMENT}"
         )
     l1 = SchemeKind.l1()
+    weights = CaputoWeights(l1, alpha)
     tau_ref = t / _FIXED_TIME_REFINEMENT
-    ref = scheme_value(l1, f, alpha, tau_ref, t)
-    err = abs(scheme_value(l1, f, alpha, tau, t) - ref)
-    err_half = abs(scheme_value(l1, f, alpha, tau / 2.0, t) - ref)
+    ref = scheme_value(l1, f, alpha, tau_ref, t, weights)
+    err = abs(scheme_value(l1, f, alpha, tau, t, weights) - ref)
+    err_half = abs(scheme_value(l1, f, alpha, tau / 2.0, t, weights) - ref)
     rate = _rate(err, err_half, "fixed-time errors", alpha, f)
     return FixedTimeRow(
         alpha=alpha,

@@ -9,6 +9,7 @@ tracks regularity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,6 +31,14 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse a count that is not an integer; 2.0 is refused like 2.5."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 class NotAGridNodeError(ValueError):
     """Raised when a time does not coincide with any grid node."""
 
@@ -44,6 +53,7 @@ class UniformGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"grid horizon must be positive and finite, got {self.horizon!r}")
+        _check_count(self.steps, "grid steps")
         if self.steps < 1:
             raise ValueError(f"grid needs at least one step, got {self.steps!r}")
 
@@ -74,6 +84,7 @@ class RegularityClass:
     beta: float
 
     def __post_init__(self) -> None:
+        _check_count(self.m, "derivative count m")
         if not 0 <= self.m <= _MAX_M:
             raise ValueError(f"derivative count m must lie in 0..{_MAX_M}, got {self.m!r}")
         if not 0.0 < self.beta <= 1.0:

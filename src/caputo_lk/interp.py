@@ -3,10 +3,11 @@
 Every scheme below approximates the integrand by a piecewise polynomial
 whose pieces interpolate on k+1 consecutive grid nodes.  On a uniform grid
 a piece is fixed by its degree, its anchor (the index of the rightmost
-stencil node) and the grid interval on which it is in force; ``_layout``
-gives these triples for a scheme, and ``_BASIS``/``_DERIV`` hold the
+stencil node) and the grid interval on which it is in force; ``_runs``
+gives these for a scheme, grouped into runs of intervals that share a
+degree and an anchor offset, and ``_BASIS``/``_DERIV`` hold the
 monomial coefficients of the Lagrange basis and of its derivative in grid
-units, which is all ``schemes.discrete_caputo`` needs.  ``LagrangePiece``
+units, which is all ``schemes.CaputoWeights`` needs.  ``LagrangePiece``
 stores one piece with its stencil (ascending node times/values) and
 evaluates it at a batch of points in Newton form, from divided differences
 computed once per piece; the quadrature oracle reads the same differences.
@@ -297,9 +298,11 @@ def _check_nodes(grid: UniformGrid, values: Sequence[float], n: int) -> list[flo
     return out
 
 
-def _layout(scheme: SchemeKind, n: int) -> list[tuple[int, int, int]]:
-    """The scheme's pieces for evaluation at node n, as (degree, anchor, j)
-    for each grid interval I_j = (t_{j-1}, t_j), left to right.
+def _runs(scheme: SchemeKind, n: int) -> list[tuple[int, int, int, int]]:
+    """The scheme's pieces for evaluation at node n, as runs
+    (degree, offset, first, last): the grid intervals I_j = (t_{j-1}, t_j)
+    for j = first..last, left to right, each carry the piece of that degree
+    anchored at node j + offset (the rightmost stencil node).
 
     * L1, and every scheme at n = 1: linear through {j-1, j} on each I_j.
     * L2 (n >= 2): quadratic through {j-1, j, j+1} on I_j for j < n, and the
@@ -312,10 +315,13 @@ def _layout(scheme: SchemeKind, n: int) -> list[tuple[int, int, int]]:
       {0..j} on I_j while j < k), then the backward stencil {j-k..j}.
     """
     if scheme.tag is SchemeTag.L2 and n > 1:
-        return [(2, j + 1, j) for j in range(1, n)] + [(2, n, n)]
+        return [(2, 1, 1, n - 1), (2, 0, n, n)]
     # L1, L1-2 and Lk share the backward stencil; L1 is the k = 1 case
     k = scheme.degree
-    return [(min(j, k), j, j) for j in range(1, n + 1)]
+    runs = [(j, 0, j, j) for j in range(1, min(k, n + 1))]
+    if n >= k:
+        runs.append((k, 0, k, n))
+    return runs
 
 
 def build_interpolant(
@@ -326,9 +332,13 @@ def build_interpolant(
 ) -> PiecewisePolynomial:
     """Assemble the scheme's interpolant for evaluation at node n.
 
-    Needs finite node values u^0..u^n; the pieces follow ``_layout``.
+    Needs finite node values u^0..u^n; the pieces follow ``_runs``.
     """
     vals = _check_nodes(grid, values, n)
     return PiecewisePolynomial(
-        tuple(_piece(grid, vals, degree, anchor, j) for degree, anchor, j in _layout(scheme, n))
+        tuple(
+            _piece(grid, vals, degree, j + offset, j)
+            for degree, offset, first, last in _runs(scheme, n)
+            for j in range(first, last + 1)
+        )
     )

@@ -254,9 +254,10 @@ def quad_caputo_integrated(
     Only uses point values of u, so it is meaningful for merely Holder
     continuous inputs (exponent above alpha near t).  The integral is taken
     over dyadic bands shrinking toward s = t; a tail model sums the rest.
-    When u is a ``PiecewisePolynomial`` whose last piece has degree d, the
-    band values inside that piece are exactly sum_{r=1..d} A_r rho_r^i with
-    rho_r = 2^(alpha-r), so the last d bands fix the whole remainder.  Any
+    When u is a ``PiecewisePolynomial`` whose piece at t (the one ending
+    there, if t is a break) has degree d, the band values inside that piece
+    are exactly sum_{r=1..d} A_r rho_r^i with rho_r = 2^(alpha-r), so the
+    last d bands fix the whole remainder.  Any
     other u takes the d = 1 model of a differentiable function from band 3
     on.  Two successive totals agreeing to tol/4, or to the cancellation
     noise the tail amplifies, are accepted.  For an interpolant each band's
@@ -275,8 +276,11 @@ def quad_caputo_integrated(
     u_t = u(t)
     if isinstance(u, PiecewisePolynomial):
         breaks = u.right_ends
-        degree = u.pieces[-1].degree
-        model_start = u.pieces[-1].interval[0]
+        # the bands close in on t inside the piece at t, the one ending at t
+        # if t is a break, as in piece_at; u(t) above has range-checked t
+        piece = u.pieces[min(bisect.bisect_left(breaks, t), len(u.pieces) - 1)]
+        degree = piece.degree
+        model_start = piece.interval[0]
 
         def values(ss: Sequence[float]) -> list[float]:
             # no region straddles a break, so its centre, the first point,

@@ -8,7 +8,7 @@ In grid units sigma = s/tau this is tau^(-alpha)/Gamma(1-alpha) times
 
     sum_j sum_l u^(anchor-l) int_{j-1}^{j} (n - sigma)^(-alpha) L_l'(sigma) dsigma,
 
-one term per interval I_j of the scheme's layout (``interp._layout``) and
+one term per interval I_j of the scheme's layout (``interp._runs``) and
 per stencil node l, with L_l' the derivative of the Lagrange basis
 polynomial expanded in powers of (sigma - anchor) (``interp._DERIV``).
 Everything thus reduces to kernel moments
@@ -19,8 +19,16 @@ evaluated here without quadrature, so the operators are exact up to
 floating-point rounding.  One ``kernel_moments`` call gives all degrees
 0..q of one window: near the singularity a finite binomial sum per degree,
 farther away one kernel series per endpoint, Horner-evaluated from a
-coefficient table cached per alpha and shorter the farther t is.  A node
-costs n such calls on integer-valued windows and builds no interpolant.
+coefficient table cached per alpha and shorter the farther t is.
+
+The inner sum over sigma depends only on the lag n - j and on the anchor
+offset anchor - j, never on tau or n, so it is a column of convolution
+weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2).
+``CaputoWeights`` holds those columns for one (scheme, alpha), filled on
+demand with one moment call per new lag and shared by every grid and node
+it is asked for; a node then costs k + 1 products of slices plus at most k
+startup or final intervals, summed by one ``math.fsum``, and builds no
+interpolant.  ``discrete_caputo`` is a one-shot use of it.
 """
 
 from __future__ import annotations
@@ -36,9 +44,10 @@ from .holder import UniformGrid, _check_alpha
 # build_interpolant is not called here and caputo_of_piece is the tests'
 # per-piece reference route; both stay module names, like gamma, KernelMoment
 # and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 6)
-from .interp import _DERIV, LagrangePiece, SchemeKind, _check_nodes, _layout, build_interpolant
+from .interp import _DERIV, LagrangePiece, SchemeKind, SchemeTag, _check_nodes, _runs, build_interpolant
 
 __all__ = [
+    "CaputoWeights",
     "DiscreteCaputoValue",
     "KernelMoment",
     "caputo_of_piece",
@@ -73,12 +82,17 @@ class KernelMoment:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_moment(self.t, self.a, self.b, self.q, self.alpha)
+        _check_moment(self.t, self.a, self.b, self.c, self.q, self.alpha)
 
 
-def _check_moment(t: float, a: float, b: float, q: int, alpha: float) -> float:
-    """Check a moment's window, degree and alpha; return the checked alpha."""
+def _check_moment(t: float, a: float, b: float, c: float, q: int, alpha: float) -> float:
+    """Check a moment's window, centre, degree and alpha; return the
+    checked alpha."""
     al = _check_alpha(alpha)
+    if not t < math.inf:
+        raise ValueError(f"kernel moment needs a finite evaluation time t, got t={t!r}")
+    if not math.isfinite(c):
+        raise ValueError(f"kernel moment needs a finite expansion centre c, got c={c!r}")
     if not 0.0 <= a <= b <= t:
         raise ValueError(f"kernel moment needs 0 <= a <= b <= t, got a={a}, b={b}, t={t}")
     if not 0 <= q <= _MAX_MOMENT_DEGREE:
@@ -125,7 +139,14 @@ def kernel_moments(
     identical quantities without the cancellation the binomial form
     suffers there.  Inputs are checked as by ``KernelMoment``.
     """
-    al = _check_moment(t, a, b, degree, alpha)
+    al = _check_moment(t, a, b, c, degree, alpha)
+    return _moments(t, a, b, c, degree, al, _series_coefficients(al))
+
+
+def _moments(
+    t: float, a: float, b: float, c: float, degree: int, al: float, table: tuple
+) -> tuple[float, ...]:
+    # kernel_moments on checked inputs, with table = _series_coefficients(al)
     if a == b:
         return (0.0,) * (degree + 1)
     w0 = t - c
@@ -146,7 +167,6 @@ def kernel_moments(
     r2 = (b - c) / w0
     rmax = max(vmax / w0, 1e-300)
     terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
-    table = _series_coefficients(al)
     out = []
     p1, h = r1, 1.0
     w0_power = w0 ** (1.0 - al) * (b - a) / w0
@@ -215,6 +235,87 @@ def caputo_of_piece(
     return math.fsum(terms) / gamma(1.0 - al)
 
 
+class CaputoWeights:
+    """Moment columns of one scheme at one alpha, in grid units, shared by
+    every grid and node they are asked for.
+
+    Interval I_j of node n, with a degree-k piece anchored at j + offset,
+    contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, where
+
+        w_l(lag) = sum_q _DERIV[k][l][q] M_q,
+        M_q = int_0^1 (lag + 1 - sigma)^(-alpha) (sigma - 1 - offset)^q dsigma,
+
+    the window [j-1, j] below t = n shifted left by the integer j - 1.
+    ``kernel_moments`` reads only differences of its arguments, and those
+    are exact integers, so a column entry is the very float the unshifted
+    window gives.  The columns of the steady stencil (the run of
+    ``interp._runs`` that grows with n) are filled densely on demand, one
+    moment call per new lag; the at most k startup or final intervals keep
+    theirs per (degree, offset, lag).  Nothing is shared between objects.
+    """
+
+    def __init__(self, scheme: SchemeKind, alpha: float) -> None:
+        self.scheme = scheme
+        self.alpha = _check_alpha(alpha)
+        self._table = _series_coefficients(self.alpha)
+        # the growing run of _runs: L2 borrows one node ahead, the rest end at j
+        self._steady = (2, 1) if scheme.tag is SchemeTag.L2 else (scheme.degree, 0)
+        self._cols: tuple[list[float], ...] = tuple([] for _ in range(self._steady[0] + 1))
+        self._edges: dict[tuple[int, int, int], tuple[float, ...]] = {}
+
+    def _fill(self, top: int) -> tuple[list[float], ...]:
+        """The steady columns, extended to cover lags 0..top."""
+        cols = self._cols
+        have = len(cols[0])
+        if have <= top:
+            degree, offset = self._steady
+            c = 1.0 + offset
+            # checked once: the windows of a fill differ only in t = lag + 1
+            _check_moment(top + 1.0, 0.0, 1.0, c, degree - 1, self.alpha)
+            rows = _DERIV[degree]
+            for lag in range(have, top + 1):
+                moments = _moments(lag + 1.0, 0.0, 1.0, c, degree - 1, self.alpha, self._table)
+                for col, row in zip(cols, rows):
+                    col.append(sum(map(operator.mul, row, moments)))
+        return cols
+
+    def _edge(self, degree: int, offset: int, lag: int) -> tuple[float, ...]:
+        """w_l(lag) for l = 0..degree of a startup or final interval."""
+        key = (degree, offset, lag)
+        col = self._edges.get(key)
+        if col is None:
+            moments = kernel_moments(lag + 1.0, 0.0, 1.0, 1.0 + offset, degree - 1, self.alpha)
+            col = tuple(sum(map(operator.mul, row, moments)) for row in _DERIV[degree])
+            self._edges[key] = col
+        return col
+
+    def value(
+        self,
+        grid: UniformGrid,
+        u: Callable[[float], float] | Sequence[float],
+        n: int,
+    ) -> float:
+        """Discrete Caputo value of u at node n of the grid, as
+        ``discrete_caputo`` defines it, bit for bit."""
+        values = [u(grid.time(i)) for i in range(n + 1)] if callable(u) else u
+        vals = _check_nodes(grid, values, n)
+        products = []
+        for degree, offset, first, last in _runs(self.scheme, n):
+            if (degree, offset) == self._steady:
+                # intervals first..last read lags n-first down to n-last
+                for l, col in enumerate(self._fill(n - first)):
+                    window = vals[first + offset - l : last + offset - l + 1]
+                    lags = col[n - last : n - first + 1]
+                    products.extend(map(operator.mul, window, reversed(lags)))
+            else:
+                for j in range(first, last + 1):
+                    col = self._edge(degree, offset, n - j)
+                    products.extend(vals[j + offset - l] * w for l, w in enumerate(col))
+        # fsum is correctly rounded, so the order of the products is immaterial
+        al = self.alpha
+        return math.fsum(products) * grid.tau ** (-al) / gamma(1.0 - al)
+
+
 def discrete_caputo(
     scheme: SchemeKind,
     grid: UniformGrid,
@@ -226,23 +327,14 @@ def discrete_caputo(
 
     ``u`` may be a callable sampled at the nodes or a sequence of node
     values covering u^0..u^n.  At n = 1 every scheme collapses to the
-    linear (L1) first step.
+    linear (L1) first step.  A one-shot ``CaputoWeights``: callers that
+    evaluate several nodes or grids at one (scheme, alpha) share one.
     """
-    al = _check_alpha(alpha)
-    values = [u(grid.time(i)) for i in range(n + 1)] if callable(u) else u
-    vals = _check_nodes(grid, values, n)
-    # in grid units every window end is an integer, so the moments' window
-    # arithmetic is exact whatever tau is
-    t = float(n)
-    terms = []
-    for degree, anchor, j in _layout(scheme, n):
-        moments = kernel_moments(t, j - 1.0, float(j), float(anchor), degree - 1, al)
-        terms.extend(
-            vals[anchor - l] * sum(map(operator.mul, row, moments))
-            for l, row in enumerate(_DERIV[degree])
-        )
-    total = math.fsum(terms) * grid.tau ** (-al) / gamma(1.0 - al)
-    return DiscreteCaputoValue(scheme=scheme, node=n, time=grid.time(n), alpha=al, value=total)
+    weights = CaputoWeights(scheme, alpha)
+    value = weights.value(grid, u, n)
+    return DiscreteCaputoValue(
+        scheme=scheme, node=n, time=grid.time(n), alpha=weights.alpha, value=value
+    )
 
 
 def l1_weights(n: int, alpha: float) -> list[float]:

@@ -21,6 +21,7 @@ from caputo_lk.harness import (
 )
 from caputo_lk.holder import HolderTestFunction
 from caputo_lk.interp import SchemeKind
+from caputo_lk.schemes import CaputoWeights
 
 
 class TestSchemeValue:
@@ -42,6 +43,41 @@ class TestSchemeValue:
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
             scheme_value(SchemeKind.l1(), lambda t: t, 0.5, 2.0**-4, 0.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.25, math.nan, math.inf])
+    def test_rejects_bad_step(self, tau):
+        """tau = 0 once raised ZeroDivisionError and NaN a conversion error."""
+        with pytest.raises(ValueError, match="step tau must be positive and finite"):
+            scheme_value(SchemeKind.l1(), lambda t: t, 0.5, tau, 0.5)
+
+    def test_shared_weights_give_the_same_value(self):
+        weights = CaputoWeights(SchemeKind.l12(), 0.4)
+        u = HolderTestFunction(m=1, beta=0.5, xi=0.5)
+        for tau in (2.0**-5, 2.0**-3, 2.0**-6):
+            got = scheme_value(SchemeKind.l12(), u, 0.4, tau, 0.5, weights)
+            assert got == scheme_value(SchemeKind.l12(), u, 0.4, tau, 0.5)
+
+    def test_rejects_weights_of_another_measurement(self):
+        weights = CaputoWeights(SchemeKind.l12(), 0.4)
+        for scheme, alpha in ((SchemeKind.l2(), 0.4), (SchemeKind.l12(), 0.5)):
+            with pytest.raises(ValueError, match="weights of L1-2 at alpha=0.4"):
+                scheme_value(scheme, lambda t: t, alpha, 2.0**-4, 0.5, weights)
+
+
+class TestRows:
+    def test_rows_are_slotted(self):
+        """A row carries no per-instance dict; the benchmark keeps every
+        pass's rows, so their size is resident memory."""
+        f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+        rows = (
+            order_interior(SchemeKind.l2(), f, 0.5, 2.0**-4),
+            order_first_node(SchemeKind.l2(), f, 0.5, 2.0**-4),
+            order_fixed_time(f, 0.5, 2.0**-4, 2.0**-4),
+        )
+        for row in rows:
+            assert not hasattr(row, "__dict__")
+            with pytest.raises(AttributeError):
+                row.alpha = 0.1
 
 
 class TestOrderInterior:

@@ -42,6 +42,11 @@ class TestUniformGrid:
             with pytest.raises(ValueError):
                 UniformGrid(horizon=horizon, steps=4)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, math.nan, "4"])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="grid steps must be an integer"):
+            UniformGrid(horizon=1.0, steps=steps)
+
 
 class TestRegularityClass:
     @pytest.mark.parametrize(
@@ -68,6 +73,13 @@ class TestRegularityClass:
             RegularityClass(m=-1, beta=0.5)
         with pytest.raises(ValueError):
             RegularityClass.from_total(0.0)
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, math.nan])
+    def test_rejects_non_integer_m(self, m):
+        with pytest.raises(ValueError, match="derivative count m must be an integer"):
+            RegularityClass(m=m, beta=0.5)
+        with pytest.raises(ValueError, match="derivative count m must be an integer"):
+            HolderTestFunction(m=m, beta=0.5, xi=0.5)
 
 
 class TestHolderTestFunction:

@@ -393,6 +393,24 @@ class TestIntegratedOracle:
             assert stats["regions"] >= stats["bands"]
             assert 0.0 <= stats["err_estimate"] <= 1e-11
 
+    @pytest.mark.parametrize("node", [9, 7])
+    def test_settles_before_the_last_piece(self, node):
+        """At t on or before the start of the last piece the tail model is
+        armed on the piece at t.  Armed only inside the last piece, it
+        modelled no band, and these calls raised QuadratureConvergenceError
+        after about 65 regions.  L1-2 pieces past the first are backward
+        stencils that do not depend on n, so the value is L1-2 at the node."""
+        g = UniformGrid(horizon=1.0, steps=16)
+        u = HolderTestFunction(m=1, beta=0.5, xi=0.3)
+        values = [u(g.time(i)) for i in range(11)]
+        p = build_interpolant(SchemeKind.l12(), g, values, 10)
+        for alpha in (0.2, 0.4, 0.8):
+            stats = {}
+            got = quad_caputo_integrated(p, g.time(node), alpha, tol=1e-11, stats=stats)
+            want = discrete_caputo(SchemeKind.l12(), g, values, node, alpha).value
+            assert got == pytest.approx(want, rel=1e-9)
+            assert stats["tail_degree"] == 2
+
     def test_tail_weights_sum_the_geometric_mixture(self):
         rng = random.Random(6)
         for d in range(1, 7):

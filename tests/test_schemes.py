@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import pytest
 
 import caputo_lk.schemes
 from caputo_lk.holder import HolderTestFunction, UniformGrid
-from caputo_lk.interp import LagrangePiece, SchemeKind, build_interpolant
+from caputo_lk.harness import order_interior
+from caputo_lk.interp import _DERIV, LagrangePiece, SchemeKind, _runs, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_piecewise
 from caputo_lk.schemes import (
+    CaputoWeights,
     caputo_of_piece,
     discrete_caputo,
+    kernel_moments,
     l1_convolution,
     l1_weights,
 )
@@ -258,13 +262,21 @@ class TestReferenceRoute:
                     bound = 1e-12 * sum(map(abs, parts))
                     assert abs(got - math.fsum(parts)) <= bound, (n, steps, alpha)
 
-    def test_hot_path_builds_no_pieces(self, monkeypatch):
-        """A node needs no interpolant, no Lagrange piece and no per-piece
-        route: n kernel_moments calls and one gamma call."""
+    def test_one_moment_evaluation_per_new_lag(self, monkeypatch):
+        """A shared CaputoWeights builds no interpolant, no Lagrange piece
+        and no per-piece route.  Each (degree, offset, lag) it is asked for,
+        in any order of nodes, costs one moment evaluation the first time
+        and none after; the steady columns are filled densely from lag 0.
+        Every node costs one gamma call."""
         g = UniformGrid(horizon=1.0, steps=23)
-        n, alpha = 20, 0.4
-        vals = [math.sin(3.0 * g.time(i)) for i in range(n + 1)]
-        want = {s: math.fsum(_reference_terms(s, g, vals, n, alpha)) for s in ALL_SCHEMES}
+        alpha = 0.4
+        vals = [math.sin(3.0 * g.time(i)) for i in range(g.steps + 1)]
+        nodes = (20, 5, 20, 23, 1, 12, 2)
+        want = {
+            (scheme, n): _per_interval_value(scheme, g, vals, n, alpha)
+            for scheme in ALL_SCHEMES
+            for n in nodes
+        }
 
         def refuse(*args, **kwargs):
             raise AssertionError("piece route called on the hot path")
@@ -272,24 +284,90 @@ class TestReferenceRoute:
         monkeypatch.setattr(caputo_lk.schemes, "build_interpolant", refuse)
         monkeypatch.setattr(caputo_lk.schemes, "caputo_of_piece", refuse)
         monkeypatch.setattr(LagrangePiece, "monomial_coefficients", refuse)
-        calls = {"kernel_moments": 0, "gamma": 0}
-
-        def counted(name):
-            original = getattr(caputo_lk.schemes, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(caputo_lk.schemes, name, counted(name))
+        keys = _record_moment_keys(monkeypatch)
+        gammas = []
+        original_gamma = caputo_lk.schemes.gamma
+        monkeypatch.setattr(
+            caputo_lk.schemes, "gamma", lambda x: gammas.append(x) or original_gamma(x)
+        )
         for scheme in ALL_SCHEMES:
-            calls.update(kernel_moments=0, gamma=0)
-            got = discrete_caputo(scheme, g, vals, n, alpha).value
-            assert got == pytest.approx(want[scheme], rel=1e-13, abs=1e-15)
-            assert calls == {"kernel_moments": n, "gamma": 1}
+            keys.clear()
+            gammas.clear()
+            weights = CaputoWeights(scheme, alpha)
+            for n in nodes:
+                assert weights.value(g, vals, n) == want[scheme, n]
+            assert len(keys) == len(set(keys)), scheme.label
+            assert set(keys) == _filled_keys(scheme, nodes), scheme.label
+            assert len(gammas) == len(nodes)
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.l2(), SchemeKind.l12(), SchemeKind.lk(3)], ids=lambda s: s.label
+    )
+    def test_interior_cell_fills_each_lag_once(self, monkeypatch, scheme):
+        """The three grids of an interior cell, nodes n, 2n and 4n, share
+        one CaputoWeights: the 4n steady lags are filled once (not the 7n
+        of three separate evaluations), plus each grid's own startup or
+        final intervals."""
+        keys = _record_moment_keys(monkeypatch)
+        f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
+        order_interior(scheme, f, 0.5, 2.0**-5)
+        n = 16
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _filled_keys(scheme, (n, 2 * n, 4 * n))
+        edges = sum(1 for key in keys if key[:2] != _steady(scheme))
+        assert len(keys) - edges <= 4 * n
+
+
+def _record_moment_keys(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch the moments core to record each call as (degree, offset, lag),
+    read back from the shifted window [lag, lag+1] below t = lag + 1 with
+    centre 1 + offset that CaputoWeights asks for."""
+    keys = []
+    core = caputo_lk.schemes._moments
+
+    def recorded(t, a, b, c, degree, al, table):
+        assert (a, b) == (0.0, 1.0)
+        keys.append((degree + 1, int(c) - 1, int(t) - 1))
+        return core(t, a, b, c, degree, al, table)
+
+    monkeypatch.setattr(caputo_lk.schemes, "_moments", recorded)
+    return keys
+
+
+def _steady(scheme) -> tuple[int, int]:
+    """(degree, offset) of the run of ``_runs`` that grows with n."""
+    return (2, 1) if scheme == SchemeKind.l2() else (scheme.degree, 0)
+
+
+def _filled_keys(scheme, nodes) -> set[tuple[int, int, int]]:
+    """The (degree, offset, lag) a CaputoWeights evaluates for these nodes:
+    the startup and final intervals of each, and the steady columns densely
+    from lag 0 to the deepest lag any node reads."""
+    keys = set()
+    top = -1
+    for n in nodes:
+        for degree, offset, first, last in _runs(scheme, n):
+            if (degree, offset) == _steady(scheme):
+                top = max(top, n - first)
+            else:
+                keys.update((degree, offset, n - j) for j in range(first, last + 1))
+    return keys | {(*_steady(scheme), lag) for lag in range(top + 1)}
+
+
+def _per_interval_value(scheme, grid, vals, n, alpha):
+    """One ``kernel_moments`` call per interval on the unshifted window
+    [j-1, j] below t = n: the route the shared columns replaced, kept as
+    the reference they must match bit for bit."""
+    terms = []
+    for degree, offset, first, last in _runs(scheme, n):
+        for j in range(first, last + 1):
+            anchor = j + offset
+            moments = kernel_moments(float(n), j - 1.0, float(j), float(anchor), degree - 1, alpha)
+            terms.extend(
+                vals[anchor - l] * sum(map(operator.mul, row, moments))
+                for l, row in enumerate(_DERIV[degree])
+            )
+    return math.fsum(terms) * grid.tau ** (-alpha) / math.gamma(1.0 - alpha)
 
 
 def _property_tools():
@@ -390,5 +468,33 @@ class TestProperties:
             here = discrete_caputo(scheme, g, values, n, alpha).value
             shifted = discrete_caputo(scheme, g, [0.0] * m + values, n + m, alpha).value
             assert shifted == here
+
+        check()
+
+    def test_shared_weights_match_one_shot(self):
+        """One CaputoWeights asked for nodes on grids of several steps, in
+        any order, gives every value bit for bit as a fresh discrete_caputo
+        and as one moment call per interval on the unshifted window."""
+        hp, st, settings = _property_tools()
+
+        @settings
+        @hp.given(
+            scheme=st.sampled_from(ALL_SCHEMES),
+            alpha=st.floats(0.01, 0.99),
+            requests=st.lists(
+                st.tuples(st.integers(1, 64), st.integers(0, 63)), min_size=1, max_size=6
+            ),
+            seed=st.integers(0, 2**16),
+        )
+        def check(scheme, alpha, requests, seed):
+            rng = random.Random(seed)
+            weights = CaputoWeights(scheme, alpha)
+            for steps, back in requests:
+                g = UniformGrid(horizon=1.0, steps=steps)
+                n = steps - back % steps
+                values = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
+                got = weights.value(g, values, n)
+                assert got == discrete_caputo(scheme, g, values, n, alpha).value
+                assert got == _per_interval_value(scheme, g, values, n, alpha)
 
         check()

@@ -154,6 +154,20 @@ class TestKernelMoment:
             with pytest.raises(ValueError, match="monomial degree"):
                 evaluate(1.0, 0.25, 0.5, 0.0, 7, 0.5)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_centre(self, c):
+        """A NaN centre once gave (0.586, nan): the closed form's degree 0
+        does not read c."""
+        for evaluate in (moment, kernel_moments):
+            with pytest.raises(ValueError, match="expansion centre c"):
+                evaluate(1.0, 0.25, 0.5, c, 1, 0.5)
+
+    def test_rejects_infinite_time(self):
+        """t = inf once passed the window check and gave (nan, nan)."""
+        for evaluate in (moment, kernel_moments):
+            with pytest.raises(ValueError, match="evaluation time t"):
+                evaluate(math.inf, 0.25, 0.5, 0.0, 1, 0.5)
+
     def test_batch_matches_single_moments(self):
         """Entry q of one batched call is the moment of degree q, bit for
         bit, on both branches and for the empty window."""

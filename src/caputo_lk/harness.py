@@ -140,29 +140,15 @@ def _rate(coarse: float, fine: float, what: str, alpha: float, f: HolderTestFunc
     return math.log2(coarse / fine)
 
 
-def scheme_value(
-    scheme: SchemeKind,
-    u,
-    alpha: float,
-    tau: float,
-    t: float,
-    weights: CaputoWeights | None = None,
-) -> float:
+def scheme_value(weights: CaputoWeights, u, tau: float, t: float) -> float:
     """Discrete Caputo value of u at physical time t on the step-tau grid
-    over [0, 1].
+    over [0, 1], under the scheme and alpha of ``weights``.
 
     Both 1/tau and t/tau must be integral; t is mapped to its node index
-    through the grid so off-grid times are refused.  ``weights``, built for
-    this scheme and alpha, is shared by the grids of one measurement so each
-    lag's moments are computed once; without it the call builds its own.
+    through the grid so off-grid times are refused.  ``weights`` is the
+    measurement's one ``CaputoWeights``, shared by all its grids so each
+    lag's moments are computed once.
     """
-    if weights is None:
-        weights = CaputoWeights(scheme, alpha)
-    elif (weights.scheme, weights.alpha) != (scheme, float(alpha)):
-        raise ValueError(
-            f"weights of {weights.scheme.label} at alpha={weights.alpha} "
-            f"asked for {scheme.label} at alpha={alpha!r}"
-        )
     grid = _unit_grid(tau)
     n = grid.node_index(t)
     if n == 0:
@@ -198,7 +184,7 @@ def order_interior(
         )
 
     weights = CaputoWeights(scheme, alpha)
-    d1, d2, d4 = (scheme_value(scheme, f, alpha, tau / r, xi, weights) for r in (1.0, 2.0, 4.0))
+    d1, d2, d4 = (scheme_value(weights, f, tau / r, xi) for r in (1.0, 2.0, 4.0))
     rate = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
     return ConvergenceRow(
         scheme=scheme,
@@ -215,9 +201,8 @@ def order_interior(
 def _first_node_error(weights: CaputoWeights, f, tau: float) -> float:
     """Error of the step-tau grid at its first node t = tau, measured
     against the same operator on the 128-fold refinement."""
-    scheme, alpha = weights.scheme, weights.alpha
-    coarse = scheme_value(scheme, f, alpha, tau, tau, weights)
-    fine = scheme_value(scheme, f, alpha, tau / _FIRST_NODE_REFINEMENT, tau, weights)
+    coarse = scheme_value(weights, f, tau, tau)
+    fine = scheme_value(weights, f, tau / _FIRST_NODE_REFINEMENT, tau)
     return abs(coarse - fine)
 
 
@@ -291,12 +276,11 @@ def order_fixed_time(
             f"step {tau!r} halved is not coarser than the reference step "
             f"{t!r}/{_FIXED_TIME_REFINEMENT}"
         )
-    l1 = SchemeKind.l1()
-    weights = CaputoWeights(l1, alpha)
+    weights = CaputoWeights(SchemeKind.l1(), alpha)
     tau_ref = t / _FIXED_TIME_REFINEMENT
-    ref = scheme_value(l1, f, alpha, tau_ref, t, weights)
-    err = abs(scheme_value(l1, f, alpha, tau, t, weights) - ref)
-    err_half = abs(scheme_value(l1, f, alpha, tau / 2.0, t, weights) - ref)
+    ref = scheme_value(weights, f, tau_ref, t)
+    err = abs(scheme_value(weights, f, tau, t) - ref)
+    err_half = abs(scheme_value(weights, f, tau / 2.0, t) - ref)
     rate = _rate(err, err_half, "fixed-time errors", alpha, f)
     return FixedTimeRow(
         alpha=alpha,
@@ -417,13 +401,13 @@ def _interior_report(table_id: int) -> Report:
     )
 
 
-def _first_node_report(tau_exps: tuple[int, ...]) -> Report:
+def _first_node_report() -> Report:
     scheme = SchemeKind.l2()
     xi = 0.5
-    t_fixed = 2.0 ** (-min(tau_exps))
+    t_fixed = 2.0 ** (-min(_TABLE3_TAU_EXPS))
     cells = []
     for alpha in _TABLE3_ALPHAS:
-        for tau_exp in tau_exps:
+        for tau_exp in _TABLE3_TAU_EXPS:
             for beta in _TABLE3_BETAS:
                 f = HolderTestFunction(m=2, beta=beta, xi=xi)
                 tau = 2.0 ** (-tau_exp)
@@ -441,10 +425,10 @@ def _first_node_report(tau_exps: tuple[int, ...]) -> Report:
         kind="first-node",
         scheme=scheme,
         xi=xi,
-        tau_exp=tau_exps[0],
+        tau_exp=_TABLE3_TAU_EXPS[0],
         alphas=_TABLE3_ALPHAS,
         betas=_TABLE3_BETAS,
-        tau_exps=tau_exps,
+        tau_exps=_TABLE3_TAU_EXPS,
         first_node_cells=tuple(cells),
     )
 
@@ -465,7 +449,7 @@ def reproduce_table(table_id: int) -> Report:
     if table_id in _TABLE_PARAMS:
         return _interior_report(table_id)
     if table_id == 3:
-        return _first_node_report(_TABLE3_TAU_EXPS)
+        return _first_node_report()
     raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")
 
 

@@ -117,10 +117,6 @@ class HolderTestFunction:
         if not 0.0 < self.xi < math.inf:
             raise ValueError(f"kink location must be positive and finite, got {self.xi!r}")
 
-    @property
-    def regularity(self) -> RegularityClass:
-        return RegularityClass(self.m, self.beta)
-
     def __call__(self, t: float) -> float:
         return self.derivative(0, t)
 

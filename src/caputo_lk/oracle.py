@@ -251,16 +251,16 @@ def quad_caputo_integrated(
         (u(t) - u(0)) / (Gamma(1-alpha) t^alpha)
           + alpha/Gamma(1-alpha) int_0^t (u(t) - u(s)) (t - s)^(-1-alpha) ds.
 
-    Only uses point values of u, so it is meaningful for merely Holder
-    continuous inputs (exponent above alpha near t).  The integral is taken
-    over dyadic bands shrinking toward s = t; a tail model sums the rest.
-    When u is a ``PiecewisePolynomial`` whose piece at t (the one ending
-    there, if t is a break) has degree d, the band values inside that piece
-    are exactly sum_{r=1..d} A_r rho_r^i with rho_r = 2^(alpha-r), so the
-    last d bands fix the whole remainder.  Any
-    other u takes the d = 1 model of a differentiable function from band 3
-    on.  Two successive totals agreeing to tol/4, or to the cancellation
-    noise the tail amplifies, are accepted.  For an interpolant each band's
+    Only uses point values of u.  The integral is taken over dyadic bands
+    shrinking toward s = t; a tail model sums the rest.  When u is a
+    ``PiecewisePolynomial`` whose piece at t (the one ending there, if t is
+    a break) has degree d, the band values inside that piece are exactly
+    sum_{r=1..d} A_r rho_r^i with rho_r = 2^(alpha-r), so the last d bands
+    fix the whole remainder.  Any other callable takes the d = 1 model of a
+    u differentiable near t, band ratio 2^(alpha-1), from band 3 on; a u
+    that is only Holder there decays by another ratio and may not settle.
+    Two successive totals agreeing to tol/4, or to the cancellation noise
+    the tail amplifies, are accepted.  For an interpolant each band's
     adaptive quadrature starts from the piece boundaries inside it, where
     u' may jump, and each Gauss-Kronrod region reads its piece once.  A
     ``stats`` dict receives ``err_estimate``, ``regions`` and
@@ -342,7 +342,7 @@ def quad_caputo_integrated(
         prev_total = total
     raise QuadratureConvergenceError(
         "integrated-form bands did not settle before float resolution or the band"
-        " budget ran out; is u Holder with exponent above alpha at t?",
+        " budget ran out; u must be differentiable near t unless it is an interpolant",
         finish(prev_total),
     )
 

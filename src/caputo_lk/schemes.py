@@ -24,11 +24,11 @@ coefficient table cached per alpha and shorter the farther t is.
 The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
 weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2).
-``CaputoWeights`` holds those columns for one (scheme, alpha), filled on
-demand with one moment call per new lag and shared by every grid and node
-it is asked for; a node then costs k + 1 products of slices plus at most k
-startup or final intervals, summed by one ``math.fsum``, and builds no
-interpolant.  ``discrete_caputo`` is a one-shot use of it.
+``CaputoWeights``, the one route to a node value, holds those columns for
+one (scheme, alpha), filled on demand with one moment call per new lag and
+shared by every grid and node; a node then costs k + 1 slice products plus
+at most k startup or final intervals in one ``math.fsum``, and builds no
+interpolant.  ``discrete_caputo`` is its one-shot use.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .holder import UniformGrid, _check_alpha
 # build_interpolant is not called here and caputo_of_piece is the tests'
 # per-piece reference route; both stay module names, like gamma, KernelMoment
 # and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 6)
-from .interp import _DERIV, LagrangePiece, SchemeKind, SchemeTag, _check_nodes, _runs, build_interpolant
+from .interp import _DERIV, LagrangePiece, SchemeKind, _check_nodes, _runs, build_interpolant
 
 __all__ = [
     "CaputoWeights",
@@ -54,8 +54,6 @@ __all__ = [
     "discrete_caputo",
     "kernel_moment",
     "kernel_moments",
-    "l1_weights",
-    "l1_convolution",
 ]
 
 
@@ -252,14 +250,15 @@ class CaputoWeights:
     ``interp._runs`` that grows with n) are filled densely on demand, one
     moment call per new lag; the at most k startup or final intervals keep
     theirs per (degree, offset, lag).  Nothing is shared between objects.
+    For L1 the one column is the weight row ``verify`` checks in closed form.
     """
 
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
         self.scheme = scheme
         self.alpha = _check_alpha(alpha)
         self._table = _series_coefficients(self.alpha)
-        # the growing run of _runs: L2 borrows one node ahead, the rest end at j
-        self._steady = (2, 1) if scheme.tag is SchemeTag.L2 else (scheme.degree, 0)
+        # past 2k + 1 nodes the run that grows with n is the longest one
+        self._steady = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])[:2]
         self._cols: tuple[list[float], ...] = tuple([] for _ in range(self._steady[0] + 1))
         self._edges: dict[tuple[int, int, int], tuple[float, ...]] = {}
 
@@ -336,30 +335,3 @@ def discrete_caputo(
         scheme=scheme, node=n, time=grid.time(n), alpha=weights.alpha, value=value
     )
 
-
-def l1_weights(n: int, alpha: float) -> list[float]:
-    """Convolution weights b_j = (j+1)^(1-alpha) - j^(1-alpha) of the L1
-    scheme, for lags j = 0..n-1.  Positive and strictly decreasing."""
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
-    p = 1.0 - _check_alpha(alpha)
-    return [(j + 1.0) ** p - float(j) ** p for j in range(n)]
-
-
-def l1_convolution(values: Sequence[float], tau: float, alpha: float) -> float:
-    """L1 value at the last node through the weight form
-    tau^(-alpha)/Gamma(2-alpha) sum_j b_{n-j} (u^j - u^{j-1})."""
-    n = len(values) - 1
-    if n < 1:
-        raise ValueError("need node values u^0..u^n with n >= 1")
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"step size must be positive and finite, got {tau!r}")
-    for j, v in enumerate(values):
-        if not math.isfinite(v):
-            raise ValueError(f"node value u^{j} is not finite: {v!r}")
-    al = _check_alpha(alpha)
-    weights = l1_weights(n, al)
-    acc = math.fsum(
-        weights[n - j] * (values[j] - values[j - 1]) for j in range(1, n + 1)
-    )
-    return acc * tau ** (-al) / gamma(2.0 - al)

@@ -26,7 +26,8 @@ from caputo_lk.schemes import CaputoWeights
 
 class TestSchemeValue:
     def test_matches_closed_form_on_linear(self):
-        got = scheme_value(SchemeKind.l1(), lambda t: 2.0 * t, 0.5, 2.0**-4, 0.5)
+        weights = CaputoWeights(SchemeKind.l1(), 0.5)
+        got = scheme_value(weights, lambda t: 2.0 * t, 2.0**-4, 0.5)
         want = 2.0 * 0.5**0.5 / math.gamma(1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -34,34 +35,28 @@ class TestSchemeValue:
         from caputo_lk.holder import NotAGridNodeError
 
         with pytest.raises(NotAGridNodeError):
-            scheme_value(SchemeKind.l1(), lambda t: t, 0.5, 2.0**-4, 0.3)
+            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 2.0**-4, 0.3)
 
     def test_rejects_incompatible_step(self):
         with pytest.raises(ValueError):
-            scheme_value(SchemeKind.l1(), lambda t: t, 0.5, 0.3, 0.3)
+            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 0.3, 0.3)
 
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
-            scheme_value(SchemeKind.l1(), lambda t: t, 0.5, 2.0**-4, 0.0)
+            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 2.0**-4, 0.0)
 
     @pytest.mark.parametrize("tau", [0.0, -0.25, math.nan, math.inf])
     def test_rejects_bad_step(self, tau):
         """tau = 0 once raised ZeroDivisionError and NaN a conversion error."""
         with pytest.raises(ValueError, match="step tau must be positive and finite"):
-            scheme_value(SchemeKind.l1(), lambda t: t, 0.5, tau, 0.5)
+            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, tau, 0.5)
 
     def test_shared_weights_give_the_same_value(self):
         weights = CaputoWeights(SchemeKind.l12(), 0.4)
         u = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         for tau in (2.0**-5, 2.0**-3, 2.0**-6):
-            got = scheme_value(SchemeKind.l12(), u, 0.4, tau, 0.5, weights)
-            assert got == scheme_value(SchemeKind.l12(), u, 0.4, tau, 0.5)
-
-    def test_rejects_weights_of_another_measurement(self):
-        weights = CaputoWeights(SchemeKind.l12(), 0.4)
-        for scheme, alpha in ((SchemeKind.l2(), 0.4), (SchemeKind.l12(), 0.5)):
-            with pytest.raises(ValueError, match="weights of L1-2 at alpha=0.4"):
-                scheme_value(scheme, lambda t: t, alpha, 2.0**-4, 0.5, weights)
+            got = scheme_value(weights, u, tau, 0.5)
+            assert got == scheme_value(CaputoWeights(SchemeKind.l12(), 0.4), u, tau, 0.5)
 
 
 class TestRows:
@@ -143,7 +138,8 @@ def _taylor_free(f, degree=7):
 
 def _interior_rate(scheme, u, alpha, tau, xi):
     # R = log2 |d(tau) - d(tau/2)| / |d(tau/2) - d(tau/4)| at the kink
-    d1, d2, d4 = (scheme_value(scheme, u, alpha, tau / r, xi) for r in (1.0, 2.0, 4.0))
+    weights = CaputoWeights(scheme, alpha)
+    d1, d2, d4 = (scheme_value(weights, u, tau / r, xi) for r in (1.0, 2.0, 4.0))
     return math.log2(abs(d1 - d2) / abs(d2 - d4))
 
 
@@ -221,22 +217,20 @@ class TestOrderFixedTime:
 
     def test_error_is_l1_against_the_reference_grid(self):
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
-        l1 = SchemeKind.l1()
+        l1 = CaputoWeights(SchemeKind.l1(), 0.5)
         t = 2.0**-7
         row = order_fixed_time(f, 0.5, t, t)
-        ref = scheme_value(l1, f, 0.5, t / 64, t)
-        assert row.error == abs(scheme_value(l1, f, 0.5, t, t) - ref)
-        assert row.error_half == abs(scheme_value(l1, f, 0.5, t / 2, t) - ref)
+        ref = scheme_value(l1, f, t / 64, t)
+        assert row.error == abs(scheme_value(l1, f, t, t) - ref)
+        assert row.error_half == abs(scheme_value(l1, f, t / 2, t) - ref)
 
     def test_l2_differs_from_l1_past_the_first_node(self):
         # node 2 of the 2^-8 grid: L2 is already quadratic there, so the
         # fixed-time construction depends on the scheme after the first step
         f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
         t = 2.0**-7
-        l2 = SchemeKind.l2()
-        l2_err = abs(
-            scheme_value(l2, f, 0.3, 2.0**-8, t) - scheme_value(l2, f, 0.3, t / 64, t)
-        )
+        l2 = CaputoWeights(SchemeKind.l2(), 0.3)
+        l2_err = abs(scheme_value(l2, f, 2.0**-8, t) - scheme_value(l2, f, t / 64, t))
         l1_err = order_fixed_time(f, 0.3, 2.0**-8, t).error
         assert l2_err < 1e-3 * l1_err
 

@@ -486,7 +486,7 @@ _CLOSED_FORM_NAMES = {
     "caputo_of_piece",
     "monomial_coefficients",
     "_BASIS",
-    "l1_weights",
+    "CaputoWeights",
     "discrete_caputo",
 }
 

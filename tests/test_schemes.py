@@ -18,8 +18,6 @@ from caputo_lk.schemes import (
     caputo_of_piece,
     discrete_caputo,
     kernel_moments,
-    l1_convolution,
-    l1_weights,
 )
 
 ALL_SCHEMES = [
@@ -86,22 +84,34 @@ class TestCaputoOfPiece:
             caputo_of_piece(piece, (0.0, 0.5), 0.25, 0.5)
 
 
+def _l1_row(n, alpha):
+    """Lags 0..n-1 of the engine's L1 row, read through unit steps
+    u^i = [i >= n - lag] at node n of the unit-step grid: the value there is
+    b_lag / Gamma(2 - alpha)."""
+    g = UniformGrid(horizon=float(n), steps=n)
+    weights = CaputoWeights(SchemeKind.l1(), alpha)
+    steps = ([float(i >= n - lag) for i in range(n + 1)] for lag in range(n))
+    return [weights.value(g, u, n) * math.gamma(2.0 - alpha) for u in steps]
+
+
 class TestL1Weights:
+    """The engine's L1 row against its closed form
+    b_i = (i+1)^(1-alpha) - i^(1-alpha)."""
+
     def test_values(self):
-        alpha = 0.5
-        w = l1_weights(4, alpha)
-        p = 1.0 - alpha
-        want = [(j + 1) ** p - j**p for j in range(4)]
-        assert w == pytest.approx(want, rel=1e-15)
-        assert w[0] == 1.0
+        for alpha in (0.1, 0.5, 0.9):
+            p = 1.0 - alpha
+            want = [(j + 1) ** p - j**p for j in range(30)]
+            assert _l1_row(30, alpha) == pytest.approx(want, rel=1e-11)
 
     def test_positive_decreasing(self):
         for alpha in (0.1, 0.5, 0.9):
-            w = l1_weights(30, alpha)
+            w = _l1_row(30, alpha)
             assert all(x > 0.0 for x in w)
             assert all(x > y for x, y in zip(w, w[1:]))
 
     def test_convolution_matches_piecewise_form(self):
+        # tau^-alpha/Gamma(2-alpha) sum_j b_{n-j} (u^j - u^{j-1})
         rng = random.Random(211)
         for _ in range(25):
             n = rng.randrange(1, 40)
@@ -110,14 +120,13 @@ class TestL1Weights:
             alpha = rng.uniform(0.05, 0.95)
             vals = [rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
             a = discrete_caputo(SchemeKind.l1(), g, vals, n, alpha).value
-            b = l1_convolution(vals, g.tau, alpha)
+            p = 1.0 - alpha
+            acc = math.fsum(
+                ((n - j + 1) ** p - (n - j) ** p) * (vals[j] - vals[j - 1])
+                for j in range(1, n + 1)
+            )
+            b = acc * g.tau ** (-alpha) / math.gamma(2.0 - alpha)
             assert a == pytest.approx(b, rel=1e-11, abs=1e-13)
-
-    @pytest.mark.parametrize("tau", [-0.1, 0.0, math.nan, math.inf])
-    def test_convolution_rejects_bad_step(self, tau):
-        with pytest.raises(ValueError) as excinfo:
-            l1_convolution([0.0, 0.5, 1.0], tau, 0.5)
-        assert repr(tau) in str(excinfo.value)
 
 
 class TestDiscreteCaputo:
@@ -212,8 +221,6 @@ class TestDiscreteCaputo:
             for scheme in (SchemeKind.l1(), SchemeKind.l2()):
                 with pytest.raises(ValueError, match="not finite"):
                     discrete_caputo(scheme, g, vals, 4, 0.5)
-            with pytest.raises(ValueError, match="not finite"):
-                l1_convolution(vals, g.tau, 0.5)
 
     def test_against_quadrature_oracle(self):
         """Closed-form kernel moments against adaptive quadrature on the

@@ -14,13 +14,12 @@ from caputo_lk.holder import HolderTestFunction, UniformGrid, _check_alpha
 from caputo_lk.interp import SchemeKind, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
 from caputo_lk.schemes import (
+    CaputoWeights,
     KernelMoment,
     caputo_of_piece,
     discrete_caputo,
     kernel_moment,
     kernel_moments,
-    l1_convolution,
-    l1_weights,
 )
 
 
@@ -46,8 +45,7 @@ _ALPHA_ENTRIES = {
     "quad_caputo_piecewise": lambda al: quad_caputo_piecewise(_INTERPOLANT, _GRID.time(4), al),
     "quad_caputo_integrated": lambda al: quad_caputo_integrated(lambda s: s, 0.5, al),
     "exact_caputo_monomial": lambda al: exact_caputo_monomial(2, 0.5, al),
-    "l1_weights": lambda al: l1_weights(4, al),
-    "l1_convolution": lambda al: l1_convolution(_VALUES, _GRID.tau, al),
+    "CaputoWeights": lambda al: CaputoWeights(SchemeKind.l1(), al),
     "order_interior": lambda al: order_interior(
         SchemeKind.l1(), HolderTestFunction(m=1, beta=0.5, xi=0.5), al, 2.0**-4
     ),

@@ -97,11 +97,13 @@ class RegularityClass:
     @classmethod
     def from_total(cls, total: float) -> "RegularityClass":
         """Canonical split of a total smoothness s into (m, beta) with
-        beta in (0, 1]: e.g. 3.0 -> (2, 1.0) and 2.2 -> (2, 0.2)."""
-        if not 0.0 < total <= _MAX_M + 1.0:
-            raise ValueError(f"total smoothness must lie in (0, {_MAX_M + 1}], got {total!r}")
+        beta in (0, 1]: e.g. 3.0 -> (2, 1.0) and 2.2 -> (2, 0.2).  A total
+        within 1e-12 above an integer k <= 6 is read as k, so it splits as
+        (k - 1, 1.0); totals up to 1e-12 are refused."""
+        if not 1e-12 < total <= _MAX_M + 1.0:
+            raise ValueError(f"total smoothness must lie in (1e-12, {_MAX_M + 1}], got {total!r}")
         m = math.ceil(total - 1e-12) - 1
-        return cls(m=m, beta=total - m)
+        return cls(m=m, beta=min(total - m, 1.0))
 
 
 @dataclass(frozen=True)

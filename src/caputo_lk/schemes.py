@@ -19,16 +19,21 @@ evaluated here without quadrature, so the operators are exact up to
 floating-point rounding.  One ``kernel_moments`` call gives all degrees
 0..q of one window: near the singularity a finite binomial sum per degree,
 farther away one kernel series per endpoint, Horner-evaluated from a
-coefficient table cached per alpha and shorter the farther t is.
+coefficient table cached per alpha and shorter the farther t is.  It is
+the batch of one of a kernel that takes a run of evaluation times sharing
+a window and a centre; when the window ends at the centre (b == c, every
+steady window but L2's) the two coupled Horner passes per degree collapse
+to one.
 
 The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
 weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2).
 ``CaputoWeights``, the one route to a node value, holds those columns for
-one (scheme, alpha), filled on demand with one moment call per new lag and
-shared by every grid and node; a node then costs k + 1 slice products plus
-at most k startup or final intervals in one ``math.fsum``, and builds no
-interpolant.  ``discrete_caputo`` is its one-shot use.
+one (scheme, alpha), filled on demand with one batch kernel call per fill
+(every new lag at once) and shared by every grid and node; a node then
+costs k + 1 slice products plus at most k startup or final intervals in
+one ``math.fsum``, and builds no interpolant.  ``discrete_caputo`` is its
+one-shot use.
 """
 
 from __future__ import annotations
@@ -138,21 +143,18 @@ def kernel_moments(
     suffers there.  Inputs are checked as by ``KernelMoment``.
     """
     al = _check_moment(t, a, b, c, degree, alpha)
-    return _moments(t, a, b, c, degree, al, _series_coefficients(al))
+    return _moments((t,), a, b, c, degree, al, _series_coefficients(al))[0]
 
 
 def _moments(
-    t: float, a: float, b: float, c: float, degree: int, al: float, table: tuple
-) -> tuple[float, ...]:
-    # kernel_moments on checked inputs, with table = _series_coefficients(al)
+    ts: Sequence[float], a: float, b: float, c: float, degree: int, al: float, table: tuple
+) -> list[tuple[float, ...]]:
+    # kernel_moments at every t of ts for one window and centre, on inputs
+    # checked as there (b <= t for every t), table = _series_coefficients(al)
     if a == b:
-        return (0.0,) * (degree + 1)
-    w0 = t - c
-    vmax = max(abs(a - c), abs(b - c))
-    if not (w0 >= 2.0 * vmax and w0 > 0.0):
-        return tuple(_moment_closed(t, a, b, c, q, al) for q in range(degree + 1))
+        return [(0.0,) * (degree + 1)] * len(ts)
     # Far from the singularity the binomial sum cancels like ((t-c)/(b-a))^q,
-    # so expand the kernel instead:  with r = (s - c)/w0,
+    # so expand the kernel instead:  with w0 = t - c and r = (s - c)/w0,
     #   (t - s)^(-alpha) = w0^(-alpha) sum_j g_j r^j,   |r| <= 1/2,
     # and the moment of degree q is w0^(q+1-alpha) [r^(q+1) S_q(r)] from r1
     # to r2, S_q(r) = sum_j G[q][j] r^j.  That difference is taken as
@@ -161,26 +163,43 @@ def _moments(
     # the Horner pass for S_q(r2), so endpoints of one sign do not cancel.
     # As g_j <= 1, the terms from J on sum to at most 2 rmax^J times the
     # bound rmax^(q+1)/(q+1) of the leading term; J keeps that below 1e-17.
-    r1 = (a - c) / w0
-    r2 = (b - c) / w0
-    rmax = max(vmax / w0, 1e-300)
-    terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
+    # When b == c, r2 is exactly 0.0 and the coupled pass collapses to one
+    # Horner pass for the divided difference: s2 * 0.0 + G[q][j] is G[q][j].
+    ac, bc, ba = a - c, b - c, b - a
+    vmax = max(abs(ac), abs(bc))
+    near, power = 2.0 * vmax, 1.0 - al
+    rows = table[: degree + 1]
     out = []
-    p1, h = r1, 1.0
-    w0_power = w0 ** (1.0 - al) * (b - a) / w0
-    for q in range(degree + 1):
-        s2 = d = 0.0
-        row = table[q]
+    for t in ts:
+        w0 = t - c
+        if not (w0 >= near and w0 > 0.0):
+            out.append(tuple(_moment_closed(t, a, b, c, q, al) for q in range(degree + 1)))
+            continue
+        r1 = ac / w0
+        r2 = bc / w0
+        rmax = max(vmax / w0, 1e-300)
+        terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
+        moments = []
+        p1, h = r1, 1.0
+        w0_power = w0**power * ba / w0
         # indexed rather than sliced: a slice per degree left about 0.4 MB
         # more resident over a trajectory pass, for no measurable speed
-        for j in range(terms - 1, -1, -1):
-            d = d * r1 + s2
-            s2 = s2 * r2 + row[j]
-        out.append(w0_power * (h * s2 + p1 * d))
-        h = h * r2 + p1
-        p1 *= r1
-        w0_power *= w0
-    return tuple(out)
+        for row in rows:
+            if bc == 0.0:
+                s2, d = row[0], 0.0
+                for j in range(terms - 1, 0, -1):
+                    d = d * r1 + row[j]
+            else:
+                s2 = d = 0.0
+                for j in range(terms - 1, -1, -1):
+                    d = d * r1 + s2
+                    s2 = s2 * r2 + row[j]
+            moments.append(w0_power * (h * s2 + p1 * d))
+            h = h * r2 + p1
+            p1 *= r1
+            w0_power *= w0
+        out.append(tuple(moments))
+    return out
 
 
 def kernel_moment(m: KernelMoment) -> float:
@@ -247,9 +266,12 @@ class CaputoWeights:
     ``kernel_moments`` reads only differences of its arguments, and those
     are exact integers, so a column entry is the very float the unshifted
     window gives.  The columns of the steady stencil (the run of
-    ``interp._runs`` that grows with n) are filled densely on demand, one
-    moment call per new lag; the at most k startup or final intervals keep
-    theirs per (degree, offset, lag).  Nothing is shared between objects.
+    ``interp._runs`` that grows with n) are filled densely on demand: one
+    batch kernel call over the new lags, then one fold per column.  Their
+    window ends at the centre except for L2 (offset 1), so the kernel runs
+    its one-pass Horner form for every other scheme.  The at most k startup
+    or final intervals keep theirs per (degree, offset, lag).  Nothing is
+    shared between objects.
     For L1 the one column is the weight row ``verify`` checks in closed form.
     """
 
@@ -271,11 +293,10 @@ class CaputoWeights:
             c = 1.0 + offset
             # checked once: the windows of a fill differ only in t = lag + 1
             _check_moment(top + 1.0, 0.0, 1.0, c, degree - 1, self.alpha)
-            rows = _DERIV[degree]
-            for lag in range(have, top + 1):
-                moments = _moments(lag + 1.0, 0.0, 1.0, c, degree - 1, self.alpha, self._table)
-                for col, row in zip(cols, rows):
-                    col.append(sum(map(operator.mul, row, moments)))
+            ts = [lag + 1.0 for lag in range(have, top + 1)]
+            fresh = _moments(ts, 0.0, 1.0, c, degree - 1, self.alpha, self._table)
+            for col, row in zip(cols, _DERIV[degree]):
+                col.extend([sum(map(operator.mul, row, m)) for m in fresh])
         return cols
 
     def _edge(self, degree: int, offset: int, lag: int) -> tuple[float, ...]:

@@ -74,6 +74,21 @@ class TestRegularityClass:
         with pytest.raises(ValueError):
             RegularityClass.from_total(0.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("excess", [1e-13, 5e-13])
+    def test_total_just_above_an_integer_snaps_to_beta_one(self, k, excess):
+        """A total within the 1e-12 slack above an integer k splits as
+        (k - 1, 1.0); the Holder exponent 1 + excess was once refused."""
+        rc = RegularityClass.from_total(k + excess)
+        assert (rc.m, rc.beta) == (k - 1, 1.0)
+
+    @pytest.mark.parametrize("total", [1e-13, 1e-12, -0.5, math.nan])
+    def test_rejects_total_at_or_below_the_slack(self, total):
+        """A total up to 1e-12 is refused with a message naming it, not as
+        the derivative count m = -1."""
+        with pytest.raises(ValueError, match=f"total smoothness.*got {total!r}"):
+            RegularityClass.from_total(total)
+
     @pytest.mark.parametrize("m", [1.5, 1.0, math.nan])
     def test_rejects_non_integer_m(self, m):
         with pytest.raises(ValueError, match="derivative count m must be an integer"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -326,16 +327,17 @@ class TestReferenceRoute:
 
 
 def _record_moment_keys(monkeypatch) -> list[tuple[int, int, int]]:
-    """Patch the moments core to record each call as (degree, offset, lag),
-    read back from the shifted window [lag, lag+1] below t = lag + 1 with
-    centre 1 + offset that CaputoWeights asks for."""
+    """Patch the batch moments kernel to record each evaluation time of a
+    call as (degree, offset, lag), read back from the shifted window
+    [lag, lag+1] below t = lag + 1 with centre 1 + offset that
+    CaputoWeights asks for."""
     keys = []
     core = caputo_lk.schemes._moments
 
-    def recorded(t, a, b, c, degree, al, table):
+    def recorded(ts, a, b, c, degree, al, table):
         assert (a, b) == (0.0, 1.0)
-        keys.append((degree + 1, int(c) - 1, int(t) - 1))
-        return core(t, a, b, c, degree, al, table)
+        keys.extend((degree + 1, int(c) - 1, int(t) - 1) for t in ts)
+        return core(ts, a, b, c, degree, al, table)
 
     monkeypatch.setattr(caputo_lk.schemes, "_moments", recorded)
     return keys
@@ -375,6 +377,70 @@ def _per_interval_value(scheme, grid, vals, n, alpha):
                 for l, row in enumerate(_DERIV[degree])
             )
     return math.fsum(terms) * grid.tau ** (-alpha) / math.gamma(1.0 - alpha)
+
+
+def _basis_derivative(degree, offset, l):
+    """Exact coefficients of sigma^p in L_l'(sigma), the derivative of the
+    Lagrange basis polynomial of stencil node anchor - l, anchor = 1 + offset,
+    on the window [0, 1] of CaputoWeights' shifted columns."""
+    anchor = 1 + offset
+    poly = [Fraction(1)]
+    for m in range(degree + 1):
+        if m != l:
+            # times (sigma - (anchor - m)) / (m - l)
+            nxt = [Fraction(0)] * (len(poly) + 1)
+            for r, cr in enumerate(poly):
+                nxt[r + 1] += cr / (m - l)
+                nxt[r] -= cr * (anchor - m) / (m - l)
+            poly = nxt
+    return [r * poly[r] for r in range(1, len(poly))]
+
+
+class TestColumnPrecision:
+    def test_steady_columns_against_mpmath_at_fine_lags(self):
+        """The steady columns w_l(lag) = int_0^1 (lag+1-sigma)^-alpha
+        L_l'(sigma) dsigma of all seven schemes at lags near 2^12, 2^13 and
+        2^14, against 40-digit mpmath quadrature, read through the batch
+        kernel call a fill makes (no 16k-lag fill is run).  The moments are
+        accurate to rounding, so every error is within a few eps of the
+        fold's scale sum_q |D_lq M_q| (1.3 eps measured).  A column whose
+        basis has L_l(1) = L_l(0) (l >= 2 for L1-2 and Lk, l = 0 for L2)
+        loses its leading lag^-alpha term to cancellation, so its relative
+        error grows like lag * eps (at most 387 lag * eps measured); the
+        others stay at rounding (2.5e-15 measured)."""
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.0**-52
+        lags = (2**12 - 3, 2**12, 2**13 - 1, 2**13 + 5, 2**14 - 2, 2**14)
+        for alpha in (0.1, 0.5, 0.9):
+            with mpmath.workdps(40):
+                al = mpmath.mpf(alpha)
+                # int_0^1 (lag+1-sigma)^-alpha sigma^p dsigma, p = 0..5
+                ref = {
+                    lag: [
+                        mpmath.quad(lambda s: (lag + 1 - s) ** -al * s**p, [0, 1], method="gauss-legendre")
+                        for p in range(6)
+                    ]
+                    for lag in lags
+                }
+            for scheme in ALL_SCHEMES:
+                weights = CaputoWeights(scheme, alpha)
+                degree, offset = weights._steady
+                ts = [lag + 1.0 for lag in lags]
+                fresh = caputo_lk.schemes._moments(
+                    ts, 0.0, 1.0, 1.0 + offset, degree - 1, weights.alpha, weights._table
+                )
+                for l, row in enumerate(_DERIV[degree]):
+                    coef = _basis_derivative(degree, offset, l)
+                    cancels = sum(cp / (p + 1) for p, cp in enumerate(coef)) == 0
+                    for lag, m in zip(lags, fresh):
+                        got = sum(map(operator.mul, row, m))
+                        with mpmath.workdps(40):
+                            terms = (mpmath.mpf(cp.numerator) / cp.denominator * v for cp, v in zip(coef, ref[lag]))
+                            err = float(abs(got - mpmath.fsum(terms)))
+                        where = (scheme.label, alpha, l, lag)
+                        assert err <= 4.0 * eps * sum(abs(d * q) for d, q in zip(row, m)), where
+                        rel = err / abs(got)
+                        assert rel <= (1e3 * lag * eps if cancels else 5e-15), where
 
 
 def _property_tools():

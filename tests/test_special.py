@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from caputo_lk import schemes
 from caputo_lk.harness import order_interior
 from caputo_lk.holder import HolderTestFunction, UniformGrid, _check_alpha
 from caputo_lk.interp import SchemeKind, build_interpolant
@@ -25,6 +26,36 @@ from caputo_lk.schemes import (
 
 def moment(t, a, b, c, q, alpha):
     return kernel_moment(KernelMoment(t=t, a=a, b=b, c=c, q=q, alpha=alpha))
+
+
+def scalar_moments(t, a, b, c, degree, al, table):
+    """The moments of degrees 0..degree at one evaluation time, one coupled
+    two-accumulator Horner pass per degree whatever b - c is: the reference
+    that pins the batch kernel ``schemes._moments`` bit for bit."""
+    if a == b:
+        return (0.0,) * (degree + 1)
+    w0 = t - c
+    vmax = max(abs(a - c), abs(b - c))
+    if not (w0 >= 2.0 * vmax and w0 > 0.0):
+        return tuple(schemes._moment_closed(t, a, b, c, q, al) for q in range(degree + 1))
+    r1 = (a - c) / w0
+    r2 = (b - c) / w0
+    rmax = max(vmax / w0, 1e-300)
+    terms = min(schemes._SERIES_MAX_TERMS, math.ceil(schemes._LOG_SERIES_TAIL / math.log(rmax)))
+    out = []
+    p1, h = r1, 1.0
+    w0_power = w0 ** (1.0 - al) * (b - a) / w0
+    for q in range(degree + 1):
+        s2 = d = 0.0
+        row = table[q]
+        for j in range(terms - 1, -1, -1):
+            d = d * r1 + s2
+            s2 = s2 * r2 + row[j]
+        out.append(w0_power * (h * s2 + p1 * d))
+        h = h * r2 + p1
+        p1 *= r1
+        w0_power *= w0
+    return tuple(out)
 
 
 _BAD_ALPHAS = [0.0, 1.0, -0.2, 1.7, math.nan, math.inf]
@@ -179,6 +210,48 @@ class TestKernelMoment:
             batch = kernel_moments(t, a, b, c, 6, alpha)
             assert len(batch) == 7
             assert batch == tuple(moment(t, a, b, c, q, alpha) for q in range(7))
+
+    def test_batch_kernel_matches_scalar_reference(self):
+        """One batch call over a run of evaluation times gives, bit for bit
+        (signed zeros included), the scalar kernel at each time: degrees
+        0..6, windows that end at the centre (the one-pass Horner form) and
+        windows that do not, runs that cross the closed/series switch and
+        several term counts, and the empty window."""
+        rng = random.Random(31)
+
+        def bits(rows):
+            return [tuple(map(float.hex, row)) for row in rows]
+
+        crossed = terms_seen = 0
+        for degree in range(7):
+            for alpha in (1e-3, rng.uniform(0.05, 0.95), 0.999):
+                table = schemes._series_coefficients(alpha)
+                for at_centre in (True, False):
+                    a = rng.uniform(0.0, 1.0)
+                    b = a + rng.uniform(0.01, 1.0)
+                    c = b if at_centre else rng.uniform(a - 0.5, b + 1.0)
+                    vmax = max(abs(a - c), abs(b - c))
+                    # from before the switch w0 = 2 vmax to 60 vmax beyond it
+                    start = max(b, c + rng.uniform(0.5, 1.9) * vmax)
+                    ts = sorted(start + rng.uniform(0.0, 60.0) * vmax for _ in range(40))
+                    ts.insert(0, start)
+                    got = schemes._moments(ts, a, b, c, degree, alpha, table)
+                    want = [scalar_moments(t, a, b, c, degree, alpha, table) for t in ts]
+                    assert bits(got) == bits(want), (degree, alpha, a, b, c)
+                    w0s = [t - c for t in ts]
+                    crossed += min(w0s) < 2.0 * vmax <= max(w0s)
+                    tail = schemes._LOG_SERIES_TAIL
+                    counts = {math.ceil(tail / math.log(vmax / w)) for w in w0s if w >= 2.0 * vmax}
+                    terms_seen += len(counts) > 1
+                # the integer windows CaputoWeights asks for, lags 0..40
+                for offset in (0, 1):
+                    ts = [lag + 1.0 for lag in range(41)]
+                    got = schemes._moments(ts, 0.0, 1.0, 1.0 + offset, degree, alpha, table)
+                    want = [scalar_moments(t, 0.0, 1.0, 1.0 + offset, degree, alpha, table) for t in ts]
+                    assert bits(got) == bits(want), (degree, alpha, offset)
+                got = schemes._moments([0.75, 1.0, 5.0], 0.5, 0.5, 0.25, degree, alpha, table)
+                assert bits(got) == bits([(0.0,) * (degree + 1)] * 3)
+        assert crossed == terms_seen == 42
 
     def test_precision_at_the_series_switch(self):
         """Against a 40-digit quadrature, error relative to

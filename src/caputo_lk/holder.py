@@ -69,7 +69,8 @@ class UniformGrid:
     def node_index(self, t: float) -> int:
         """Map a time to its node index, refusing off-grid times."""
         x = t / self.tau
-        n = round(x)
+        # round() cannot take an infinite or NaN quotient; refuse it here
+        n = round(x) if math.isfinite(x) else -1
         if abs(x - n) > _NODE_TOL or not 0 <= n <= self.steps:
             raise NotAGridNodeError(f"time {t!r} is not a node of {self}")
         return n

@@ -1,16 +1,16 @@
-"""Lagrange stencils, backward differences and scheme interpolants.
+"""Lagrange stencils and scheme interpolants.
 
 Every scheme below approximates the integrand by a piecewise polynomial
 whose pieces interpolate on k+1 consecutive grid nodes.  On a uniform grid
 a piece is fixed by its degree, its anchor (the index of the rightmost
 stencil node) and the grid interval on which it is in force; ``_runs``
 gives these for a scheme, grouped into runs of intervals that share a
-degree and an anchor offset, and ``_BASIS``/``_DERIV`` hold the
-monomial coefficients of the Lagrange basis and of its derivative in grid
-units, which is all ``schemes.CaputoWeights`` needs.  ``LagrangePiece``
-stores one piece with its stencil (ascending node times/values) and
-evaluates it at a batch of points in Newton form, from divided differences
-computed once per piece; the quadrature oracle reads the same differences.
+degree and an anchor offset.  ``_basis_numerators`` holds the Lagrange
+basis in grid units exactly, ``_BASIS``/``_DERIV`` it and its derivative in
+floats: all ``schemes.CaputoWeights`` needs.  ``LagrangePiece`` stores one
+piece with its stencil (ascending node times/values) and evaluates it at a
+batch of points in Newton form, from divided differences computed once per
+piece; the quadrature oracle reads the same differences.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .holder import UniformGrid
@@ -31,7 +31,6 @@ __all__ = [
     "LagrangePiece",
     "PiecewisePolynomial",
     "divided_coeff",
-    "backward_difference",
     "build_interpolant",
 ]
 
@@ -107,49 +106,34 @@ def divided_coeff(k: int, l: int) -> int:
     return -value if l % 2 else value
 
 
-def backward_difference(values: Sequence[float], order: int) -> float:
-    """Backward difference of the given order at the newest sample.
-
-    ``values`` is ordered oldest first; the difference is taken at the last
-    entry, so at least order + 1 samples of history are required.
-    """
-    if order < 0:
-        raise ValueError(f"difference order must be nonnegative, got {order}")
-    if len(values) < order + 1:
-        raise ValueError(
-            f"backward difference of order {order} needs {order + 1} samples, "
-            f"got {len(values)}"
-        )
-    acc = 0.0
-    for j in range(order + 1):
-        term = math.comb(order, j) * values[-1 - j]
-        acc += -term if j % 2 else term
-    return acc
-
-
-def _basis_coefficients(k: int) -> tuple[tuple[float, ...], ...]:
-    # Monomial coefficients of the Lagrange basis on integer offsets
-    # {-k, ..., 0}, in the scaled variable sigma = (s - t_right)/tau.
-    # Row l belongs to the node l steps back from the right end; the
-    # rationals are exact and converted to float once.
+@cache
+def _basis_numerators(k: int) -> tuple[tuple[int, ...], ...]:
+    # Lagrange basis on integer offsets {-k, ..., 0}, in the scaled variable
+    # sigma = (s - t_right)/tau: row l, the node l steps back from the right
+    # end, holds the integers P_r with L_l(sigma) = sum_r P_r sigma^r / d_l,
+    # d_l = divided_coeff(k, l).  Exact, for float tables and exact moments.
     table = []
     for l in range(k + 1):
-        poly = [Fraction(1)]
+        poly = [1]
         for i in range(k + 1):
             if i == l:
                 continue
-            nxt = [Fraction(0)] * (len(poly) + 1)
+            nxt = [0] * (len(poly) + 1)
             for r, cr in enumerate(poly):
                 nxt[r + 1] += cr
                 nxt[r] += cr * i
             poly = nxt
-        d = divided_coeff(k, l)
-        table.append(tuple(float(cr / d) for cr in poly))
+        table.append(tuple(poly))
     return tuple(table)
 
 
+# _BASIS[k][l][r]: the rows of _basis_numerators(k) over d_l, each rounded once
 _BASIS: dict[int, tuple[tuple[float, ...], ...]] = {
-    k: _basis_coefficients(k) for k in range(1, MAX_DEGREE + 1)
+    k: tuple(
+        tuple(float(Fraction(cr, divided_coeff(k, l))) for cr in poly)
+        for l, poly in enumerate(_basis_numerators(k))
+    )
+    for k in range(1, MAX_DEGREE + 1)
 }
 
 # _DERIV[k][l][q] is the coefficient of sigma^q in the derivative of basis

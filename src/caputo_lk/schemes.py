@@ -20,20 +20,19 @@ floating-point rounding.  One ``kernel_moments`` call gives all degrees
 0..q of one window: near the singularity a finite binomial sum per degree,
 farther away one kernel series per endpoint, Horner-evaluated from a
 coefficient table cached per alpha and shorter the farther t is.  It is
-the batch of one of a kernel that takes a run of evaluation times sharing
-a window and a centre; when the window ends at the centre (b == c, every
-steady window but L2's) the two coupled Horner passes per degree collapse
-to one.
+the public per-window route and the tests' independent reference.
 
 The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
 weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2).
 ``CaputoWeights``, the one route to a node value, holds those columns for
-one (scheme, alpha), filled on demand with one batch kernel call per fill
-(every new lag at once) and shared by every grid and node; a node then
-costs k + 1 slice products plus at most k startup or final intervals in
-one ``math.fsum``, and builds no interpolant.  ``discrete_caputo`` is its
-one-shot use.
+one (scheme, alpha), filled on demand and shared by every grid and node; a
+node then costs k + 1 slice products plus at most k startup or final
+intervals in one ``math.fsum``, and builds no interpolant.  A column entry
+at lag >= 1 is one Horner pass of a series about the window's midpoint,
+whose coefficients are exact rationals per (degree, offset) (``_columns``);
+lag 0 folds the closed-form moments.  ``discrete_caputo`` is its one-shot
+use.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ from .holder import UniformGrid, _check_alpha
 # build_interpolant is not called here and caputo_of_piece is the tests'
 # per-piece reference route; both stay module names, like gamma, KernelMoment
 # and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 6)
-from .interp import _DERIV, LagrangePiece, SchemeKind, _check_nodes, _runs, build_interpolant
+from .interp import _DERIV, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes, _runs
+from .interp import build_interpolant, divided_coeff
 
 __all__ = [
     "CaputoWeights",
@@ -65,6 +65,8 @@ __all__ = [
 _MAX_MOMENT_DEGREE = 6
 _SERIES_MAX_TERMS = 72
 _LOG_SERIES_TAIL = math.log(0.5e-17)
+# terms of a column series at lag 1, where its ratio 1/(2 lag + 1) is largest
+_COLUMN_TERMS = 1 + math.ceil(_LOG_SERIES_TAIL / math.log(1.0 / 3.0))
 _BINOM = tuple(tuple(math.comb(q, i) for i in range(q + 1)) for q in range(_MAX_MOMENT_DEGREE + 1))
 
 
@@ -120,13 +122,18 @@ def _moment_closed(t: float, a: float, b: float, c: float, q: int, alpha: float)
     return math.fsum(terms)
 
 
+def _kernel_coefficients(alpha: float, terms: int) -> list[float]:
+    # g_j, j < terms, of (1 - x)^(-alpha) = sum_j g_j x^j; 0 < g_j <= 1
+    g = [1.0]
+    for j in range(1, terms):
+        g.append(g[-1] * (alpha + j - 1.0) / j)
+    return g
+
+
 @functools.lru_cache(maxsize=8)
 def _series_coefficients(alpha: float) -> tuple[tuple[float, ...], ...]:
-    # G[q][j] = g_j / (q + j + 1), with g_j the coefficients of
-    # (1 - x)^(-alpha) = sum_j g_j x^j; a handful of alphas are live at once
-    g = [1.0]
-    for j in range(1, _SERIES_MAX_TERMS):
-        g.append(g[-1] * (alpha + j - 1.0) / j)
+    # G[q][j] = g_j / (q + j + 1); a handful of alphas are live at once
+    g = _kernel_coefficients(alpha, _SERIES_MAX_TERMS)
     rows = range(_MAX_MOMENT_DEGREE + 1)
     return tuple(tuple(gj / (q + j + 1.0) for j, gj in enumerate(g)) for q in rows)
 
@@ -143,16 +150,8 @@ def kernel_moments(
     suffers there.  Inputs are checked as by ``KernelMoment``.
     """
     al = _check_moment(t, a, b, c, degree, alpha)
-    return _moments((t,), a, b, c, degree, al, _series_coefficients(al))[0]
-
-
-def _moments(
-    ts: Sequence[float], a: float, b: float, c: float, degree: int, al: float, table: tuple
-) -> list[tuple[float, ...]]:
-    # kernel_moments at every t of ts for one window and centre, on inputs
-    # checked as there (b <= t for every t), table = _series_coefficients(al)
     if a == b:
-        return [(0.0,) * (degree + 1)] * len(ts)
+        return (0.0,) * (degree + 1)
     # Far from the singularity the binomial sum cancels like ((t-c)/(b-a))^q,
     # so expand the kernel instead:  with w0 = t - c and r = (s - c)/w0,
     #   (t - s)^(-alpha) = w0^(-alpha) sum_j g_j r^j,   |r| <= 1/2,
@@ -163,43 +162,101 @@ def _moments(
     # the Horner pass for S_q(r2), so endpoints of one sign do not cancel.
     # As g_j <= 1, the terms from J on sum to at most 2 rmax^J times the
     # bound rmax^(q+1)/(q+1) of the leading term; J keeps that below 1e-17.
-    # When b == c, r2 is exactly 0.0 and the coupled pass collapses to one
-    # Horner pass for the divided difference: s2 * 0.0 + G[q][j] is G[q][j].
-    ac, bc, ba = a - c, b - c, b - a
-    vmax = max(abs(ac), abs(bc))
-    near, power = 2.0 * vmax, 1.0 - al
-    rows = table[: degree + 1]
-    out = []
+    w0 = t - c
+    vmax = max(abs(a - c), abs(b - c))
+    if not (w0 >= 2.0 * vmax and w0 > 0.0):
+        return tuple(_moment_closed(t, a, b, c, q, al) for q in range(degree + 1))
+    r1 = (a - c) / w0
+    r2 = (b - c) / w0
+    rmax = max(vmax / w0, 1e-300)
+    terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
+    moments = []
+    p1, h = r1, 1.0
+    w0_power = w0 ** (1.0 - al) * (b - a) / w0
+    for row in _series_coefficients(al)[: degree + 1]:
+        s2 = d = 0.0
+        for j in range(terms - 1, -1, -1):
+            d = d * r1 + s2
+            s2 = s2 * r2 + row[j]
+        moments.append(w0_power * (h * s2 + p1 * d))
+        h = h * r2 + p1
+        p1 *= r1
+        w0_power *= w0
+    return tuple(moments)
+
+
+@functools.cache
+def _midpoint_moments(degree: int, offset: int) -> tuple[tuple[float, ...], ...]:
+    # R_l[j] = int_{-1/2}^{1/2} v^j L_l'(v - 1/2 - offset) dv, j < _COLUMN_TERMS,
+    # for row l of the degree's Lagrange basis, whose window [-1 - offset,
+    # -offset] is v + 1/2 about its midpoint.  With y = 2v, h = -1 - 2 offset
+    # and d_l = divided_coeff(k, l), 2^(k-1) d_l L_l'((y + h)/2) is the integer
+    # polynomial sum_m A_m y^m, so R_l[j] = sum_{j+m even} A_m/(j+m+1) over
+    # d_l 2^(k+j-1): one integer ratio, correctly rounded by one division.
+    k, h = degree, -1 - 2 * offset
+    rows = []
+    for l, poly in enumerate(_basis_numerators(k)):
+        lift = [sum(r * poly[r] * 2 ** (k - r) * math.comb(r - 1, m) * h ** (r - 1 - m)
+                    for r in range(m + 1, k + 1)) for m in range(k)]
+        row = []
+        for j in range(_COLUMN_TERMS):
+            ms = range(j % 2, k, 2)
+            den = math.lcm(*(j + m + 1 for m in ms))
+            num = sum(lift[m] * (den // (j + m + 1)) for m in ms)
+            row.append(num / (den * divided_coeff(k, l) * 2 ** (k + j - 1)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=8)
+def _column_series(alpha: float, degree: int, offset: int) -> tuple[tuple[float, ...], ...]:
+    # g_j R_l[j], the coefficients of column l's series; as for
+    # _series_coefficients, a handful of these are live at once
+    g = _kernel_coefficients(alpha, _COLUMN_TERMS)
+    return tuple(tuple(map(operator.mul, g, row)) for row in _midpoint_moments(degree, offset))
+
+
+def _columns(degree: int, offset: int, ts: Sequence[float], b: float, al: float) -> list[list[float]]:
+    """Column entries w_l = int_{b-1}^{b} (t - s)^(-al) L_l'(s - b - offset) ds,
+    l = 0..degree, at each t of ts (one list per l): the unit window below t
+    at the integer lag t - b, the degree's piece anchored at b + offset.
+
+    Lag 0 folds the closed-form moments with ``_DERIV``.  At lag >= 1, with
+    d = lag + 1/2 the distance from the window's midpoint to t,
+
+        w_l = d^(-al) sum_j g_j R_l[j] d^(-j),   R_l from ``_midpoint_moments``,
+
+    one Horner pass in 1/d per column.  The window ends on grid nodes, so
+    R_l[0] = L_l(-offset) - L_l(-1 - offset) is exactly 0 or +-1 and no
+    column cancels in its leading term.  As |R_l[j]| <= 2^-j max|L_l'| and
+    g_j <= 1, term j falls like (2 lag + 1)^-j, at most 3^-j; J terms keep
+    the tail below 1e-17 of the first nonzero one, one term later when
+    R_l[0] = 0.
+    """
+    rows = _column_series(al, degree, offset)
+    cols: list[list[float]] = [[] for _ in rows]
+    terms = 0
     for t in ts:
-        w0 = t - c
-        if not (w0 >= near and w0 > 0.0):
-            out.append(tuple(_moment_closed(t, a, b, c, q, al) for q in range(degree + 1)))
+        lag = t - b
+        if lag == 0.0:
+            moments = [_moment_closed(t, b - 1.0, b, b + offset, q, al) for q in range(degree)]
+            for col, row in zip(cols, _DERIV[degree]):
+                col.append(math.fsum(map(operator.mul, row, moments)))
             continue
-        r1 = ac / w0
-        r2 = bc / w0
-        rmax = max(vmax / w0, 1e-300)
-        terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
-        moments = []
-        p1, h = r1, 1.0
-        w0_power = w0**power * ba / w0
-        # indexed rather than sliced: a slice per degree left about 0.4 MB
-        # more resident over a trajectory pass, for no measurable speed
-        for row in rows:
-            if bc == 0.0:
-                s2, d = row[0], 0.0
-                for j in range(terms - 1, 0, -1):
-                    d = d * r1 + row[j]
-            else:
-                s2 = d = 0.0
-                for j in range(terms - 1, -1, -1):
-                    d = d * r1 + s2
-                    s2 = s2 * r2 + row[j]
-            moments.append(w0_power * (h * s2 + p1 * d))
-            h = h * r2 + p1
-            p1 *= r1
-            w0_power *= w0
-        out.append(tuple(moments))
-    return out
+        d = lag + 0.5
+        x = 1.0 / d
+        scale = d**-al
+        need = min(_COLUMN_TERMS, 1 + math.ceil(_LOG_SERIES_TAIL / -math.log(2.0 * d)))
+        if need != terms:
+            # each row's first terms, highest first, shared by a run of lags
+            terms = need
+            heads = [row[terms - 1 :: -1] for row in rows]
+        for col, head in zip(cols, heads):
+            s = 0.0
+            for c in head:
+                s = s * x + c
+            col.append(scale * s)
+    return cols
 
 
 def kernel_moment(m: KernelMoment) -> float:
@@ -253,32 +310,27 @@ def caputo_of_piece(
 
 
 class CaputoWeights:
-    """Moment columns of one scheme at one alpha, in grid units, shared by
+    """Weight columns of one scheme at one alpha, in grid units, shared by
     every grid and node they are asked for.
 
     Interval I_j of node n, with a degree-k piece anchored at j + offset,
     contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, where
 
-        w_l(lag) = sum_q _DERIV[k][l][q] M_q,
-        M_q = int_0^1 (lag + 1 - sigma)^(-alpha) (sigma - 1 - offset)^q dsigma,
+        w_l(lag) = int_0^1 (lag + 1 - sigma)^(-alpha) L_l'(sigma - 1 - offset) dsigma,
 
-    the window [j-1, j] below t = n shifted left by the integer j - 1.
-    ``kernel_moments`` reads only differences of its arguments, and those
-    are exact integers, so a column entry is the very float the unshifted
-    window gives.  The columns of the steady stencil (the run of
-    ``interp._runs`` that grows with n) are filled densely on demand: one
-    batch kernel call over the new lags, then one fold per column.  Their
-    window ends at the centre except for L2 (offset 1), so the kernel runs
-    its one-pass Horner form for every other scheme.  The at most k startup
-    or final intervals keep theirs per (degree, offset, lag).  Nothing is
-    shared between objects.
+    the window [j-1, j] below t = n shifted left by the integer j - 1;
+    ``_columns`` reads only the lag, so an entry is the very float the
+    unshifted window gives.  The columns of the steady stencil (the run of
+    ``interp._runs`` that grows with n) are filled densely on demand, one
+    ``_columns`` call over the new lags; the at most k startup or final
+    intervals keep theirs per (degree, offset, lag).  Nothing is shared
+    between objects.
     For L1 the one column is the weight row ``verify`` checks in closed form.
     """
 
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
         self.scheme = scheme
         self.alpha = _check_alpha(alpha)
-        self._table = _series_coefficients(self.alpha)
         # past 2k + 1 nodes the run that grows with n is the longest one
         self._steady = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])[:2]
         self._cols: tuple[list[float], ...] = tuple([] for _ in range(self._steady[0] + 1))
@@ -289,14 +341,9 @@ class CaputoWeights:
         cols = self._cols
         have = len(cols[0])
         if have <= top:
-            degree, offset = self._steady
-            c = 1.0 + offset
-            # checked once: the windows of a fill differ only in t = lag + 1
-            _check_moment(top + 1.0, 0.0, 1.0, c, degree - 1, self.alpha)
             ts = [lag + 1.0 for lag in range(have, top + 1)]
-            fresh = _moments(ts, 0.0, 1.0, c, degree - 1, self.alpha, self._table)
-            for col, row in zip(cols, _DERIV[degree]):
-                col.extend([sum(map(operator.mul, row, m)) for m in fresh])
+            for col, fresh in zip(cols, _columns(*self._steady, ts, 1.0, self.alpha)):
+                col.extend(fresh)
         return cols
 
     def _edge(self, degree: int, offset: int, lag: int) -> tuple[float, ...]:
@@ -304,9 +351,7 @@ class CaputoWeights:
         key = (degree, offset, lag)
         col = self._edges.get(key)
         if col is None:
-            moments = kernel_moments(lag + 1.0, 0.0, 1.0, 1.0 + offset, degree - 1, self.alpha)
-            col = tuple(sum(map(operator.mul, row, moments)) for row in _DERIV[degree])
-            self._edges[key] = col
+            col = self._edges[key] = tuple(w[0] for w in _columns(degree, offset, (lag + 1.0,), 1.0, self.alpha))
         return col
 
     def value(

@@ -22,12 +22,12 @@ from .holder import HolderTestFunction, RegularityClass, UniformGrid
 from .interp import (
     LagrangePiece,
     SchemeKind,
-    backward_difference,
+    _runs,
     build_interpolant,
     divided_coeff,
 )
 from .oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
-from .schemes import KernelMoment, discrete_caputo, kernel_moment
+from .schemes import KernelMoment, _columns, discrete_caputo, kernel_moment
 from .harness import order_first_node, order_interior
 
 __all__ = ["CheckResult", "run_check", "run_verification"]
@@ -152,23 +152,21 @@ def _check_divided_coeff_sum(_: random.Random) -> tuple[bool, str]:
     return True, "exact for k = 1..6"
 
 
-@_check("difference operators annihilate low degrees")
-def _check_backward_difference(rng: random.Random) -> tuple[bool, str]:
+@_check("weight columns annihilate constants")
+def _check_column_sums(rng: random.Random) -> tuple[bool, str]:
+    # the basis sums to 1, so its derivatives, and every column set's
+    # entries at one lag, sum to zero
     worst = 0.0
-    for order in range(1, 7):
-        for _ in range(20):
-            deg = rng.randrange(0, order)
-            coeffs = [rng.uniform(-2.0, 2.0) for _ in range(deg + 1)]
-            t0 = rng.uniform(0.0, 0.2)
-            h = rng.uniform(0.05, 1.0)
-            length = order + 1 + rng.randrange(0, 3)
-            samples = [
-                math.fsum(c * (t0 + h * i) ** p for p, c in enumerate(coeffs))
-                for i in range(length)
-            ]
-            scale = max(1.0, max(abs(v) for v in samples))
-            worst = max(worst, abs(backward_difference(samples, order)) / scale)
-    return worst < 1e-12, f"120 polynomials, worst scaled dev {worst:.2e}"
+    count = 0
+    for scheme in _ALL_SCHEMES:
+        alpha = rng.uniform(0.05, 0.95)
+        lags = [0, 1, 2, 2**14, *(rng.randrange(3, 2**14) for _ in range(20))]
+        for degree, offset in {run[:2] for run in _runs(scheme, 2 * scheme.degree + 2)}:
+            cols = _columns(degree, offset, [lag + 1.0 for lag in lags], 1.0, alpha)
+            for entries in zip(*cols):
+                worst = max(worst, abs(math.fsum(entries)) / max(map(abs, entries)))
+                count += 1
+    return worst < 1e-12, f"{count} column sets, lags 0..2^14, worst scaled sum {worst:.2e}"
 
 
 @_check("polynomial reproduction (k <= 6)")

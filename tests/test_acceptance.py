@@ -230,7 +230,7 @@ def test_criterion_7_weight_identities():
         7,
         "partition of unity (k <= 6)",
         "lagrange weight reciprocals sum to zero",
-        "difference operators annihilate low degrees",
+        "weight columns annihilate constants",
     )
 
 

@@ -37,6 +37,14 @@ class TestSchemeValue:
         with pytest.raises(NotAGridNodeError):
             scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 2.0**-4, 0.3)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
+    def test_rejects_non_finite_node_quotient(self, t):
+        """t = inf once escaped the CLI's handler as OverflowError."""
+        from caputo_lk.holder import NotAGridNodeError
+
+        with pytest.raises(NotAGridNodeError, match="is not a node"):
+            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 0.125, t)
+
     def test_rejects_incompatible_step(self):
         with pytest.raises(ValueError):
             scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 0.3, 0.3)

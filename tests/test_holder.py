@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,14 @@ class TestUniformGrid:
             g.node_index(0.3)
         with pytest.raises(NotAGridNodeError):
             g.node_index(1.125)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_quotient_rejected(self, t):
+        """An infinite or NaN t / tau once escaped as OverflowError or as
+        round()'s ValueError about NaN, not as the node error naming t."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        with pytest.raises(NotAGridNodeError, match=re.escape(f"time {t!r} is not a node")):
+            g.node_index(t)
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):

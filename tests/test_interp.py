@@ -1,4 +1,4 @@
-"""Tests for Lagrange pieces, difference operators, and scheme interpolants."""
+"""Tests for Lagrange pieces and scheme interpolants."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from caputo_lk.interp import (
     LagrangePiece,
     SchemeKind,
     SchemeTag,
-    backward_difference,
     build_interpolant,
     divided_coeff,
 )
@@ -224,48 +223,6 @@ class TestLagrangeEval:
         with pytest.raises(ValueError) as excinfo:
             LagrangePiece(**{**self._VALID, "interval": interval})
         assert repr(bad) in str(excinfo.value)
-
-
-class TestBackwardDifference:
-    def test_annihilates_low_degrees(self):
-        rng = random.Random(59)
-        for order in range(1, 7):
-            for _ in range(15):
-                deg = rng.randrange(0, order)
-                coeffs = [rng.uniform(-1.0, 1.0) for _ in range(deg + 1)]
-                samples = [
-                    math.fsum(c * float(i) ** p for p, c in enumerate(coeffs))
-                    for i in range(order + 1)
-                ]
-                scale = max(abs(v) for v in samples) + 1.0
-                assert abs(backward_difference(samples, order)) <= 1e-12 * scale
-
-    def test_leading_coefficient(self):
-        # order-l difference of i^l equals l!
-        for order in range(1, 7):
-            samples = [float(i) ** order for i in range(order + 1)]
-            got = backward_difference(samples, order)
-            assert got == pytest.approx(math.factorial(order), rel=1e-12)
-
-    def test_taylor_consistency(self):
-        """For smooth u the order-l difference over step tau approaches
-        tau^l u^(l); the defect must shrink at one extra order."""
-        u = math.exp
-        t = 0.7
-        for order in (1, 2, 3):
-            errs = []
-            for e in range(4, 10):
-                tau = 2.0**-e
-                samples = [u(t - (order - i) * tau) for i in range(order + 1)]
-                # exp is its own derivative at every order
-                errs.append(abs(backward_difference(samples, order) - tau**order * u(t)))
-            slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-            fitted = sum(slopes) / len(slopes)
-            assert fitted >= order + 0.9
-
-    def test_needs_enough_history(self):
-        with pytest.raises(ValueError):
-            backward_difference([1.0, 2.0], 2)
 
 
 class TestBuildInterpolant:

@@ -12,13 +12,12 @@ import pytest
 import caputo_lk.schemes
 from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.harness import order_interior
-from caputo_lk.interp import _DERIV, LagrangePiece, SchemeKind, _runs, build_interpolant
+from caputo_lk.interp import LagrangePiece, SchemeKind, _runs, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_piecewise
 from caputo_lk.schemes import (
     CaputoWeights,
     caputo_of_piece,
     discrete_caputo,
-    kernel_moments,
 )
 
 ALL_SCHEMES = [
@@ -273,7 +272,7 @@ class TestReferenceRoute:
     def test_one_moment_evaluation_per_new_lag(self, monkeypatch):
         """A shared CaputoWeights builds no interpolant, no Lagrange piece
         and no per-piece route.  Each (degree, offset, lag) it is asked for,
-        in any order of nodes, costs one moment evaluation the first time
+        in any order of nodes, costs one column evaluation the first time
         and none after; the steady columns are filled densely from lag 0.
         Every node costs one gamma call."""
         g = UniformGrid(horizon=1.0, steps=23)
@@ -327,19 +326,18 @@ class TestReferenceRoute:
 
 
 def _record_moment_keys(monkeypatch) -> list[tuple[int, int, int]]:
-    """Patch the batch moments kernel to record each evaluation time of a
-    call as (degree, offset, lag), read back from the shifted window
-    [lag, lag+1] below t = lag + 1 with centre 1 + offset that
-    CaputoWeights asks for."""
+    """Patch the column function to record each column evaluation as
+    (degree, offset, lag), the lag read back from the unit window [0, 1]
+    below t = lag + 1 that CaputoWeights asks for."""
     keys = []
-    core = caputo_lk.schemes._moments
+    core = caputo_lk.schemes._columns
 
-    def recorded(ts, a, b, c, degree, al, table):
-        assert (a, b) == (0.0, 1.0)
-        keys.extend((degree + 1, int(c) - 1, int(t) - 1) for t in ts)
-        return core(ts, a, b, c, degree, al, table)
+    def recorded(degree, offset, ts, b, al):
+        assert b == 1.0
+        keys.extend((degree, offset, int(t) - 1) for t in ts)
+        return core(degree, offset, ts, b, al)
 
-    monkeypatch.setattr(caputo_lk.schemes, "_moments", recorded)
+    monkeypatch.setattr(caputo_lk.schemes, "_columns", recorded)
     return keys
 
 
@@ -363,20 +361,22 @@ def _filled_keys(scheme, nodes) -> set[tuple[int, int, int]]:
     return keys | {(*_steady(scheme), lag) for lag in range(top + 1)}
 
 
-def _per_interval_value(scheme, grid, vals, n, alpha):
-    """One ``kernel_moments`` call per interval on the unshifted window
-    [j-1, j] below t = n: the route the shared columns replaced, kept as
-    the reference they must match bit for bit."""
-    terms = []
+def _per_interval_products(scheme, vals, n, alpha):
+    """The products u^(j+offset-l) w_l(n - j) of node n, from one column
+    evaluation per interval on the unshifted window [j-1, j] below t = n."""
+    products = []
     for degree, offset, first, last in _runs(scheme, n):
         for j in range(first, last + 1):
-            anchor = j + offset
-            moments = kernel_moments(float(n), j - 1.0, float(j), float(anchor), degree - 1, alpha)
-            terms.extend(
-                vals[anchor - l] * sum(map(operator.mul, row, moments))
-                for l, row in enumerate(_DERIV[degree])
-            )
-    return math.fsum(terms) * grid.tau ** (-alpha) / math.gamma(1.0 - alpha)
+            col = caputo_lk.schemes._columns(degree, offset, (float(n),), float(j), alpha)
+            products.extend(vals[j + offset - l] * w for l, (w,) in enumerate(col))
+    return products
+
+
+def _per_interval_value(scheme, grid, vals, n, alpha):
+    """The node value from ``_per_interval_products``: the route the shared
+    columns replaced, kept as the reference they must match bit for bit."""
+    products = _per_interval_products(scheme, vals, n, alpha)
+    return math.fsum(products) * grid.tau ** (-alpha) / math.gamma(1.0 - alpha)
 
 
 def _basis_derivative(degree, offset, l):
@@ -396,51 +396,102 @@ def _basis_derivative(degree, offset, l):
     return [r * poly[r] for r in range(1, len(poly))]
 
 
+def _reference_moments(mpmath, alpha, lags):
+    """int_0^1 (lag+1-sigma)^-alpha sigma^p dsigma for p = 0..5 at each lag,
+    as mpf at the caller's precision, by the binomial closed form in
+    w = lag + 1 - sigma.  Its cancellation costs about lag^p, so 60 digits
+    keep 40 at lag 2^14."""
+    al = mpmath.mpf(alpha)
+    out = {}
+    for lag in lags:
+        hi = lag + 1
+        hi_pow, lo_pow = mpmath.mpf(hi) ** -al, mpmath.mpf(lag) ** -al if lag else 0
+        # int_lag^(lag+1) w^(i-alpha) dw, i = 0..5
+        f = [(hi_pow * hi ** (i + 1) - lo_pow * lag ** (i + 1)) / (i + 1 - al) for i in range(6)]
+        out[lag] = [
+            mpmath.fsum(math.comb(p, i) * hi ** (p - i) * (-1) ** i * f[i] for i in range(p + 1))
+            for p in range(6)
+        ]
+    return out
+
+
+# the (degree, offset) of every column set the engine evaluates; each
+# scheme's startup and final sets are the steady set of another
+_COLUMN_SETS = sorted({run[:2] for s in ALL_SCHEMES for run in _runs(s, 2 * s.degree + 2)})
+
+
+def _check_columns(lags):
+    """Every column set at these lags, for alpha 0.05, 0.5 and 0.95,
+    against the 60-digit closed form: 5e-15 relative, flat."""
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in (0.05, 0.5, 0.95):
+        with mpmath.workdps(60):
+            ref = _reference_moments(mpmath, alpha, lags)
+        for degree, offset in _COLUMN_SETS:
+            cols = caputo_lk.schemes._columns(degree, offset, [lag + 1.0 for lag in lags], 1.0, alpha)
+            for l, col in enumerate(cols):
+                coef = _basis_derivative(degree, offset, l)
+                for lag, got in zip(lags, col):
+                    with mpmath.workdps(60):
+                        want = mpmath.fsum(mpmath.mpf(cp.numerator) / cp.denominator * m for cp, m in zip(coef, ref[lag]))
+                        rel = float(abs(got - want) / abs(want))
+                    assert rel <= 5e-15, (degree, offset, alpha, l, lag, rel)
+
+
 class TestColumnPrecision:
+    """Column entries w_l(lag) = int_0^1 (lag+1-sigma)^-alpha L_l'(sigma)
+    dsigma of every column set against a 60-digit evaluation.  The series
+    about the window's midpoint has an exact leading coefficient (0 or +-1),
+    so no column cancels: every entry stays within a flat 5e-15 relative
+    (at most 1.1e-15 measured), where the fold of moments it replaced lost
+    digits like lag * eps (2.0e-9 near lag 2^14)."""
+
+    def test_columns_against_mpmath_at_near_lags(self):
+        _check_columns((1, 2, 3, 10, 100, 1000))
+
     def test_steady_columns_against_mpmath_at_fine_lags(self):
-        """The steady columns w_l(lag) = int_0^1 (lag+1-sigma)^-alpha
-        L_l'(sigma) dsigma of all seven schemes at lags near 2^12, 2^13 and
-        2^14, against 40-digit mpmath quadrature, read through the batch
-        kernel call a fill makes (no 16k-lag fill is run).  The moments are
-        accurate to rounding, so every error is within a few eps of the
-        fold's scale sum_q |D_lq M_q| (1.3 eps measured).  A column whose
-        basis has L_l(1) = L_l(0) (l >= 2 for L1-2 and Lk, l = 0 for L2)
-        loses its leading lag^-alpha term to cancellation, so its relative
-        error grows like lag * eps (at most 387 lag * eps measured); the
-        others stay at rounding (2.5e-15 measured)."""
+        _check_columns((2**12 - 3, 2**12, 2**13 - 1, 2**13 + 5, 2**14 - 2, 2**14))
+
+    def test_node_values_against_60_digits(self):
+        """All seven schemes at node N = 1024 of u = t^4.2 on [0, 1], alpha
+        0.1, 0.5 and 0.9, against the same discrete operator evaluated at 60
+        digits on the same float node values.  The error stays within eps
+        times the products' scale sum |u w| (0.21 of it measured; the fold of
+        moments these columns replaced reached 2.0).  That scale is the
+        floor: eps sum|u w| / |value| reaches 7.6e-13 for k = 6 at alpha
+        0.9, whose error is 2.1e-13, against 2.5e-15 at alpha 0.1."""
         mpmath = pytest.importorskip("mpmath")
         eps = 2.0**-52
-        lags = (2**12 - 3, 2**12, 2**13 - 1, 2**13 + 5, 2**14 - 2, 2**14)
+        n = 1024
+        g = UniformGrid(horizon=1.0, steps=n)
+        vals = [g.time(i) ** 4.2 for i in range(n + 1)]
+        # the node values exactly, as integers over 2^shift
+        ratios = [v.as_integer_ratio() for v in vals]
+        shift = max(den.bit_length() - 1 for _, den in ratios)
+        ints = [num << (shift - den.bit_length() + 1) for num, den in ratios]
         for alpha in (0.1, 0.5, 0.9):
-            with mpmath.workdps(40):
-                al = mpmath.mpf(alpha)
-                # int_0^1 (lag+1-sigma)^-alpha sigma^p dsigma, p = 0..5
-                ref = {
-                    lag: [
-                        mpmath.quad(lambda s: (lag + 1 - s) ** -al * s**p, [0, 1], method="gauss-legendre")
-                        for p in range(6)
-                    ]
-                    for lag in lags
-                }
+            with mpmath.workdps(60):
+                ref = _reference_moments(mpmath, alpha, range(n))
+                scale = mpmath.mpf(g.tau) ** -alpha / mpmath.gamma(1 - mpmath.mpf(alpha))
             for scheme in ALL_SCHEMES:
-                weights = CaputoWeights(scheme, alpha)
-                degree, offset = weights._steady
-                ts = [lag + 1.0 for lag in lags]
-                fresh = caputo_lk.schemes._moments(
-                    ts, 0.0, 1.0, 1.0 + offset, degree - 1, weights.alpha, weights._table
-                )
-                for l, row in enumerate(_DERIV[degree]):
-                    coef = _basis_derivative(degree, offset, l)
-                    cancels = sum(cp / (p + 1) for p, cp in enumerate(coef)) == 0
-                    for lag, m in zip(lags, fresh):
-                        got = sum(map(operator.mul, row, m))
-                        with mpmath.workdps(40):
-                            terms = (mpmath.mpf(cp.numerator) / cp.denominator * v for cp, v in zip(coef, ref[lag]))
-                            err = float(abs(got - mpmath.fsum(terms)))
-                        where = (scheme.label, alpha, l, lag)
-                        assert err <= 4.0 * eps * sum(abs(d * q) for d, q in zip(row, m)), where
-                        rel = err / abs(got)
-                        assert rel <= (1e3 * lag * eps if cancels else 5e-15), where
+                got = discrete_caputo(scheme, g, vals, n, alpha).value
+                size = math.fsum(map(abs, _per_interval_products(scheme, vals, n, alpha)))
+                # sum over intervals j and degrees p of M_p(n - j) times the
+                # exact integer den * 2^shift sum_l L_l'[p] u^(j+offset-l)
+                runs = [(run, [_basis_derivative(*run[:2], l) for l in range(run[0] + 1)]) for run in _runs(scheme, n)]
+                den = math.lcm(*(c.denominator for _, coef in runs for row in coef for c in row))
+                moments, weights = [], []
+                for (degree, offset, first, last), coef in runs:
+                    by_degree = [[int(row[p] * den) for row in coef] for p in range(degree)]
+                    for j in range(first, last + 1):
+                        window = ints[j + offset - degree : j + offset + 1][::-1]
+                        moments.extend(ref[n - j][:degree])
+                        weights.extend(sum(map(operator.mul, c, window)) for c in by_degree)
+                with mpmath.workdps(60):
+                    want = mpmath.fdot(moments, weights) * scale / (den << shift)
+                    err = float(abs(got - want))
+                bound = eps * size * float(scale)
+                assert err <= bound, (scheme.label, alpha, err / abs(got), bound / abs(got))
 
 
 def _property_tools():
@@ -547,7 +598,7 @@ class TestProperties:
     def test_shared_weights_match_one_shot(self):
         """One CaputoWeights asked for nodes on grids of several steps, in
         any order, gives every value bit for bit as a fresh discrete_caputo
-        and as one moment call per interval on the unshifted window."""
+        and as one column evaluation per interval on the unshifted window."""
         hp, st, settings = _property_tools()
 
         @settings

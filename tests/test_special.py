@@ -30,8 +30,8 @@ def moment(t, a, b, c, q, alpha):
 
 def scalar_moments(t, a, b, c, degree, al, table):
     """The moments of degrees 0..degree at one evaluation time, one coupled
-    two-accumulator Horner pass per degree whatever b - c is: the reference
-    that pins the batch kernel ``schemes._moments`` bit for bit."""
+    two-accumulator Horner pass per degree: the reference that pins
+    ``kernel_moments`` bit for bit."""
     if a == b:
         return (0.0,) * (degree + 1)
     w0 = t - c
@@ -212,15 +212,18 @@ class TestKernelMoment:
             assert batch == tuple(moment(t, a, b, c, q, alpha) for q in range(7))
 
     def test_batch_kernel_matches_scalar_reference(self):
-        """One batch call over a run of evaluation times gives, bit for bit
-        (signed zeros included), the scalar kernel at each time: degrees
-        0..6, windows that end at the centre (the one-pass Horner form) and
-        windows that do not, runs that cross the closed/series switch and
-        several term counts, and the empty window."""
+        """``kernel_moments``, all degrees of one window in one call, gives
+        bit for bit (signed zeros included) the scalar kernel at each
+        evaluation time: degrees 0..6, windows that end at the centre and
+        windows that do not, runs of times that cross the closed/series
+        switch and several term counts, and the empty window."""
         rng = random.Random(31)
 
         def bits(rows):
             return [tuple(map(float.hex, row)) for row in rows]
+
+        def kernel(ts, a, b, c, degree, alpha):
+            return [schemes.kernel_moments(t, a, b, c, degree, alpha) for t in ts]
 
         crossed = terms_seen = 0
         for degree in range(7):
@@ -235,7 +238,7 @@ class TestKernelMoment:
                     start = max(b, c + rng.uniform(0.5, 1.9) * vmax)
                     ts = sorted(start + rng.uniform(0.0, 60.0) * vmax for _ in range(40))
                     ts.insert(0, start)
-                    got = schemes._moments(ts, a, b, c, degree, alpha, table)
+                    got = kernel(ts, a, b, c, degree, alpha)
                     want = [scalar_moments(t, a, b, c, degree, alpha, table) for t in ts]
                     assert bits(got) == bits(want), (degree, alpha, a, b, c)
                     w0s = [t - c for t in ts]
@@ -243,13 +246,13 @@ class TestKernelMoment:
                     tail = schemes._LOG_SERIES_TAIL
                     counts = {math.ceil(tail / math.log(vmax / w)) for w in w0s if w >= 2.0 * vmax}
                     terms_seen += len(counts) > 1
-                # the integer windows CaputoWeights asks for, lags 0..40
+                # the integer windows of the per-piece route, lags 0..40
                 for offset in (0, 1):
                     ts = [lag + 1.0 for lag in range(41)]
-                    got = schemes._moments(ts, 0.0, 1.0, 1.0 + offset, degree, alpha, table)
+                    got = kernel(ts, 0.0, 1.0, 1.0 + offset, degree, alpha)
                     want = [scalar_moments(t, 0.0, 1.0, 1.0 + offset, degree, alpha, table) for t in ts]
                     assert bits(got) == bits(want), (degree, alpha, offset)
-                got = schemes._moments([0.75, 1.0, 5.0], 0.5, 0.5, 0.25, degree, alpha, table)
+                got = kernel([0.75, 1.0, 5.0], 0.5, 0.5, 0.25, degree, alpha)
                 assert bits(got) == bits([(0.0,) * (degree + 1)] * 3)
         assert crossed == terms_seen == 42
 

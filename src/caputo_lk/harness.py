@@ -124,6 +124,8 @@ def _unit_grid(tau: float) -> UniformGrid:
     """The step-tau grid over [0, 1]; 1/tau must be integral."""
     if not 0.0 < tau < math.inf:
         raise ValueError(f"step tau must be positive and finite, got tau={tau!r}")
+    if _HORIZON / tau == math.inf:
+        raise ValueError(f"step tau={tau!r} is too small: 1/tau overflows")
     steps = round(_HORIZON / tau)
     if steps < 1 or abs(steps * tau - _HORIZON) > 1e-9 * _HORIZON:
         raise ValueError(f"step {tau!r} does not divide the unit horizon")

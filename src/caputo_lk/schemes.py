@@ -24,15 +24,16 @@ the public per-window route and the tests' independent reference.
 
 The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
-weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2).
-``CaputoWeights``, the one route to a node value, holds those columns for
-one (scheme, alpha), filled on demand and shared by every grid and node; a
-node then costs k + 1 slice products plus at most k startup or final
-intervals in one ``math.fsum``, and builds no interpolant.  A column entry
-at lag >= 1 is one Horner pass of a series about the window's midpoint,
-whose coefficients are exact rationals per (degree, offset) (``_columns``);
-lag 0 folds the closed-form moments.  ``discrete_caputo`` is its one-shot
-use.
+weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2), indexed by
+lag.  ``CaputoWeights``, the one route to a node value, stores the steady
+columns of one (scheme, alpha), extended on demand and shared by every
+grid and node, and evaluates the at most k startup or final intervals of
+each node afresh; every run of intervals is then k + 1 slice products, all
+of a node's in one ``math.fsum``, and no interpolant is built.  A column
+entry at lag >= 1 is one Horner pass of a series about the window's
+midpoint, whose coefficients are exact rationals per (degree, offset)
+(``_columns``); lag 0 folds the closed-form moments.  ``discrete_caputo``
+is its one-shot use.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Callable, Sequence
 from .holder import UniformGrid, _check_alpha
 # build_interpolant is not called here and caputo_of_piece is the tests'
 # per-piece reference route; both stay module names, like gamma, KernelMoment
-# and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 6)
+# and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 1c)
 from .interp import _DERIV, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes, _runs
 from .interp import build_interpolant, divided_coeff
 
@@ -216,10 +217,10 @@ def _column_series(alpha: float, degree: int, offset: int) -> tuple[tuple[float,
     return tuple(tuple(map(operator.mul, g, row)) for row in _midpoint_moments(degree, offset))
 
 
-def _columns(degree: int, offset: int, ts: Sequence[float], b: float, al: float) -> list[list[float]]:
-    """Column entries w_l = int_{b-1}^{b} (t - s)^(-al) L_l'(s - b - offset) ds,
-    l = 0..degree, at each t of ts (one list per l): the unit window below t
-    at the integer lag t - b, the degree's piece anchored at b + offset.
+def _columns(degree: int, offset: int, lags: Sequence[int], al: float) -> list[list[float]]:
+    """Column entries w_l(lag) = int_0^1 (lag + 1 - s)^(-al) L_l'(s - 1 - offset) ds,
+    l = 0..degree, at each integer lag (one list per l): the unit window
+    [0, 1] below t = lag + 1, the degree's piece anchored at 1 + offset.
 
     Lag 0 folds the closed-form moments with ``_DERIV``.  At lag >= 1, with
     d = lag + 1/2 the distance from the window's midpoint to t,
@@ -236,10 +237,9 @@ def _columns(degree: int, offset: int, ts: Sequence[float], b: float, al: float)
     rows = _column_series(al, degree, offset)
     cols: list[list[float]] = [[] for _ in rows]
     terms = 0
-    for t in ts:
-        lag = t - b
-        if lag == 0.0:
-            moments = [_moment_closed(t, b - 1.0, b, b + offset, q, al) for q in range(degree)]
+    for lag in lags:
+        if lag == 0:
+            moments = [_moment_closed(1.0, 0.0, 1.0, 1.0 + offset, q, al) for q in range(degree)]
             for col, row in zip(cols, _DERIV[degree]):
                 col.append(math.fsum(map(operator.mul, row, moments)))
             continue
@@ -314,17 +314,12 @@ class CaputoWeights:
     every grid and node they are asked for.
 
     Interval I_j of node n, with a degree-k piece anchored at j + offset,
-    contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, where
-
-        w_l(lag) = int_0^1 (lag + 1 - sigma)^(-alpha) L_l'(sigma - 1 - offset) dsigma,
-
-    the window [j-1, j] below t = n shifted left by the integer j - 1;
-    ``_columns`` reads only the lag, so an entry is the very float the
-    unshifted window gives.  The columns of the steady stencil (the run of
-    ``interp._runs`` that grows with n) are filled densely on demand, one
-    ``_columns`` call over the new lags; the at most k startup or final
-    intervals keep theirs per (degree, offset, lag).  Nothing is shared
-    between objects.
+    contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, the column
+    entries of ``_columns``: they depend on the lag alone, never on j or n.
+    The columns of the steady stencil (the run of ``interp._runs`` that
+    grows with n) are stored densely, indexed by lag and extended on
+    demand; the at most k startup or final intervals of a node get theirs
+    from one ``_columns`` call per run.  Nothing is shared between objects.
     For L1 the one column is the weight row ``verify`` checks in closed form.
     """
 
@@ -334,25 +329,6 @@ class CaputoWeights:
         # past 2k + 1 nodes the run that grows with n is the longest one
         self._steady = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])[:2]
         self._cols: tuple[list[float], ...] = tuple([] for _ in range(self._steady[0] + 1))
-        self._edges: dict[tuple[int, int, int], tuple[float, ...]] = {}
-
-    def _fill(self, top: int) -> tuple[list[float], ...]:
-        """The steady columns, extended to cover lags 0..top."""
-        cols = self._cols
-        have = len(cols[0])
-        if have <= top:
-            ts = [lag + 1.0 for lag in range(have, top + 1)]
-            for col, fresh in zip(cols, _columns(*self._steady, ts, 1.0, self.alpha)):
-                col.extend(fresh)
-        return cols
-
-    def _edge(self, degree: int, offset: int, lag: int) -> tuple[float, ...]:
-        """w_l(lag) for l = 0..degree of a startup or final interval."""
-        key = (degree, offset, lag)
-        col = self._edges.get(key)
-        if col is None:
-            col = self._edges[key] = tuple(w[0] for w in _columns(degree, offset, (lag + 1.0,), 1.0, self.alpha))
-        return col
 
     def value(
         self,
@@ -364,20 +340,21 @@ class CaputoWeights:
         ``discrete_caputo`` defines it, bit for bit."""
         values = [u(grid.time(i)) for i in range(n + 1)] if callable(u) else u
         vals = _check_nodes(grid, values, n)
+        al = self.alpha
         products = []
         for degree, offset, first, last in _runs(self.scheme, n):
+            # intervals first..last read lags n-first down to n-last
             if (degree, offset) == self._steady:
-                # intervals first..last read lags n-first down to n-last
-                for l, col in enumerate(self._fill(n - first)):
-                    window = vals[first + offset - l : last + offset - l + 1]
-                    lags = col[n - last : n - first + 1]
-                    products.extend(map(operator.mul, window, reversed(lags)))
+                fresh = _columns(degree, offset, range(len(self._cols[0]), n - first + 1), al)
+                for col, more in zip(self._cols, fresh):
+                    col.extend(more)
+                cols = [col[n - last : n - first + 1] for col in self._cols]
             else:
-                for j in range(first, last + 1):
-                    col = self._edge(degree, offset, n - j)
-                    products.extend(vals[j + offset - l] * w for l, w in enumerate(col))
+                cols = _columns(degree, offset, range(n - last, n - first + 1), al)
+            for l, col in enumerate(cols):
+                window = vals[first + offset - l : last + offset - l + 1]
+                products.extend(map(operator.mul, window, reversed(col)))
         # fsum is correctly rounded, so the order of the products is immaterial
-        al = self.alpha
         return math.fsum(products) * grid.tau ** (-al) / gamma(1.0 - al)
 
 

@@ -54,6 +54,23 @@ def test_order_degenerate_input(capsys):
     assert "round-off floor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--scheme", "l2", "--alpha", "0.5", "--m", "1", "--beta", "0.5"]
+        + ["--tau-exp", "1024"],
+        ["first-node", "--scheme", "l2", "--alpha", "0.5", "--beta", "0.5"]
+        + ["--tau-exp", "1020"],
+    ],
+    ids=["order", "first-node"],
+)
+def test_subnormal_step_is_a_usage_error(capsys, argv):
+    """A step whose reciprocal overflows once ended in an OverflowError
+    traceback with exit code 1, the code of a failed measurement."""
+    assert main(argv) == 2
+    assert "1/tau overflows" in capsys.readouterr().err
+
+
 def test_first_node_subcommand(capsys):
     code = main(["first-node", "--scheme", "l12", "--alpha", "0.7", "--beta", "0.8"])
     out = capsys.readouterr().out

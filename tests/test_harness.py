@@ -11,6 +11,7 @@ import pytest
 from caputo_lk.harness import (
     DASH,
     DegenerateDifferenceError,
+    _unit_grid,
     emit,
     order_first_node,
     order_fixed_time,
@@ -59,12 +60,27 @@ class TestSchemeValue:
         with pytest.raises(ValueError, match="step tau must be positive and finite"):
             scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, tau, 0.5)
 
+    def test_rejects_step_whose_reciprocal_overflows(self):
+        """tau = 1e-310 once escaped the CLI's handler as OverflowError."""
+        with pytest.raises(ValueError, match=r"tau=1e-310 is too small"):
+            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 1e-310, 1e-310)
+
     def test_shared_weights_give_the_same_value(self):
         weights = CaputoWeights(SchemeKind.l12(), 0.4)
         u = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         for tau in (2.0**-5, 2.0**-3, 2.0**-6):
             got = scheme_value(weights, u, tau, 0.5)
             assert got == scheme_value(CaputoWeights(SchemeKind.l12(), 0.4), u, tau, 0.5)
+
+
+class TestUnitGrid:
+    @pytest.mark.parametrize("tau", [2.0**-1024, 1e-310, 5e-324])
+    def test_rejects_step_whose_reciprocal_overflows(self, tau):
+        with pytest.raises(ValueError, match=rf"tau={tau!r} is too small: 1/tau overflows"):
+            _unit_grid(tau)
+
+    def test_smallest_step_with_a_finite_reciprocal(self):
+        assert _unit_grid(2.0**-1023).steps == 2**1023
 
 
 class TestRows:

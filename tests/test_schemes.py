@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -249,8 +250,9 @@ def _reference_terms(scheme, grid, vals, n, alpha):
 
 
 class TestReferenceRoute:
-    """discrete_caputo works from the layout in grid units; the per-piece
-    route through Lagrange pieces in time units stays as its reference."""
+    """discrete_caputo works from weight columns in grid units, indexed by
+    lag; the per-piece route through Lagrange pieces in time units stays as
+    its reference."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
     def test_matches_per_piece_route(self, scheme):
@@ -271,9 +273,9 @@ class TestReferenceRoute:
 
     def test_one_moment_evaluation_per_new_lag(self, monkeypatch):
         """A shared CaputoWeights builds no interpolant, no Lagrange piece
-        and no per-piece route.  Each (degree, offset, lag) it is asked for,
-        in any order of nodes, costs one column evaluation the first time
-        and none after; the steady columns are filled densely from lag 0.
+        and no per-piece route.  The steady columns are filled densely from
+        lag 0, each lag evaluated once in any order of nodes; a startup or
+        final interval costs one column evaluation per node evaluation.
         Every node costs one gamma call."""
         g = UniformGrid(horizon=1.0, steps=23)
         alpha = 0.4
@@ -303,8 +305,7 @@ class TestReferenceRoute:
             weights = CaputoWeights(scheme, alpha)
             for n in nodes:
                 assert weights.value(g, vals, n) == want[scheme, n]
-            assert len(keys) == len(set(keys)), scheme.label
-            assert set(keys) == _filled_keys(scheme, nodes), scheme.label
+            assert Counter(keys) == _expected_keys(scheme, nodes), scheme.label
             assert len(gammas) == len(nodes)
 
     @pytest.mark.parametrize(
@@ -314,28 +315,25 @@ class TestReferenceRoute:
         """The three grids of an interior cell, nodes n, 2n and 4n, share
         one CaputoWeights: the 4n steady lags are filled once (not the 7n
         of three separate evaluations), plus each grid's own startup or
-        final intervals."""
+        final intervals, once per node."""
         keys = _record_moment_keys(monkeypatch)
         f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         order_interior(scheme, f, 0.5, 2.0**-5)
         n = 16
-        assert len(keys) == len(set(keys))
-        assert set(keys) == _filled_keys(scheme, (n, 2 * n, 4 * n))
+        assert Counter(keys) == _expected_keys(scheme, (n, 2 * n, 4 * n))
         edges = sum(1 for key in keys if key[:2] != _steady(scheme))
         assert len(keys) - edges <= 4 * n
 
 
 def _record_moment_keys(monkeypatch) -> list[tuple[int, int, int]]:
     """Patch the column function to record each column evaluation as
-    (degree, offset, lag), the lag read back from the unit window [0, 1]
-    below t = lag + 1 that CaputoWeights asks for."""
+    (degree, offset, lag)."""
     keys = []
     core = caputo_lk.schemes._columns
 
-    def recorded(degree, offset, ts, b, al):
-        assert b == 1.0
-        keys.extend((degree, offset, int(t) - 1) for t in ts)
-        return core(degree, offset, ts, b, al)
+    def recorded(degree, offset, lags, al):
+        keys.extend((degree, offset, lag) for lag in lags)
+        return core(degree, offset, lags, al)
 
     monkeypatch.setattr(caputo_lk.schemes, "_columns", recorded)
     return keys
@@ -346,11 +344,12 @@ def _steady(scheme) -> tuple[int, int]:
     return (2, 1) if scheme == SchemeKind.l2() else (scheme.degree, 0)
 
 
-def _filled_keys(scheme, nodes) -> set[tuple[int, int, int]]:
-    """The (degree, offset, lag) a CaputoWeights evaluates for these nodes:
-    the startup and final intervals of each, and the steady columns densely
-    from lag 0 to the deepest lag any node reads."""
-    keys = set()
+def _expected_keys(scheme, nodes) -> Counter:
+    """The (degree, offset, lag) one CaputoWeights evaluates for these node
+    evaluations, with multiplicity: the startup and final intervals of each
+    evaluation, and the steady columns once each, densely from lag 0 to
+    the deepest lag any node reads."""
+    keys = Counter()
     top = -1
     for n in nodes:
         for degree, offset, first, last in _runs(scheme, n):
@@ -358,23 +357,25 @@ def _filled_keys(scheme, nodes) -> set[tuple[int, int, int]]:
                 top = max(top, n - first)
             else:
                 keys.update((degree, offset, n - j) for j in range(first, last + 1))
-    return keys | {(*_steady(scheme), lag) for lag in range(top + 1)}
+    keys.update((*_steady(scheme), lag) for lag in range(top + 1))
+    return keys
 
 
 def _per_interval_products(scheme, vals, n, alpha):
     """The products u^(j+offset-l) w_l(n - j) of node n, from one column
-    evaluation per interval on the unshifted window [j-1, j] below t = n."""
+    evaluation per interval."""
     products = []
     for degree, offset, first, last in _runs(scheme, n):
         for j in range(first, last + 1):
-            col = caputo_lk.schemes._columns(degree, offset, (float(n),), float(j), alpha)
+            col = caputo_lk.schemes._columns(degree, offset, (n - j,), alpha)
             products.extend(vals[j + offset - l] * w for l, (w,) in enumerate(col))
     return products
 
 
 def _per_interval_value(scheme, grid, vals, n, alpha):
-    """The node value from ``_per_interval_products``: the route the shared
-    columns replaced, kept as the reference they must match bit for bit."""
+    """The node value from ``_per_interval_products``: no column shared
+    between intervals or nodes, the reference the shared columns must match
+    bit for bit."""
     products = _per_interval_products(scheme, vals, n, alpha)
     return math.fsum(products) * grid.tau ** (-alpha) / math.gamma(1.0 - alpha)
 
@@ -382,7 +383,7 @@ def _per_interval_value(scheme, grid, vals, n, alpha):
 def _basis_derivative(degree, offset, l):
     """Exact coefficients of sigma^p in L_l'(sigma), the derivative of the
     Lagrange basis polynomial of stencil node anchor - l, anchor = 1 + offset,
-    on the window [0, 1] of CaputoWeights' shifted columns."""
+    on the window [0, 1] of ``_columns``."""
     anchor = 1 + offset
     poly = [Fraction(1)]
     for m in range(degree + 1):
@@ -428,7 +429,7 @@ def _check_columns(lags):
         with mpmath.workdps(60):
             ref = _reference_moments(mpmath, alpha, lags)
         for degree, offset in _COLUMN_SETS:
-            cols = caputo_lk.schemes._columns(degree, offset, [lag + 1.0 for lag in lags], 1.0, alpha)
+            cols = caputo_lk.schemes._columns(degree, offset, lags, alpha)
             for l, col in enumerate(cols):
                 coef = _basis_derivative(degree, offset, l)
                 for lag, got in zip(lags, col):
@@ -598,7 +599,7 @@ class TestProperties:
     def test_shared_weights_match_one_shot(self):
         """One CaputoWeights asked for nodes on grids of several steps, in
         any order, gives every value bit for bit as a fresh discrete_caputo
-        and as one column evaluation per interval on the unshifted window."""
+        and as one column evaluation per interval."""
         hp, st, settings = _property_tools()
 
         @settings

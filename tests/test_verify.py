@@ -10,8 +10,6 @@ import pytest
 from caputo_lk.verify import run_check
 
 OWN_CHECKS = [
-    "kernel moment window additivity",
-    "kernel moment recentring identity",
     "polynomial reproduction (k <= 6)",
     "L1 convolution weights match the piecewise form",
     "monomial power rule against quadrature",

@@ -54,6 +54,13 @@ _MIN_DIFF = 1e-15
 # Refinement factor for the first-node reference grid.
 _FIRST_NODE_REFINEMENT = 128
 
+# A first-node error below this many units eps max(|u(0)|, |u(tau)|)
+# h^-alpha / Gamma(2 - alpha) of its step-h reference is round-off; the weights
+# grow like 1/(1 - alpha).  Pure round-off measured at most 18 units (L2, L1-2,
+# alpha 0.01..0.99, beta 0.01..1, tau 2^-34..2^-900); L2 at alpha = beta = 0.5
+# and tau = 2^-21 reads 226.
+_FIRST_NODE_NOISE = 64.0
+
 # Steps per unit of the fixed time on the fixed-time reference grid.
 _FIXED_TIME_REFINEMENT = 64
 
@@ -203,9 +210,15 @@ def order_interior(
 def _first_node_error(weights: CaputoWeights, f, tau: float) -> float:
     """Error of the step-tau grid at its first node t = tau, measured
     against the same operator on the 128-fold refinement."""
-    coarse = scheme_value(weights, f, tau, tau)
-    fine = scheme_value(weights, f, tau / _FIRST_NODE_REFINEMENT, tau)
-    return abs(coarse - fine)
+    h = tau / _FIRST_NODE_REFINEMENT
+    err = abs(scheme_value(weights, f, tau, tau) - scheme_value(weights, f, h, tau))
+    al = weights.alpha
+    floor = _FIRST_NODE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(tau)))
+    floor *= h**-al / math.gamma(2.0 - al)
+    if err < floor:
+        raise DegenerateDifferenceError(f"first-node error {err:.3e} at tau={tau!r} is below "
+                                        f"the round-off floor {floor:.3e} of its reference")
+    return err
 
 
 def order_first_node(
@@ -225,7 +238,8 @@ def order_first_node(
     Only the quadratic schemes are admitted; their first interval is the
     linear first step, whose error order 2 - alpha is the quantity under
     test.  The probe must have m = 2 so the kink does not interfere with
-    the first node.
+    the first node.  Raises DegenerateDifferenceError when either error is
+    below the round-off floor of its reference node value.
     """
     if scheme.tag not in (SchemeTag.L2, SchemeTag.L12):
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")

@@ -33,7 +33,8 @@ of a node's in one ``math.fsum``, and no interpolant is built.  A column
 entry at lag >= 1 is one Horner pass of a series about the window's
 midpoint, whose coefficients are exact rationals per (degree, offset)
 (``_columns``); lag 0 folds the closed-form moments.  ``discrete_caputo``
-is its one-shot use.
+reads one object per (scheme, alpha) from a cache of the last 8 pairs, so
+each call fills only the lags no earlier call at that pair reached.
 """
 
 from __future__ import annotations
@@ -319,8 +320,10 @@ class CaputoWeights:
     The columns of the steady stencil (the run of ``interp._runs`` that
     grows with n) are stored densely, indexed by lag and extended on
     demand; the at most k startup or final intervals of a node get theirs
-    from one ``_columns`` call per run.  Nothing is shared between objects.
-    For L1 the one column is the weight row ``verify`` checks in closed form.
+    from one ``_columns`` call per run.  An extension publishes new steady
+    columns in one assignment, never touching those a concurrent ``value``
+    may be slicing, so threads may share one object.  For L1 the one
+    column is the weight row ``verify`` checks in closed form.
     """
 
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
@@ -345,10 +348,11 @@ class CaputoWeights:
         for degree, offset, first, last in _runs(self.scheme, n):
             # intervals first..last read lags n-first down to n-last
             if (degree, offset) == self._steady:
-                fresh = _columns(degree, offset, range(len(self._cols[0]), n - first + 1), al)
-                for col, more in zip(self._cols, fresh):
-                    col.extend(more)
-                cols = [col[n - last : n - first + 1] for col in self._cols]
+                cols = self._cols
+                if len(cols[0]) <= n - first:
+                    fresh = _columns(degree, offset, range(len(cols[0]), n - first + 1), al)
+                    cols = self._cols = tuple(col + more for col, more in zip(cols, fresh))
+                cols = [col[n - last : n - first + 1] for col in cols]
             else:
                 cols = _columns(degree, offset, range(n - last, n - first + 1), al)
             for l, col in enumerate(cols):
@@ -356,6 +360,12 @@ class CaputoWeights:
                 products.extend(map(operator.mul, window, reversed(col)))
         # fsum is correctly rounded, so the order of the products is immaterial
         return math.fsum(products) * grid.tau ** (-al) / gamma(1.0 - al)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_weights(scheme: SchemeKind, alpha: float) -> CaputoWeights:
+    # as for _series_coefficients, a handful of (scheme, alpha) are live at once
+    return CaputoWeights(scheme, alpha)
 
 
 def discrete_caputo(
@@ -369,10 +379,11 @@ def discrete_caputo(
 
     ``u`` may be a callable sampled at the nodes or a sequence of node
     values covering u^0..u^n.  At n = 1 every scheme collapses to the
-    linear (L1) first step.  A one-shot ``CaputoWeights``: callers that
-    evaluate several nodes or grids at one (scheme, alpha) share one.
+    linear (L1) first step.  The value is a fresh ``CaputoWeights``'s, bit
+    for bit, read from a cache of the last 8 (scheme, alpha) pairs, each
+    holding k + 1 steady columns to the deepest lag asked for.
     """
-    weights = CaputoWeights(scheme, alpha)
+    weights = _shared_weights(scheme, _check_alpha(alpha))
     value = weights.value(grid, u, n)
     return DiscreteCaputoValue(
         scheme=scheme, node=n, time=grid.time(n), alpha=weights.alpha, value=value

@@ -79,6 +79,30 @@ def test_first_node_subcommand(capsys):
     assert "expected=1.3000" in out
 
 
+_FIRST_NODE_L2 = ["first-node", "--scheme", "l2", "--alpha", "0.5", "--beta", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "tau_exp, line",
+    [
+        ("8", "tau=2^-8 error=1.214618e-04 measured_R=1.4983 expected=1.5000"),
+        ("20", "tau=2^-20 error=4.646538e-10 measured_R=1.5007 expected=1.5000"),
+    ],
+)
+def test_first_node_fine_steps(capsys, tau_exp, line):
+    assert main(_FIRST_NODE_L2 + ["--tau-exp", tau_exp]) == 0
+    assert capsys.readouterr().out == f"scheme=L2 alpha=0.5 beta=0.5 {line}\n"
+
+
+@pytest.mark.parametrize("tau_exp", ["24", "30", "60", "200"])
+def test_first_node_round_off_fails_the_measurement(capsys, tau_exp):
+    """Round-off once printed rates from 5.19 to -2.51 with exit code 0."""
+    assert main(_FIRST_NODE_L2 + ["--tau-exp", tau_exp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below the round-off floor" in captured.err
+
+
 def test_order_table_to_file(tmp_path, capsys):
     dest = tmp_path / "t4.csv"
     code = main(["order-table", "--table", "4", "--format", "csv", "--out", str(dest)])

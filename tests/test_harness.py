@@ -220,6 +220,15 @@ class TestOrderFirstNode:
             errs.append(order_first_node(SchemeKind.l2(), f, 0.5, 2.0**-7).error)
         assert errs[0] < errs[1] < errs[2] < 2.0 * errs[0]
 
+    @pytest.mark.parametrize("tau_exp", [24, 30, 60, 200])
+    def test_round_off_is_not_a_rate(self, tau_exp):
+        """Once u(tau) - u(0) sinks into the rounding of u(0) the errors are
+        noise amplified by h^-alpha; they were once reported as rates from
+        5.19 to -2.51."""
+        f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+        with pytest.raises(DegenerateDifferenceError, match="first-node error"):
+            order_first_node(SchemeKind.l2(), f, 0.5, 2.0**-tau_exp)
+
     def test_rejects_non_quadratic_scheme(self):
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
         with pytest.raises(ValueError):

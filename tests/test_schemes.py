@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -325,9 +327,95 @@ class TestReferenceRoute:
         assert len(keys) - edges <= 4 * n
 
 
+class TestSharedWeights:
+    """discrete_caputo reads one CaputoWeights per (scheme, alpha) from a
+    bounded cache, so a later call evaluates only the steady lags no
+    earlier call at that (scheme, alpha) reached."""
+
+    def test_later_call_fills_only_new_lags(self, monkeypatch):
+        keys = _record_moment_keys(monkeypatch)
+        g = UniformGrid(horizon=1.0, steps=40)
+        vals = [math.cos(2.0 * g.time(i)) for i in range(41)]
+        for scheme in ALL_SCHEMES:
+            discrete_caputo(scheme, g, vals, 17, 0.45)
+            keys.clear()
+            got = discrete_caputo(scheme, g, vals, 40, 0.45).value
+            new = _expected_keys(scheme, (17, 40)) - _expected_keys(scheme, (17,))
+            assert Counter(keys) == new, scheme.label
+            assert got == CaputoWeights(scheme, 0.45).value(g, vals, 40)
+
+    def test_ninth_alpha_evicts_the_first(self, monkeypatch):
+        keys = _record_moment_keys(monkeypatch)
+        g = UniformGrid(horizon=1.0, steps=8)
+        alphas = [0.1 * i + 0.05 for i in range(9)]
+        for alpha in alphas:
+            discrete_caputo(SchemeKind.l1(), g, lambda t: t * t, 8, alpha)
+        keys.clear()
+        discrete_caputo(SchemeKind.l1(), g, lambda t: t * t, 8, alphas[1])
+        assert keys == []
+        discrete_caputo(SchemeKind.l1(), g, lambda t: t * t, 8, alphas[0])
+        assert keys == [(1, 0, lag) for lag in range(8)]
+
+    def test_refused_call_leaves_the_cached_weights_intact(self):
+        caputo_lk.schemes._shared_weights.cache_clear()
+        g = UniformGrid(horizon=1.0, steps=12)
+        vals = [math.sin(3.0 * g.time(i)) for i in range(13)]
+        for scheme in (SchemeKind.l2(), SchemeKind.lk(4)):
+            discrete_caputo(scheme, g, vals, 6, 0.6)
+            with pytest.raises(ValueError, match="not finite"):
+                discrete_caputo(scheme, g, vals[:9] + [math.nan] + vals[10:], 12, 0.6)
+            with pytest.raises(ValueError):
+                discrete_caputo(scheme, g, vals + [0.0], 13, 0.6)
+            with pytest.raises(ValueError):
+                discrete_caputo(scheme, g, vals, 12, 1.0)
+            fresh = CaputoWeights(scheme, 0.6)
+            for n in (12, 3, 6, 1):
+                assert discrete_caputo(scheme, g, vals, n, 0.6).value == fresh.value(g, vals, n)
+        assert caputo_lk.schemes._shared_weights.cache_info().currsize == 2
+
+    def test_threads_share_one_object_bit_for_bit(self):
+        """Four threads ask the same two objects for nodes 1..400 in their
+        own orders under a short switch interval.  Extending the steady
+        columns in place raced (a thread read the length another was still
+        extending, shifting every later lag); a copy published in one
+        assignment does not."""
+        caputo_lk.schemes._shared_weights.cache_clear()
+        g = UniformGrid(horizon=1.0, steps=400)
+        vals = [math.sin(5.0 * g.time(i)) + g.time(i) ** 1.5 for i in range(401)]
+        pairs = [(SchemeKind.lk(6), 0.35), (SchemeKind.l2(), 0.65)]
+        want = {(s, a, n): CaputoWeights(s, a).value(g, vals, n) for s, a in pairs for n in range(1, 401)}
+        barrier = threading.Barrier(4, timeout=60.0)
+        wrong, done = [], []
+
+        def work(seed):
+            order = [(s, a, n) for s, a in pairs for n in range(1, 401)]
+            random.Random(seed).shuffle(order)
+            barrier.wait()
+            for s, a, n in order:
+                if discrete_caputo(s, g, vals, n, a).value != want[s, a, n]:
+                    wrong.append((s.label, a, n))
+            done.append(seed)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert wrong == []
+
+
 def _record_moment_keys(monkeypatch) -> list[tuple[int, int, int]]:
     """Patch the column function to record each column evaluation as
-    (degree, offset, lag)."""
+    (degree, offset, lag), with the cache of shared objects emptied so the
+    count does not depend on the calls of earlier tests."""
+    caputo_lk.schemes._shared_weights.cache_clear()
     keys = []
     core = caputo_lk.schemes._columns
 

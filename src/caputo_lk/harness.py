@@ -54,12 +54,12 @@ _MIN_DIFF = 1e-15
 # Refinement factor for the first-node reference grid.
 _FIRST_NODE_REFINEMENT = 128
 
-# A first-node error below this many units eps max(|u(0)|, |u(tau)|)
+# An error at time t below this many units eps max(|u(0)|, |u(t)|)
 # h^-alpha / Gamma(2 - alpha) of its step-h reference is round-off; the weights
-# grow like 1/(1 - alpha).  Pure round-off measured at most 18 units (L2, L1-2,
-# alpha 0.01..0.99, beta 0.01..1, tau 2^-34..2^-900); L2 at alpha = beta = 0.5
-# and tau = 2^-21 reads 226.
-_FIRST_NODE_NOISE = 64.0
+# grow like 1/(1 - alpha).  Pure first-node round-off measured at most 18 units
+# (L2, L1-2, alpha 0.01..0.99, beta 0.01..1, tau 2^-34..2^-900); L2 at
+# alpha = beta = 0.5 and tau = 2^-21 reads 226.
+_REFERENCE_NOISE = 64.0
 
 # Steps per unit of the fixed time on the fixed-time reference grid.
 _FIXED_TIME_REFINEMENT = 64
@@ -207,16 +207,16 @@ def order_interior(
     )
 
 
-def _first_node_error(weights: CaputoWeights, f, tau: float) -> float:
-    """Error of the step-tau grid at its first node t = tau, measured
-    against the same operator on the 128-fold refinement."""
-    h = tau / _FIRST_NODE_REFINEMENT
-    err = abs(scheme_value(weights, f, tau, tau) - scheme_value(weights, f, h, tau))
+def _reference_error(weights: CaputoWeights, f, tau: float, t: float, h: float, what: str) -> float:
+    """Error of the step-tau grid at time t against the same operator on the
+    step-h grid, refused when it is below the round-off floor of that
+    reference value."""
+    err = abs(scheme_value(weights, f, tau, t) - scheme_value(weights, f, h, t))
     al = weights.alpha
-    floor = _FIRST_NODE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(tau)))
+    floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(t)))
     floor *= h**-al / math.gamma(2.0 - al)
     if err < floor:
-        raise DegenerateDifferenceError(f"first-node error {err:.3e} at tau={tau!r} is below "
+        raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is below "
                                         f"the round-off floor {floor:.3e} of its reference")
     return err
 
@@ -246,8 +246,9 @@ def order_first_node(
     if f.m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
     weights = CaputoWeights(scheme, alpha)
-    err = _first_node_error(weights, f, tau)
-    err_half = _first_node_error(weights, f, tau / 2.0)
+    h = tau / _FIRST_NODE_REFINEMENT
+    err = _reference_error(weights, f, tau, tau, h, "first-node error")
+    err_half = _reference_error(weights, f, tau / 2.0, tau / 2.0, h / 2.0, "first-node error")
     rate = _rate(err, err_half, "first-node errors", alpha, f)
     return FirstNodeRow(
         scheme=scheme,
@@ -276,7 +277,9 @@ def order_fixed_time(
         R = log2 E(tau) / E(tau/2),  E(h) = |d_h(t) - d_{t/64}(t)|.
 
     t must be a node of the step-tau grid, and the step-tau/2 grid must be
-    coarser than the reference grid, so t / tau < 32.
+    coarser than the reference grid, so t / tau < 32.  Raises
+    DegenerateDifferenceError when either error is below the round-off
+    floor of the reference value.
 
     With t = 2^-7 and tau in {2^-7, 2^-8} this reproduces all 18 errors
     of the published first-node table to their printed digits, and its
@@ -294,9 +297,8 @@ def order_fixed_time(
         )
     weights = CaputoWeights(SchemeKind.l1(), alpha)
     tau_ref = t / _FIXED_TIME_REFINEMENT
-    ref = scheme_value(weights, f, tau_ref, t)
-    err = abs(scheme_value(weights, f, tau, t) - ref)
-    err_half = abs(scheme_value(weights, f, tau / 2.0, t) - ref)
+    err = _reference_error(weights, f, tau, t, tau_ref, "fixed-time error")
+    err_half = _reference_error(weights, f, tau / 2.0, t, tau_ref, "fixed-time error")
     rate = _rate(err, err_half, "fixed-time errors", alpha, f)
     return FixedTimeRow(
         alpha=alpha,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,10 +276,10 @@ def _check_nodes(grid: UniformGrid, values: Sequence[float], n: int) -> list[flo
         raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
     if len(values) < n + 1:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
-    out = [float(values[i]) for i in range(n + 1)]
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
+    out = list(map(float, itertools.islice(values, n + 1)))
+    if not all(map(math.isfinite, out)):
+        i = next(i for i, v in enumerate(out) if not math.isfinite(v))
+        raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
     return out
 
 

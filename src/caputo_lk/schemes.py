@@ -26,15 +26,16 @@ The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
 weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2), indexed by
 lag.  ``CaputoWeights``, the one route to a node value, stores the steady
-columns of one (scheme, alpha), extended on demand and shared by every
-grid and node, and evaluates the at most k startup or final intervals of
-each node afresh; every run of intervals is then k + 1 slice products, all
-of a node's in one ``math.fsum``, and no interpolant is built.  A column
-entry at lag >= 1 is one Horner pass of a series about the window's
-midpoint, whose coefficients are exact rationals per (degree, offset)
-(``_columns``); lag 0 folds the closed-form moments.  ``discrete_caputo``
-reads one object per (scheme, alpha) from a cache of the last 8 pairs, so
-each call fills only the lags no earlier call at that pair reached.
+columns of one (scheme, alpha) and their fold, the convolution row c(m)
+that weighs u^(n-m), extended on demand and shared by every grid and node.
+A node is one slice product over c, edge terms from the columns for the
+k nodes its steady run covers in part, and its at most k startup or final
+intervals evaluated afresh, all in one ``math.fsum``.  A column entry at
+lag >= 1 is one Horner pass of a series about the window's midpoint, with
+exact rational coefficients per (degree, offset) (``_columns``); lag 0
+folds the closed-form moments.  ``discrete_caputo`` reads one object per
+(scheme, alpha) from a cache of the last 8 pairs, so each call fills only
+the lags no earlier call at that pair reached.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from math import gamma
 from typing import Callable, Sequence
@@ -317,13 +319,20 @@ class CaputoWeights:
     Interval I_j of node n, with a degree-k piece anchored at j + offset,
     contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, the column
     entries of ``_columns``: they depend on the lag alone, never on j or n.
-    The columns of the steady stencil (the run of ``interp._runs`` that
-    grows with n) are stored densely, indexed by lag and extended on
-    demand; the at most k startup or final intervals of a node get theirs
-    from one ``_columns`` call per run.  An extension publishes new steady
-    columns in one assignment, never touching those a concurrent ``value``
-    may be slicing, so threads may share one object.  For L1 the one
-    column is the weight row ``verify`` checks in closed form.
+    The steady stencil (the run of ``interp._runs`` that grows with n; its
+    lags start at offset) keeps its columns by lag, column l shifted to
+    start at index l, and their fold, the convolution row
+
+        c(m) = sum_l w_l(m + offset - l),   l = 0..min(k, m),
+
+    the weight of u^(n-m).  Each node the steady run covers fully costs one
+    product; the p-th node below those takes only its terms l >= p from the
+    columns, and a node's at most k startup or final intervals get theirs
+    from one ``_columns`` call per run.  Columns and row grow on demand and
+    are published together in one assignment, never touching those a
+    concurrent ``value`` may be reading, so threads may share one object.
+    For L1 the one column is the weight row ``verify`` checks in closed
+    form.
     """
 
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
@@ -331,7 +340,7 @@ class CaputoWeights:
         self.alpha = _check_alpha(alpha)
         # past 2k + 1 nodes the run that grows with n is the longest one
         self._steady = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])[:2]
-        self._cols: tuple[list[float], ...] = tuple([] for _ in range(self._steady[0] + 1))
+        self._store = (tuple(array("d") for _ in range(self._steady[0] + 1)), [])
 
     def value(
         self,
@@ -347,17 +356,28 @@ class CaputoWeights:
         products = []
         for degree, offset, first, last in _runs(self.scheme, n):
             # intervals first..last read lags n-first down to n-last
-            if (degree, offset) == self._steady:
-                cols = self._cols
-                if len(cols[0]) <= n - first:
-                    fresh = _columns(degree, offset, range(len(cols[0]), n - first + 1), al)
-                    cols = self._cols = tuple(col + more for col, more in zip(cols, fresh))
-                cols = [col[n - last : n - first + 1] for col in cols]
-            else:
+            if (degree, offset) != self._steady:
                 cols = _columns(degree, offset, range(n - last, n - first + 1), al)
-            for l, col in enumerate(cols):
-                window = vals[first + offset - l : last + offset - l + 1]
-                products.extend(map(operator.mul, window, reversed(col)))
+                for l, col in enumerate(cols):
+                    window = vals[first + offset - l : last + offset - l + 1]
+                    products.extend(map(operator.mul, window, reversed(col)))
+                continue
+            # cols[l][lag + l] = w_l(lag), zero below lag offset: node i
+            # reads index n - i + offset of its columns l >= lo - i
+            lo = first + offset
+            cols, row = self._store
+            if len(row) <= n - lo:
+                fresh = _columns(degree, offset, range(len(cols[0]), n - first + 1), al)
+                if not row:
+                    fresh = [[0.0] * (l + offset) + col[offset:] for l, col in enumerate(fresh)]
+                cols = tuple(col + array("d", more) for col, more in zip(cols, fresh))
+                # the zeros column l holds below m = l leave fsum's value alone
+                folds = zip(*(col[len(row) + offset : n - first + 1] for col in cols))
+                row = row + list(map(math.fsum, folds))
+                self._store = (cols, row)
+            products.extend(map(operator.mul, vals[lo:], row[n - lo :: -1]))
+            for i in range(lo - degree, lo):
+                products.extend(vals[i] * col[n - i + offset] for col in cols[lo - i :])
         # fsum is correctly rounded, so the order of the products is immaterial
         return math.fsum(products) * grid.tau ** (-al) / gamma(1.0 - al)
 
@@ -381,7 +401,8 @@ def discrete_caputo(
     values covering u^0..u^n.  At n = 1 every scheme collapses to the
     linear (L1) first step.  The value is a fresh ``CaputoWeights``'s, bit
     for bit, read from a cache of the last 8 (scheme, alpha) pairs, each
-    holding k + 1 steady columns to the deepest lag asked for.
+    holding k + 1 steady columns and their folded row to the deepest lag
+    asked for.
     """
     weights = _shared_weights(scheme, _check_alpha(alpha))
     value = weights.value(grid, u, n)

@@ -272,6 +272,19 @@ class TestOrderFixedTime:
         with pytest.raises(ValueError):
             order_fixed_time(f, 0.5, 2.0**-7, 2.0**-8)
 
+    @pytest.mark.parametrize("tau_exp", [30, 40])
+    def test_round_off_is_not_a_rate(self, tau_exp):
+        """At t = tau = 2^-30 and 2^-40 both errors are round-off of the
+        reference; they were once reported as rates -0.004 and 0.14."""
+        f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+        with pytest.raises(DegenerateDifferenceError, match="fixed-time error"):
+            order_fixed_time(f, 0.5, 2.0**-tau_exp, 2.0**-tau_exp)
+
+    def test_fine_step_above_round_off_keeps_its_rate(self):
+        f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+        row = order_fixed_time(f, 0.5, 2.0**-20, 2.0**-20)
+        assert row.measured_R == pytest.approx(1.408, abs=5e-4)
+
     def test_rejects_step_too_close_to_reference(self):
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
         with pytest.raises(ValueError):

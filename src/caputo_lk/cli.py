@@ -4,7 +4,8 @@ Subcommands: ``order-table`` renders one of the built-in convergence
 studies, ``order`` measures a single interior convergence order,
 ``first-node`` measures the error and order at the first grid node, and
 ``verify`` runs the self-check suite.  Exit codes: 0 on success, 1 when a
-verification or order measurement fails, 2 on usage errors.
+verification or order measurement fails, 2 on usage errors and on an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .harness import (
     order_interior,
     reproduce_table,
 )
-from .holder import HolderTestFunction, NotAGridNodeError
+from .holder import HolderTestFunction
 from .interp import SchemeKind
 from .verify import run_verification
 
@@ -133,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, NotAGridNodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDifferenceError as exc:

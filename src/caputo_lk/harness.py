@@ -21,10 +21,9 @@ import sys
 from dataclasses import dataclass
 from typing import TextIO, Union
 
-from .holder import HolderTestFunction, RegularityClass, UniformGrid
+from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha
 from .interp import SchemeKind, SchemeTag
-# discrete_caputo is not called here; perfbench/spans.py patches it by name
-from .schemes import CaputoWeights, discrete_caputo
+from .schemes import discrete_caputo
 
 __all__ = [
     "DASH",
@@ -149,20 +148,20 @@ def _rate(coarse: float, fine: float, what: str, alpha: float, f: HolderTestFunc
     return math.log2(coarse / fine)
 
 
-def scheme_value(weights: CaputoWeights, u, tau: float, t: float) -> float:
+def scheme_value(scheme: SchemeKind, alpha: float, u, tau: float, t: float) -> float:
     """Discrete Caputo value of u at physical time t on the step-tau grid
-    over [0, 1], under the scheme and alpha of ``weights``.
+    over [0, 1], under the given scheme and alpha.
 
     Both 1/tau and t/tau must be integral; t is mapped to its node index
-    through the grid so off-grid times are refused.  ``weights`` is the
-    measurement's one ``CaputoWeights``, shared by all its grids so each
-    lag's moments are computed once.
+    through the grid so off-grid times are refused.  The value is
+    ``discrete_caputo``'s, whose weights every grid, measurement and study
+    at this (scheme, alpha) shares, so each lag is computed once.
     """
     grid = _unit_grid(tau)
     n = grid.node_index(t)
     if n == 0:
         raise ValueError("the discrete operator starts at the first node")
-    return weights.value(grid, u, n)
+    return discrete_caputo(scheme, grid, u, n, alpha).value
 
 
 def order_interior(
@@ -192,8 +191,7 @@ def order_interior(
             f"got xi/tau = {n_coarse}"
         )
 
-    weights = CaputoWeights(scheme, alpha)
-    d1, d2, d4 = (scheme_value(weights, f, tau / r, xi) for r in (1.0, 2.0, 4.0))
+    d1, d2, d4 = (scheme_value(scheme, alpha, f, tau / r, xi) for r in (1.0, 2.0, 4.0))
     rate = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
     return ConvergenceRow(
         scheme=scheme,
@@ -207,12 +205,12 @@ def order_interior(
     )
 
 
-def _reference_error(weights: CaputoWeights, f, tau: float, t: float, h: float, what: str) -> float:
+def _reference_error(scheme: SchemeKind, alpha, f, tau: float, t: float, h: float, what: str) -> float:
     """Error of the step-tau grid at time t against the same operator on the
     step-h grid, refused when it is below the round-off floor of that
     reference value."""
-    err = abs(scheme_value(weights, f, tau, t) - scheme_value(weights, f, h, t))
-    al = weights.alpha
+    err = abs(scheme_value(scheme, alpha, f, tau, t) - scheme_value(scheme, alpha, f, h, t))
+    al = _check_alpha(alpha)
     floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(t)))
     floor *= h**-al / math.gamma(2.0 - al)
     if err < floor:
@@ -245,10 +243,9 @@ def order_first_node(
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
     if f.m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
-    weights = CaputoWeights(scheme, alpha)
     h = tau / _FIRST_NODE_REFINEMENT
-    err = _reference_error(weights, f, tau, tau, h, "first-node error")
-    err_half = _reference_error(weights, f, tau / 2.0, tau / 2.0, h / 2.0, "first-node error")
+    err = _reference_error(scheme, alpha, f, tau, tau, h, "first-node error")
+    err_half = _reference_error(scheme, alpha, f, tau / 2.0, tau / 2.0, h / 2.0, "first-node error")
     rate = _rate(err, err_half, "first-node errors", alpha, f)
     return FirstNodeRow(
         scheme=scheme,
@@ -295,10 +292,10 @@ def order_fixed_time(
             f"step {tau!r} halved is not coarser than the reference step "
             f"{t!r}/{_FIXED_TIME_REFINEMENT}"
         )
-    weights = CaputoWeights(SchemeKind.l1(), alpha)
+    l1 = SchemeKind.l1()
     tau_ref = t / _FIXED_TIME_REFINEMENT
-    err = _reference_error(weights, f, tau, t, tau_ref, "fixed-time error")
-    err_half = _reference_error(weights, f, tau / 2.0, t, tau_ref, "fixed-time error")
+    err = _reference_error(l1, alpha, f, tau, t, tau_ref, "fixed-time error")
+    err_half = _reference_error(l1, alpha, f, tau / 2.0, t, tau_ref, "fixed-time error")
     rate = _rate(err, err_half, "fixed-time errors", alpha, f)
     return FixedTimeRow(
         alpha=alpha,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
 
-from .holder import UniformGrid
+from .holder import UniformGrid, _check_count
 
 __all__ = [
     "SchemeTag",
@@ -171,6 +171,8 @@ class LagrangePiece:
             if not prev < x < math.inf:
                 raise ValueError(f"stencil node times must be finite and strictly ascending, got {x!r}")
             prev = x
+        if not all(map(math.isfinite, self.node_values)):
+            raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"grid step must be positive and finite, got tau={self.tau!r}")
         for end in self.interval:
@@ -267,13 +269,15 @@ def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: in
     )
 
 
-def _check_nodes(grid: UniformGrid, values: Sequence[float], n: int) -> list[float]:
-    """Check node n and the values u^0..u^n for evaluation at node n;
-    return those values as floats."""
+def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
+    """Check node n and the values u^0..u^n for evaluation at node n, given
+    as a sequence or as a callable sampled at the nodes; return them as floats."""
+    _check_count(n, "evaluation node n")
     if n < 1:
         raise ValueError(f"evaluation node must be at least 1, got {n}")
     if n > grid.steps:
         raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
+    values = [values(grid.time(i)) for i in range(n + 1)] if callable(values) else values
     if len(values) < n + 1:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
     out = list(map(float, itertools.islice(values, n + 1)))

@@ -350,8 +350,7 @@ class CaputoWeights:
     ) -> float:
         """Discrete Caputo value of u at node n of the grid, as
         ``discrete_caputo`` defines it, bit for bit."""
-        values = [u(grid.time(i)) for i in range(n + 1)] if callable(u) else u
-        vals = _check_nodes(grid, values, n)
+        vals = _check_nodes(grid, u, n)
         al = self.alpha
         products = []
         for degree, offset, first, last in _runs(self.scheme, n):

@@ -116,6 +116,15 @@ def test_order_table_to_file(tmp_path, capsys):
     assert len(lines) == 28
 
 
+def test_order_table_to_unwritable_path(tmp_path, capsys):
+    """A missing directory once escaped as a FileNotFoundError traceback."""
+    dest = tmp_path / "missing" / "t1.csv"
+    assert main(["order-table", "--table", "1", "--format", "csv", "--out", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(dest) in captured.err
+
+
 def test_order_table_markdown_stdout(capsys):
     code = main(["order-table", "--table", "2"])
     out = capsys.readouterr().out

@@ -29,7 +29,6 @@ def test_all_names_resolve(module_name):
 # Imports a module keeps without reading them, each with its reason.
 _KEPT_IMPORTS = {
     ("caputo_lk.schemes", "build_interpolant"): "perfbench/spans.py patches it by this name",
-    ("caputo_lk.harness", "discrete_caputo"): "perfbench/spans.py patches it by this name",
 }
 
 

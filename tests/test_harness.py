@@ -27,8 +27,7 @@ from caputo_lk.schemes import CaputoWeights
 
 class TestSchemeValue:
     def test_matches_closed_form_on_linear(self):
-        weights = CaputoWeights(SchemeKind.l1(), 0.5)
-        got = scheme_value(weights, lambda t: 2.0 * t, 2.0**-4, 0.5)
+        got = scheme_value(SchemeKind.l1(), 0.5, lambda t: 2.0 * t, 2.0**-4, 0.5)
         want = 2.0 * 0.5**0.5 / math.gamma(1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -36,7 +35,7 @@ class TestSchemeValue:
         from caputo_lk.holder import NotAGridNodeError
 
         with pytest.raises(NotAGridNodeError):
-            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 2.0**-4, 0.3)
+            scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 2.0**-4, 0.3)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
     def test_rejects_non_finite_node_quotient(self, t):
@@ -44,33 +43,34 @@ class TestSchemeValue:
         from caputo_lk.holder import NotAGridNodeError
 
         with pytest.raises(NotAGridNodeError, match="is not a node"):
-            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 0.125, t)
+            scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 0.125, t)
 
     def test_rejects_incompatible_step(self):
         with pytest.raises(ValueError):
-            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 0.3, 0.3)
+            scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 0.3, 0.3)
 
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
-            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 2.0**-4, 0.0)
+            scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 2.0**-4, 0.0)
 
     @pytest.mark.parametrize("tau", [0.0, -0.25, math.nan, math.inf])
     def test_rejects_bad_step(self, tau):
         """tau = 0 once raised ZeroDivisionError and NaN a conversion error."""
         with pytest.raises(ValueError, match="step tau must be positive and finite"):
-            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, tau, 0.5)
+            scheme_value(SchemeKind.l1(), 0.5, lambda t: t, tau, 0.5)
 
     def test_rejects_step_whose_reciprocal_overflows(self):
         """tau = 1e-310 once escaped the CLI's handler as OverflowError."""
         with pytest.raises(ValueError, match=r"tau=1e-310 is too small"):
-            scheme_value(CaputoWeights(SchemeKind.l1(), 0.5), lambda t: t, 1e-310, 1e-310)
+            scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 1e-310, 1e-310)
 
     def test_shared_weights_give_the_same_value(self):
-        weights = CaputoWeights(SchemeKind.l12(), 0.4)
         u = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         for tau in (2.0**-5, 2.0**-3, 2.0**-6):
-            got = scheme_value(weights, u, tau, 0.5)
-            assert got == scheme_value(CaputoWeights(SchemeKind.l12(), 0.4), u, tau, 0.5)
+            got = scheme_value(SchemeKind.l12(), 0.4, u, tau, 0.5)
+            grid = _unit_grid(tau)
+            fresh = CaputoWeights(SchemeKind.l12(), 0.4).value(grid, u, grid.node_index(0.5))
+            assert got == fresh
 
 
 class TestUnitGrid:
@@ -162,8 +162,7 @@ def _taylor_free(f, degree=7):
 
 def _interior_rate(scheme, u, alpha, tau, xi):
     # R = log2 |d(tau) - d(tau/2)| / |d(tau/2) - d(tau/4)| at the kink
-    weights = CaputoWeights(scheme, alpha)
-    d1, d2, d4 = (scheme_value(weights, u, tau / r, xi) for r in (1.0, 2.0, 4.0))
+    d1, d2, d4 = (scheme_value(scheme, alpha, u, tau / r, xi) for r in (1.0, 2.0, 4.0))
     return math.log2(abs(d1 - d2) / abs(d2 - d4))
 
 
@@ -250,20 +249,20 @@ class TestOrderFixedTime:
 
     def test_error_is_l1_against_the_reference_grid(self):
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
-        l1 = CaputoWeights(SchemeKind.l1(), 0.5)
+        l1 = SchemeKind.l1()
         t = 2.0**-7
         row = order_fixed_time(f, 0.5, t, t)
-        ref = scheme_value(l1, f, t / 64, t)
-        assert row.error == abs(scheme_value(l1, f, t, t) - ref)
-        assert row.error_half == abs(scheme_value(l1, f, t / 2, t) - ref)
+        ref = scheme_value(l1, 0.5, f, t / 64, t)
+        assert row.error == abs(scheme_value(l1, 0.5, f, t, t) - ref)
+        assert row.error_half == abs(scheme_value(l1, 0.5, f, t / 2, t) - ref)
 
     def test_l2_differs_from_l1_past_the_first_node(self):
         # node 2 of the 2^-8 grid: L2 is already quadratic there, so the
         # fixed-time construction depends on the scheme after the first step
         f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
         t = 2.0**-7
-        l2 = CaputoWeights(SchemeKind.l2(), 0.3)
-        l2_err = abs(scheme_value(l2, f, 2.0**-8, t) - scheme_value(l2, f, t / 64, t))
+        l2 = SchemeKind.l2()
+        l2_err = abs(scheme_value(l2, 0.3, f, 2.0**-8, t) - scheme_value(l2, 0.3, f, t / 64, t))
         l1_err = order_fixed_time(f, 0.3, 2.0**-8, t).error
         assert l2_err < 1e-3 * l1_err
 

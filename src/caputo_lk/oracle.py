@@ -3,9 +3,9 @@
 Two independent routes to the same quantity:
 
 * ``quad_caputo_piecewise`` integrates a scheme interpolant's derivative
-  against the kernel numerically, piece by piece.  The final piece is
-  transformed with w = (t_n - s)^(1-alpha), which removes the endpoint
-  singularity exactly.
+  against the kernel numerically, as one adaptive integral over (0, t_n]
+  in w = (t_n - s)^(1-alpha), which removes the endpoint singularity
+  exactly; the pieces' ends are its break points.
 * ``quad_caputo_integrated`` evaluates the integrated-by-parts form, whose
   integrand only needs function values.  Dyadic bands clustered at s = t
   resolve the endpoint, and the bands not taken are summed from the last
@@ -21,10 +21,10 @@ pieces' Newton form (``LagrangePiece.newton``, divided differences of the
 stencil data): the integrated route through ``piece.evaluate``, the
 piecewise route through the derivative of the same form.  The adaptive
 routine follows QUADPACK's QAGP: one starting region per pair of
-consecutive break points, then global bisection of the worst region.
-Integrands take a batch: each Gauss-Kronrod region passes its 15 nodes in
-one call and gets their values back as a list, so an interpolant's piece
-is looked up once per region, never per point.
+consecutive break points, then global bisection of the worst region
+within a per-call budget.  Integrands take a batch: each Gauss-Kronrod
+region passes its 15 nodes in one call and gets their values back as a
+list, so an interpolant's piece is looked up once per region.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 
 _MIN_TOL = 1e-14
 _MAX_DEPTH = 40
-_MAX_REGIONS = 20000
+_MAX_REGIONS = 20000  # regions one call may add by bisection
 _MAX_BANDS = 64
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
@@ -133,9 +133,9 @@ def _adaptive(
     if not heap:
         return 0.0
     heapq.heapify(heap)
-    evaluated = len(heap)  # GK15 regions
+    starting = evaluated = len(heap)  # GK15 regions
     while total_err > tol:
-        if len(heap) >= _MAX_REGIONS:
+        if len(heap) - starting >= _MAX_REGIONS:
             raise QuadratureConvergenceError(
                 "adaptive quadrature exceeded the region budget",
                 math.fsum(r[3] for r in heap),
@@ -158,6 +158,12 @@ def _adaptive(
         stats["regions"] = stats.get("regions", 0) + len(heap)
         stats["evaluations"] = stats.get("evaluations", 0) + len(_OFFSETS) * evaluated
     return math.fsum(r[3] for r in heap)
+
+
+def _check_tol(tol: float) -> float:
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
+    return max(tol, _MIN_TOL)
 
 
 def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
@@ -189,40 +195,32 @@ def quad_caputo_piecewise(
 ) -> float:
     """Numerical value of the discrete operator applied to interpolant p.
 
-    Integrates (t_n - s)^(-alpha) p'(s) over every piece adaptively and
-    divides by Gamma(1 - alpha).  A ``stats`` dict receives ``regions``,
-    ``err_estimate``, the summed final Gauss-Kronrod error estimates, and
-    ``evaluations``, the integrand points evaluated (15 per region).
+    Integrates (t_n - s)^(-alpha) p'(s) over (0, t_n] as one adaptive
+    integral in w = (t_n - s)^(1-alpha), breaking at the pieces' ends, and
+    divides by Gamma(1 - alpha); ``tol`` bounds the whole integral.  A
+    ``stats`` dict receives ``regions``, ``err_estimate``, the summed final
+    Gauss-Kronrod error estimates, and ``evaluations``, the integrand
+    points evaluated (15 per region).
     """
     al = _check_alpha(alpha)
+    tol = _check_tol(tol)
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
-    tol = max(tol, _MIN_TOL)
     if stats is not None:
         stats.update(err_estimate=0.0, regions=0, evaluations=0)
-    per_piece = tol / (len(p.pieces) + 1)
     gamma_exp = 1.0 / (1.0 - al)
-    kernel_exp = -al
-    contributions = []
-    for piece in p.pieces:
-        lo, hi = piece.interval
-        # each integrand is consumed by _adaptive before piece moves on
-        if hi < t_n * (1.0 - 1e-12) or t_n == 0.0:
-            f = lambda ss: [
-                (t_n - s) ** kernel_exp * d for s, d in zip(ss, _piece_derivative(piece, ss))
-            ]
-            points = [lo, hi]
-        else:
-            # final piece: w = (t_n - s)^(1-alpha) absorbs the singularity
-            f = lambda ws: [
-                gamma_exp * d for d in _piece_derivative(piece, [t_n - w**gamma_exp for w in ws])
-            ]
-            points = [0.0, (t_n - lo) ** (1.0 - al)]
-        contributions.append(_adaptive(f, points, per_piece, stats))
+
+    def f(ws: Sequence[float]) -> list[float]:
+        ss = [t_n - w**gamma_exp for w in ws]
+        return [gamma_exp * d for d in _piece_derivative(p.piece_at(ss[0]), ss)]
+
+    # w = 0 at t_n; a region's centre, its first point, names its piece
+    points = [0.0, *((t_n - q.interval[0]) ** (1.0 - al) for q in reversed(p.pieces))]
     g = gamma(1.0 - al)
+    value = _adaptive(f, points, tol, stats) / g
     if stats is not None:
         stats["err_estimate"] /= g
-    return math.fsum(contributions) / g
+    return value
 
 
 def _tail_weights(ratios: Sequence[float]) -> tuple[float, ...]:
@@ -270,7 +268,7 @@ def quad_caputo_integrated(
     al = _check_alpha(alpha)
     if not 0.0 < t < math.inf:
         raise ValueError(f"evaluation time must be positive and finite, got {t!r}")
-    tol = max(tol, _MIN_TOL)
+    tol = _check_tol(tol)
     if stats is not None:
         stats.update(err_estimate=0.0, regions=0, evaluations=0)
     u_t = u(t)

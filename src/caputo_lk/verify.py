@@ -71,10 +71,10 @@ def _check(name: str):
 
 @_check("partition of unity (k <= 6)")
 def _check_partition_of_unity(rng: random.Random) -> tuple[bool, str]:
-    # on the monomial basis discrete_caputo integrates (the Newton form of
-    # constant data is constant by construction); stencils start anywhere
-    # in [0, 20 tau), not only on grid nodes, and points reach two steps
-    # past either end
+    # on the monomial basis the reference route caputo_of_piece integrates
+    # (discrete_caputo reads _columns; the Newton form of constant data is
+    # constant by construction); stencils start anywhere in [0, 20 tau), not
+    # only on grid nodes, and points reach two steps past either end
     worst = 0.0
     count = 0
     for k in range(1, 7):

@@ -282,6 +282,70 @@ class TestPiecewiseOracle:
         assert stats["regions"] >= 1
         assert 0.0 <= stats["err_estimate"] <= 1e-12
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        interp = monomial_interpolant(2, 0.8)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            quad_caputo_piecewise(interp, 0.8, 0.5, tol=tol)
+
+    def test_one_adaptive_integral_per_value(self, monkeypatch):
+        g = UniformGrid(horizon=1.0, steps=40)
+        u = HolderTestFunction(m=1, beta=0.6, xi=g.time(17))
+        vals = [u(g.time(i)) for i in range(41)]
+        interp = build_interpolant(SchemeKind.lk(3), g, vals, 40)
+        calls = 0
+        adaptive = oracle._adaptive
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_adaptive", counting)
+        quad_caputo_piecewise(interp, g.time(40), 0.7)
+        assert len(interp.pieces) == 40
+        assert calls == 1
+
+    @pytest.mark.parametrize(
+        "scheme, n, alpha, m, beta, kink",
+        [
+            (SchemeKind.l1(), 256, 0.852039601071349, 2, 0.8184349418429719, 70),
+            (SchemeKind.l12(), 256, 0.8637975149220412, 2, 0.8353246506346091, 90),
+            (SchemeKind.lk(4), 256, 0.7962552354876188, 2, 0.8188326107366736, 42),
+            (SchemeKind.lk(6), 256, 0.8236037569628104, 2, 0.4859136630989703, 5),
+            (SchemeKind.lk(6), 1024, 0.95, 1, 0.5, 512),
+        ],
+        ids=["L1#1", "L1-2#3", "L1-2-3-4#1", "L1-2-3-4-5-6#1", "L1-2-3-4-5-6,n=1024"],
+    )
+    def test_fine_grid_reaches_tolerance(self, scheme, n, alpha, m, beta, kink):
+        """Fine-grid values that a per-piece share of tol could not reach
+        (the first four are benchmark trajectory configurations): one
+        integral over all pieces meets tol."""
+        g = UniformGrid(horizon=1.0, steps=n)
+        u = HolderTestFunction(m=m, beta=beta, xi=g.time(kink))
+        vals = [u(g.time(i)) for i in range(n + 1)]
+        stats = {}
+        got = quad_caputo_piecewise(
+            build_interpolant(scheme, g, vals, n), 1.0, alpha, tol=1e-12, stats=stats
+        )
+        want = discrete_caputo(scheme, g, vals, n, alpha).value
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        assert stats["err_estimate"] <= 1e-12
+
+    def test_seeded_sweep_never_raises(self):
+        rng = random.Random(1)
+        for _ in range(100):
+            scheme = rng.choice(_ALL_SCHEMES)
+            alpha = rng.uniform(0.05, 0.95)
+            n = rng.randrange(1, 257)
+            g = UniformGrid(horizon=1.0, steps=n)
+            xi = g.time(rng.randrange(1, n + 1))
+            u = HolderTestFunction(m=rng.randrange(0, 3), beta=rng.uniform(0.1, 1.0), xi=xi)
+            vals = [u(g.time(i)) for i in range(n + 1)]
+            got = quad_caputo_piecewise(build_interpolant(scheme, g, vals, n), g.time(n), alpha)
+            want = discrete_caputo(scheme, g, vals, n, alpha).value
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (scheme.label, alpha, n)
+
 
 class TestIntegratedOracle:
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -431,6 +495,11 @@ class TestIntegratedOracle:
         with pytest.raises(ValueError) as excinfo:
             quad_caputo_integrated(lambda s: s, t, 0.5)
         assert repr(t) in str(excinfo.value)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            quad_caputo_integrated(lambda s: s * s, 0.8, 0.5, tol=tol)
 
 
 class TestEvaluationCounts:

@@ -62,6 +62,9 @@ class UniformGrid:
         return self.horizon / self.steps
 
     def time(self, n: int) -> float:
+        # u is sampled through here node by node, so an int skips the call
+        if type(n) is not int:
+            _check_count(n, "node index")
         if not 0 <= n <= self.steps:
             raise ValueError(f"node index {n} outside 0..{self.steps}")
         return n * self.tau

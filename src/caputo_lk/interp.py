@@ -55,8 +55,10 @@ class SchemeKind:
         if self.tag is SchemeTag.L2:
             if self.k is not None:
                 raise ValueError(f"{self.tag.value} does not take a degree parameter")
-        elif self.k is None or not 1 <= self.k <= MAX_DEGREE:
-            raise ValueError(f"Lk scheme needs k in 1..{MAX_DEGREE}, got {self.k!r}")
+        else:
+            _check_count(self.k, "Lk degree k")
+            if not 1 <= self.k <= MAX_DEGREE:
+                raise ValueError(f"Lk scheme needs k in 1..{MAX_DEGREE}, got {self.k!r}")
 
     @classmethod
     def l1(cls) -> "SchemeKind":
@@ -139,7 +141,8 @@ class LagrangePiece:
     """One polynomial piece of a scheme interpolant.
 
     ``anchor`` is the grid index of the rightmost stencil node;
-    ``node_times``/``node_values`` run ascending over the k+1 stencil nodes;
+    ``node_times``/``node_values`` run ascending over the k+1 stencil nodes,
+    ``tau`` apart;
     ``interval`` is the grid interval on which the piece is in force.
     """
 
@@ -155,15 +158,18 @@ class LagrangePiece:
             raise ValueError(f"piece degree must lie in 1..{MAX_DEGREE}, got {self.degree}")
         if len(self.node_times) != self.degree + 1 or len(self.node_values) != self.degree + 1:
             raise ValueError("stencil needs exactly degree + 1 nodes and values")
-        prev = -math.inf
-        for x in self.node_times:
-            if not prev < x < math.inf:
-                raise ValueError(f"stencil node times must be finite and strictly ascending, got {x!r}")
-            prev = x
+        if not all(map(math.isfinite, self.node_times)):
+            raise ValueError(f"stencil node times must be finite, got {self.node_times!r}")
         if not all(map(math.isfinite, self.node_values)):
             raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"grid step must be positive and finite, got tau={self.tau!r}")
+        # evaluate reads the node times, monomial_coefficients only tau
+        for a, b in zip(self.node_times, self.node_times[1:]):
+            if not abs(b - a - self.tau) <= 1e-9 * self.tau:
+                raise ValueError(
+                    f"stencil node times must ascend tau={self.tau!r} apart, got {a!r} then {b!r}"
+                )
         for end in self.interval:
             if not math.isfinite(end):
                 raise ValueError(f"validity interval end is not finite: {end!r}")

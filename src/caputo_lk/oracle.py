@@ -1,35 +1,30 @@
 """Quadrature oracle for cross-checking the closed-form operators.
 
-Two independent routes to the same quantity:
+Two independent routes to the same quantity, both one adaptive integral
+over (0, t_n] in w = (t_n - s)^(1-alpha), which removes the endpoint
+singularity exactly, with the pieces' ends as break points
+(``_w_integral``):
 
 * ``quad_caputo_piecewise`` integrates a scheme interpolant's derivative
-  against the kernel numerically, as one adaptive integral over (0, t_n]
-  in w = (t_n - s)^(1-alpha), which removes the endpoint singularity
-  exactly; the pieces' ends are its break points.
+  against the kernel.
 * ``quad_caputo_integrated`` evaluates the integrated-by-parts form, whose
-  integrand only needs function values.  Dyadic bands clustered at s = t
-  resolve the endpoint, and the bands not taken are summed from the last
-  few: exactly for a scheme interpolant, whose band values inside its last
-  piece are a known mixture of geometric sequences, and by the one-ratio
-  decay of a differentiable function otherwise.  For an interpolant each
-  band starts from its piece boundaries inside it, where the derivative
-  of u may jump, so refinement never has to hunt for them.
+  integrand is the interpolant's secant slope to t_n: function values only.
 
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
 below is self-contained, and both routes read an interpolant through its
 pieces' Newton form (``LagrangePiece.newton``, divided differences of the
-stencil data): the integrated route through ``piece.evaluate``, the
-piecewise route through the derivative of the same form.  The adaptive
-routine follows QUADPACK's QAGP: one starting region per pair of
-consecutive break points, then global bisection of the worst region
-within a per-call budget.  Integrands take a batch: each Gauss-Kronrod
-region passes its 15 nodes in one call and gets their values back as a
-list, so an interpolant's piece is looked up once per region.
+stencil data): the integrated route through ``piece.evaluate`` and, on the
+last piece, the form less its first term; the piecewise route through the
+derivative of the same form.  The adaptive routine follows QUADPACK's
+QAGP: one starting region per pair of consecutive break points, then
+global bisection of the worst region within a per-call budget.  Integrands
+take a batch: each Gauss-Kronrod region passes its 15 nodes in one call
+and gets their values back as a list, so an interpolant's piece is looked
+up once per region.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from math import gamma
@@ -48,7 +43,6 @@ __all__ = [
 _MIN_TOL = 1e-14
 _MAX_DEPTH = 40
 _MAX_REGIONS = 20000  # regions one call may add by bisection
-_MAX_BANDS = 64
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
 _XK = (
@@ -160,12 +154,6 @@ def _adaptive(
     return math.fsum(r[3] for r in heap)
 
 
-def _check_tol(tol: float) -> float:
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol!r}")
-    return max(tol, _MIN_TOL)
-
-
 def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
     # p'(s) at each point, for the Newton form
     # p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)), by Horner's rule
@@ -186,24 +174,39 @@ def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[flo
     return out
 
 
-def quad_caputo_piecewise(
+def _secant_slope(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
+    # (p(x_0) - p(s)) / (x_0 - s) at each point, x_0 the anchor: the Newton
+    # form less its first term, c_1 + (s - x_1)(c_2 + ...), by Horner's
+    # rule, so nothing cancels as s nears x_0
+    c = piece.newton
+    top = c[-1]
+    steps = tuple(zip(piece.node_times[1:-1], c[-2:0:-1]))
+    out = []
+    for s in points:
+        q = top
+        for x, ci in steps:
+            q = q * (s - x) + ci
+        out.append(q)
+    return out
+
+
+def _w_integral(
     p: PiecewisePolynomial,
     t_n: float,
-    alpha: float,
-    tol: float = 1e-12,
-    stats: dict | None = None,
+    al: float,
+    factor: Callable[[LagrangePiece, Sequence[float]], Sequence[float]],
+    tol: float,
+    stats: dict | None,
 ) -> float:
-    """Numerical value of the discrete operator applied to interpolant p.
-
-    Integrates (t_n - s)^(-alpha) p'(s) over (0, t_n] as one adaptive
-    integral in w = (t_n - s)^(1-alpha), breaking at the pieces' ends, and
-    divides by Gamma(1 - alpha); ``tol`` bounds the whole integral.  A
-    ``stats`` dict receives ``regions``, ``err_estimate``, the summed final
-    Gauss-Kronrod error estimates, and ``evaluations``, the integrand
-    points evaluated (15 per region).
-    """
-    al = _check_alpha(alpha)
-    tol = _check_tol(tol)
+    """int_0^t_n (t_n - s)^(-alpha) f(s) ds, where ``factor(piece, points)``
+    gives f at a batch of points on one piece of p, as one adaptive
+    integral in w = (t_n - s)^(1-alpha), which removes the endpoint
+    singularity exactly; the pieces' ends are its break points and ``tol``
+    bounds the whole integral.  A ``stats`` dict receives ``regions``,
+    ``err_estimate``, the summed final Gauss-Kronrod error estimates, and
+    ``evaluations``, the integrand points evaluated (15 per region)."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
     if stats is not None:
@@ -212,137 +215,73 @@ def quad_caputo_piecewise(
 
     def f(ws: Sequence[float]) -> list[float]:
         ss = [t_n - w**gamma_exp for w in ws]
-        return [gamma_exp * d for d in _piece_derivative(p.piece_at(ss[0]), ss)]
+        return [gamma_exp * v for v in factor(p.piece_at(ss[0]), ss)]
 
     # w = 0 at t_n; a region's centre, its first point, names its piece
     points = [0.0, *((t_n - q.interval[0]) ** (1.0 - al) for q in reversed(p.pieces))]
+    return _adaptive(f, points, tol, stats)
+
+
+def quad_caputo_piecewise(
+    p: PiecewisePolynomial,
+    t_n: float,
+    alpha: float,
+    tol: float = 1e-12,
+    stats: dict | None = None,
+) -> float:
+    """Numerical value of the discrete operator applied to interpolant p:
+    the integral of (t_n - s)^(-alpha) p'(s) over (0, t_n] by
+    ``_w_integral``, over Gamma(1 - alpha).  ``tol`` and ``stats`` are
+    ``_w_integral``'s, the error estimate scaled like the value."""
+    al = _check_alpha(alpha)
     g = gamma(1.0 - al)
-    value = _adaptive(f, points, tol, stats) / g
+    value = _w_integral(p, t_n, al, _piece_derivative, tol, stats) / g
     if stats is not None:
         stats["err_estimate"] /= g
     return value
 
 
-def _tail_weights(ratios: Sequence[float]) -> tuple[float, ...]:
-    # A sequence sum_r A_r ratio_r^i obeys the recurrence whose
-    # characteristic polynomial is P(x) = prod_r (x - ratio_r) = sum_j e_j x^j;
-    # summing the recurrence over i gives sum_{i >= 0} b_i = sum_{m < d} w_m b_m
-    # with w_m = (e_{m+1} + ... + e_d) / P(1)
-    e = [1.0]
-    for rho in ratios:
-        e = [0.0, *e]
-        for j in range(len(e) - 1):
-            e[j] -= rho * e[j + 1]
-    p_one = math.fsum(e)
-    return tuple(math.fsum(e[m + 1 :]) / p_one for m in range(len(ratios)))
-
-
 def quad_caputo_integrated(
-    u: Callable[[float], float],
-    t: float,
+    p: PiecewisePolynomial,
+    t_n: float,
     alpha: float,
     tol: float = 1e-10,
     stats: dict | None = None,
 ) -> float:
-    """Numerical Caputo derivative through the integrated-by-parts form
+    """The same value through the integrated-by-parts form
 
-        (u(t) - u(0)) / (Gamma(1-alpha) t^alpha)
-          + alpha/Gamma(1-alpha) int_0^t (u(t) - u(s)) (t - s)^(-1-alpha) ds.
+        (p(t_n) - p(0)) / (Gamma(1-alpha) t_n^alpha)
+          + alpha/Gamma(1-alpha) int_0^t_n (p(t_n) - p(s)) (t_n - s)^(-1-alpha) ds,
 
-    Only uses point values of u.  The integral is taken over dyadic bands
-    shrinking toward s = t; a tail model sums the rest.  When u is a
-    ``PiecewisePolynomial`` whose piece at t (the one ending there, if t is
-    a break) has degree d, the band values inside that piece are exactly
-    sum_{r=1..d} A_r rho_r^i with rho_r = 2^(alpha-r), so the last d bands
-    fix the whole remainder.  Any other callable takes the d = 1 model of a
-    u differentiable near t, band ratio 2^(alpha-1), from band 3 on; a u
-    that is only Holder there decays by another ratio and may not settle.
-    Two successive totals agreeing to tol/4, or to the cancellation noise
-    the tail amplifies, are accepted.  For an interpolant each band's
-    adaptive quadrature starts from the piece boundaries inside it, where
-    u' may jump, and each Gauss-Kronrod region reads its piece once.  A
-    ``stats`` dict receives ``err_estimate``, ``regions`` and
-    ``evaluations`` as in ``quad_caputo_piecewise``, ``bands`` and
-    ``tail_degree`` (d).
+    which reads only values of p.  The integrand is the secant slope
+    (p(t_n) - p(s)) / (t_n - s) against the kernel (t_n - s)^(-alpha), so
+    ``_w_integral`` takes it: from ``piece.evaluate`` on every piece but
+    the last, and from the last piece's Newton form without its first term,
+    which has no cancellation at t_n.  That needs p's last stencil to end
+    at t_n, as every ``build_interpolant`` result's does; anything else
+    raises ``ValueError``.  ``tol`` and ``stats`` are ``_w_integral``'s,
+    the error estimate scaled like the integral's share of the value.
     """
     al = _check_alpha(alpha)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"evaluation time must be positive and finite, got {t!r}")
-    tol = _check_tol(tol)
+    if not isinstance(p, PiecewisePolynomial):
+        raise ValueError(f"the integrated form takes an interpolant, got {type(p).__name__}")
+    last = p.pieces[-1]
+    if not math.isclose(last.node_times[-1], t_n, rel_tol=1e-12, abs_tol=1e-12):
+        raise ValueError(
+            f"the last stencil ends at {last.node_times[-1]!r}, not at the evaluation time {t_n!r}"
+        )
+    u_t = last.newton[0]  # p(t_n), the node value at the anchor
+
+    def slope(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
+        if piece is last:
+            return _secant_slope(piece, points)
+        return [(u_t - v) / (t_n - s) for s, v in zip(points, piece.evaluate(points))]
+
+    total = _w_integral(p, t_n, al, slope, tol, stats)
+    g = gamma(1.0 - al)
     if stats is not None:
-        stats.update(err_estimate=0.0, regions=0, evaluations=0)
-    u_t = u(t)
-    if isinstance(u, PiecewisePolynomial):
-        breaks = u.right_ends
-        # the bands close in on t inside the piece at t, the one ending at t
-        # if t is a break, as in piece_at; u(t) above has range-checked t
-        piece = u.pieces[min(bisect.bisect_left(breaks, t), len(u.pieces) - 1)]
-        degree = piece.degree
-        model_start = piece.interval[0]
-
-        def values(ss: Sequence[float]) -> list[float]:
-            # no region straddles a break, so its centre, the first point,
-            # names the piece every point of the batch lies in
-            return u.piece_at(ss[0]).evaluate(ss)
-
-    else:
-        # no piece to wait for: the one-ratio model holds from band 3 on
-        breaks, degree = (), 1
-        model_start = t * (1.0 - 2.0**-3)
-
-        def values(ss: Sequence[float]) -> list[float]:
-            return [u(s) for s in ss]
-
-    kernel_exp = -1.0 - al
-
-    def integrand(ss: Sequence[float]) -> list[float]:
-        return [(u_t - v) * (t - s) ** kernel_exp for s, v in zip(ss, values(ss))]
-
-    def finish(total: float) -> float:
-        g = gamma(1.0 - al)
-        if stats is not None:
-            stats.update(bands=len(partial), tail_degree=degree)
-            stats["err_estimate"] *= al / g
-        return (u_t - u(0.0)) / (g * t**al) + al / g * total
-
-    weights = _tail_weights([2.0 ** (al - r) for r in range(1, degree + 1)])
-    amplify = math.fsum(abs(w) for w in weights)
-    partial: list[float] = []
-    unmodelled = 0  # bands that start before model_start
-    noise_sum = 0.0
-    prev_total = math.inf
-    for i in range(_MAX_BANDS):
-        lo = t * (1.0 - 2.0**-i)
-        hi = t * (1.0 - 2.0 ** -(i + 1))
-        if lo >= hi or t - hi <= 0.0:
-            # float resolution under t is exhausted before two totals agreed;
-            # the last total carries noise-dominated bands, so it is no result
-            break
-        # near t the difference u(t) - u(s) is pure cancellation, so a band
-        # cannot be resolved below roughly eps * |u| * kernel * width
-        scale = max(abs(u_t), abs(u(hi)), 1e-300)
-        noise = 8.0 * 2.3e-16 * scale * (t - hi) ** (-1.0 - al) * (hi - lo)
-        noise_sum += noise
-        band_tol = max(tol / (4.0 * (i + 1) * (i + 2)), noise)
-        inside = breaks[bisect.bisect_right(breaks, lo) : bisect.bisect_left(breaks, hi)]
-        partial.append(_adaptive(integrand, [lo, *inside, hi], band_tol, stats))
-        if lo < model_start:
-            unmodelled = i + 1
-        if i + 1 - unmodelled < degree:
-            continue
-        tail = zip(weights, partial[-degree:])
-        total = math.fsum(partial[:-degree]) + math.fsum(w * b for w, b in tail)
-        # cancellation noise accumulated across bands bounds what the float
-        # route can resolve, so it joins the acceptance threshold; a band's
-        # noise reaches the total through the tail weights
-        if abs(total - prev_total) < max(tol / 4.0, amplify * noise_sum):
-            return finish(total)
-        prev_total = total
-    raise QuadratureConvergenceError(
-        "integrated-form bands did not settle before float resolution or the band"
-        " budget ran out; u must be differentiable near t unless it is an interpolant",
-        finish(prev_total),
-    )
+        stats["err_estimate"] *= al / g
+    return (u_t - p(0.0)) / (g * t_n**al) + al / g * total
 
 
 def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:

@@ -51,6 +51,13 @@ class TestUniformGrid:
             with pytest.raises(ValueError):
                 UniformGrid(horizon=horizon, steps=4)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_time_refuses_a_non_integer_index(self, n):
+        """time(2.5) once returned 0.625 on this grid, which is no node."""
+        g = UniformGrid(horizon=1.0, steps=4)
+        with pytest.raises(ValueError, match="node index must be an integer"):
+            g.time(n)
+
     @pytest.mark.parametrize("steps", [2.5, 2.0, math.nan, "4"])
     def test_rejects_non_integer_steps(self, steps):
         with pytest.raises(ValueError, match="grid steps must be an integer"):

@@ -71,6 +71,15 @@ class TestSchemeKind:
             SchemeKind(SchemeTag.L2, k=2)
 
 
+    @pytest.mark.parametrize("k", [2.0, 2.5])
+    def test_lk_refuses_a_non_integer_k(self, k):
+        """lk(2.0) was once accepted: its label raised TypeError, and
+        discrete_caputo raised on a cold cache but read Lk(2)'s weights on a
+        warm one."""
+        with pytest.raises(ValueError, match="Lk degree k must be an integer"):
+            SchemeKind.lk(k)
+
+
 class TestDividedCoeff:
     def test_reciprocals_sum_to_zero(self):
         """The Lagrange weights of any stencil sum to one, which forces the
@@ -222,6 +231,13 @@ class TestLagrangeEval:
         with pytest.raises(ValueError) as excinfo:
             LagrangePiece(**{**self._VALID, "node_times": times})
         assert repr(bad) in str(excinfo.value)
+
+    def test_rejects_node_times_not_tau_apart(self):
+        """Node times (0, 0.5, 1) with tau = 0.25 once built a piece that
+        read 0.5625 at s = 0.75 through evaluate, which reads the node
+        times, and 0.25 through monomial_coefficients, which reads tau."""
+        with pytest.raises(ValueError, match="tau=0.25 apart"):
+            LagrangePiece(2, 2, (0.0, 0.5, 1.0), (0.0, 0.25, 1.0), (0.5, 1.0), 0.25)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_node_values(self, bad):

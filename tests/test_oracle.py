@@ -325,12 +325,13 @@ class TestPiecewiseOracle:
         u = HolderTestFunction(m=m, beta=beta, xi=g.time(kink))
         vals = [u(g.time(i)) for i in range(n + 1)]
         stats = {}
-        got = quad_caputo_piecewise(
-            build_interpolant(scheme, g, vals, n), 1.0, alpha, tol=1e-12, stats=stats
-        )
+        interp = build_interpolant(scheme, g, vals, n)
+        got = quad_caputo_piecewise(interp, 1.0, alpha, tol=1e-12, stats=stats)
         want = discrete_caputo(scheme, g, vals, n, alpha).value
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
         assert stats["err_estimate"] <= 1e-12
+        integrated = quad_caputo_integrated(interp, 1.0, alpha, tol=1e-12)
+        assert abs(integrated - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_seeded_sweep_never_raises(self):
         rng = random.Random(1)
@@ -342,37 +343,34 @@ class TestPiecewiseOracle:
             xi = g.time(rng.randrange(1, n + 1))
             u = HolderTestFunction(m=rng.randrange(0, 3), beta=rng.uniform(0.1, 1.0), xi=xi)
             vals = [u(g.time(i)) for i in range(n + 1)]
-            got = quad_caputo_piecewise(build_interpolant(scheme, g, vals, n), g.time(n), alpha)
+            interp = build_interpolant(scheme, g, vals, n)
+            got = quad_caputo_piecewise(interp, g.time(n), alpha)
             want = discrete_caputo(scheme, g, vals, n, alpha).value
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (scheme.label, alpha, n)
+            integrated = quad_caputo_integrated(interp, g.time(n), alpha)
+            assert abs(integrated - want) <= 1e-9 * max(1.0, abs(want)), (scheme.label, alpha, n)
 
 
 class TestIntegratedOracle:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_monomial_power_rule(self, p):
+        interp = monomial_interpolant(p, 0.9)
         for alpha in (0.3, 0.7):
-            got = quad_caputo_integrated(lambda s: s**p, 0.9, alpha, tol=1e-11)
+            got = quad_caputo_integrated(interp, 0.9, alpha, tol=1e-11)
             want = exact_caputo_monomial(p, 0.9, alpha)
             assert got == pytest.approx(want, rel=1e-9)
-
-    def test_frozen_holder_value(self):
-        """Low-regularity probe (m = 0) where only the integrated form is
-        meaningful; value pinned from a tail-extrapolated dyadic-band run."""
-        u = HolderTestFunction(m=0, beta=0.9, xi=0.5)
-        got = quad_caputo_integrated(u, 0.75, 0.5, tol=1e-11)
-        assert got == pytest.approx(0.17292951293090558, rel=5e-9)
 
     def test_agrees_with_piecewise_on_interpolants(self):
         result = run_check("derivative-form and integrated-form quadratures agree")
         assert result.ok, result.detail
 
-    def test_interpolant_bands_start_at_piece_boundaries(self, monkeypatch):
-        """Crosscheck case c140/L1 (n = 31, kink at node 28): with the bands
-        split at the grid nodes it takes 654 interpolant evaluations, where
-        bisecting toward each derivative jump took 9804.  Each
-        Gauss-Kronrod region looks its piece up once."""
+    def test_one_piece_lookup_per_region(self, monkeypatch):
+        """Crosscheck case c140/L1 (n = 31, kink at node 28): every point
+        is one of 15 in a Gauss-Kronrod region's batch, read from the one
+        piece the region looks up; p(0) is the one single-point read."""
         points = lookups = reads = 0
         evaluate = LagrangePiece.evaluate
+        secant = oracle._secant_slope
         piece_at = PiecewisePolynomial.piece_at
         read = PiecewisePolynomial.__call__
 
@@ -380,6 +378,11 @@ class TestIntegratedOracle:
             nonlocal points
             points += len(ss)
             return evaluate(piece, ss)
+
+        def counted_secant(piece, ss):
+            nonlocal points
+            points += len(ss)
+            return secant(piece, ss)
 
         def counted_piece_at(interp, s):
             nonlocal lookups
@@ -397,26 +400,23 @@ class TestIntegratedOracle:
         p = build_interpolant(SchemeKind.l1(), g, [u(g.time(i)) for i in range(32)], 31)
         want = quad_caputo_piecewise(p, g.time(31), alpha, tol=1e-12)
         monkeypatch.setattr(LagrangePiece, "evaluate", counted_evaluate)
+        monkeypatch.setattr(oracle, "_secant_slope", counted_secant)
         monkeypatch.setattr(PiecewisePolynomial, "piece_at", counted_piece_at)
         monkeypatch.setattr(PiecewisePolynomial, "__call__", counted_read)
         stats = {}
         got = quad_caputo_integrated(p, g.time(31), alpha, tol=1e-11, stats=stats)
         assert points <= 1500
-        assert got == pytest.approx(want, rel=1e-7)
-        # u(t), u(0) and one u per band are single-point reads; every other
-        # point is one of 15 in a region's batch, read from one piece
+        assert got == pytest.approx(want, rel=1e-9)
         regions, rest = divmod(stats["evaluations"], 15)
         assert rest == 0 and regions >= stats["regions"]
+        assert reads == 1
         assert points == stats["evaluations"] + reads
         assert lookups == regions + reads
 
     def test_c113_l2_integrated_form(self):
-        """Crosscheck case c113/L2 (alpha = 0.738): the quadratic tail
-        settles once two bands lie inside the last piece.  A tail model
-        that misses the quadratic term leaves the totals drifting until
-        acceptance fires deep among noise-dominated bands, 7.2e-6 from
-        the derivative form when it is measured against the bare noise
-        sum."""
+        """Crosscheck case c113/L2 (alpha = 0.738), whose quadratic last
+        piece once left a dyadic-band tail model drifting 7.2e-6 from the
+        derivative form."""
         g = UniformGrid(horizon=1.0, steps=15)
         u = HolderTestFunction(m=2, beta=0.11434350759744143, xi=g.time(10))
         alpha = 0.7384427445363815
@@ -425,81 +425,79 @@ class TestIntegratedOracle:
         got = quad_caputo_integrated(p, g.time(9), alpha, tol=1e-11)
         assert got == pytest.approx(want, rel=1e-7)
 
-    def test_exhausted_resolution_raises(self):
-        """u(s) = -(1 - s)^0.75 at t = 1, alpha = 0.5: two totals never
-        agree before float resolution under t runs out (53 bands).  The
-        last total, 4.5e-5 from the exact 3/sqrt(pi) while the error
-        estimate reads 2.3e-12, comes back as the error's best estimate,
-        not as a result."""
-        with pytest.raises(QuadratureConvergenceError, match="did not settle") as info:
-            quad_caputo_integrated(lambda s: -((1.0 - s) ** 0.75), 1.0, 0.5, tol=1e-10)
-        exact = 3.0 / math.sqrt(math.pi)
-        assert info.value.best == pytest.approx(exact, rel=1e-4)
-
     @pytest.mark.parametrize("n", [2, 9, 32])
     @pytest.mark.parametrize("scheme", _ALL_SCHEMES, ids=lambda s: s.label)
     def test_exact_tail_settles_inside_the_last_piece(self, scheme, n):
-        """Band values inside the last piece (degree d) are exactly
-        sum_r A_r 2^((alpha-r) i), so the sum settles one band after d
-        bands lie inside it, about log2(n) bands in."""
+        """The secant slope to t_n is a polynomial of degree d - 1 on the
+        last piece (degree d), read from its Newton form without
+        cancellation, so the integral settles at the pieces' own rate."""
         g = UniformGrid(horizon=1.0, steps=n + 3)
         u = HolderTestFunction(m=1, beta=0.6, xi=g.time(max(1, n // 2)))
         values = [u(g.time(i)) for i in range(n + 1)]
         p = build_interpolant(scheme, g, values, n)
-        d = p.pieces[-1].degree
         for alpha in (0.15, 0.5, 0.85):
             stats = {}
             got = quad_caputo_integrated(p, g.time(n), alpha, tol=1e-11, stats=stats)
             want = discrete_caputo(scheme, g, values, n, alpha).value
             assert got == pytest.approx(want, rel=1e-10)
-            assert stats["tail_degree"] == d
-            assert stats["bands"] <= math.ceil(math.log2(n)) + d + 3
-            assert stats["regions"] >= stats["bands"]
+            assert stats["regions"] >= len(p.pieces)
             assert 0.0 <= stats["err_estimate"] <= 1e-11
 
-    @pytest.mark.parametrize("node", [9, 7])
-    def test_settles_before_the_last_piece(self, node):
-        """At t on or before the start of the last piece the tail model is
-        armed on the piece at t.  Armed only inside the last piece, it
-        modelled no band, and these calls raised QuadratureConvergenceError
-        after about 65 regions.  L1-2 pieces past the first are backward
-        stencils that do not depend on n, so the value is L1-2 at the node."""
-        g = UniformGrid(horizon=1.0, steps=16)
-        u = HolderTestFunction(m=1, beta=0.5, xi=0.3)
-        values = [u(g.time(i)) for i in range(11)]
-        p = build_interpolant(SchemeKind.l12(), g, values, 10)
-        for alpha in (0.2, 0.4, 0.8):
-            stats = {}
-            got = quad_caputo_integrated(p, g.time(node), alpha, tol=1e-11, stats=stats)
-            want = discrete_caputo(SchemeKind.l12(), g, values, node, alpha).value
-            assert got == pytest.approx(want, rel=1e-9)
-            assert stats["tail_degree"] == 2
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_secant_slope_matches_exact_difference_quotient(self, k):
+        rng = random.Random(8 + k)
+        tau = 2.0**-5
+        times = tuple((3 + i) * tau for i in range(k + 1))
+        values = tuple(rng.uniform(-1.0, 1.0) for _ in range(k + 1))
+        piece = LagrangePiece(k, k + 3, times, values, (times[-2], times[-1]), tau)
+        x = [Fraction(t) for t in times]
 
-    def test_tail_weights_sum_the_geometric_mixture(self):
-        rng = random.Random(6)
-        for d in range(1, 7):
-            ratios = [2.0 ** (0.3 - r) for r in range(1, d + 1)]
-            amps = [rng.uniform(-1.0, 1.0) for _ in ratios]
-            bands = [math.fsum(a * rho**i for a, rho in zip(amps, ratios)) for i in range(d)]
-            want = math.fsum(a / (1.0 - rho) for a, rho in zip(amps, ratios))
-            weights = oracle._tail_weights(ratios)
-            got = math.fsum(w * b for w, b in zip(weights, bands))
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+        def exact(s):
+            s = Fraction(s)
+            return sum(
+                Fraction(v) * math.prod((s - x[j]) / (x[l] - x[j]) for j in range(k + 1) if j != l)
+                for l, v in enumerate(values)
+            )
+
+        for s in (times[0], 0.5 * (times[-2] + times[-1]), times[-1] - 1e-9):
+            want = (exact(times[-1]) - exact(s)) / (x[-1] - Fraction(s))
+            (got,) = oracle._secant_slope(piece, [s])
+            assert got == pytest.approx(float(want), rel=1e-11, abs=1e-12), s
+
+    def test_rejects_a_callable(self):
+        with pytest.raises(ValueError, match="takes an interpolant"):
+            quad_caputo_integrated(lambda s: s * s, 0.8, 0.5)
+
+    def test_rejects_a_last_stencil_past_the_end(self):
+        """L2's interior pieces borrow the node ahead: without its final
+        piece the interpolant ends at t_(n-1), its last stencil at t_n."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        values = [math.sin(g.time(i)) for i in range(7)]
+        p = build_interpolant(SchemeKind.l2(), g, values, 6)
+        head = PiecewisePolynomial(p.pieces[:-1])
+        assert head.t_end == g.time(5)
+        with pytest.raises(ValueError, match="last stencil ends at"):
+            quad_caputo_integrated(head, g.time(5), 0.5)
+
+    def test_rejects_a_time_before_the_end(self):
+        interp = monomial_interpolant(2, 0.8)
+        with pytest.raises(ValueError):
+            quad_caputo_integrated(interp, 0.4, 0.5)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            quad_caputo_integrated(lambda s: s, 0.0, 0.5)
+            quad_caputo_integrated(monomial_interpolant(1, 0.5), 0.0, 0.5)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError) as excinfo:
-            quad_caputo_integrated(lambda s: s, t, 0.5)
+            quad_caputo_integrated(monomial_interpolant(1, 0.5), t, 0.5)
         assert repr(t) in str(excinfo.value)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite"):
-            quad_caputo_integrated(lambda s: s * s, 0.8, 0.5, tol=tol)
+            quad_caputo_integrated(monomial_interpolant(2, 0.8), 0.8, 0.5, tol=tol)
 
 
 class TestEvaluationCounts:
@@ -530,19 +528,25 @@ class TestEvaluationCounts:
 
     def test_integrated_counts_batch_points(self, monkeypatch):
         p, t = self._interpolant()
-        counted = 0
+        counted = {"evaluate": 0, "secant": 0}
         evaluate = LagrangePiece.evaluate
+        secant = oracle._secant_slope
 
-        def counting(piece, points):
-            nonlocal counted
-            if len(points) > 1:  # single-point reads of u are not integrand points
-                counted += len(points)
+        def counting_evaluate(piece, points):
+            if len(points) > 1:  # the single-point read of p(0) is no integrand point
+                counted["evaluate"] += len(points)
             return evaluate(piece, points)
 
-        monkeypatch.setattr(LagrangePiece, "evaluate", counting)
+        def counting_secant(piece, points):
+            counted["secant"] += len(points)
+            return secant(piece, points)
+
+        monkeypatch.setattr(LagrangePiece, "evaluate", counting_evaluate)
+        monkeypatch.setattr(oracle, "_secant_slope", counting_secant)
         stats = {}
         quad_caputo_integrated(p, t, 0.4, tol=1e-11, stats=stats)
-        assert stats["evaluations"] == counted > 0
+        assert counted["evaluate"] > 0 and counted["secant"] > 0
+        assert stats["evaluations"] == counted["evaluate"] + counted["secant"]
         assert stats["evaluations"] % 15 == 0
 
 

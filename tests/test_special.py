@@ -74,7 +74,7 @@ _ALPHA_ENTRIES = {
     "KernelMoment": lambda al: KernelMoment(t=1.0, a=0.0, b=0.5, c=0.0, q=1, alpha=al),
     "kernel_moments": lambda al: kernel_moments(1.0, 0.0, 0.5, 0.0, 1, al),
     "quad_caputo_piecewise": lambda al: quad_caputo_piecewise(_INTERPOLANT, _GRID.time(4), al),
-    "quad_caputo_integrated": lambda al: quad_caputo_integrated(lambda s: s, 0.5, al),
+    "quad_caputo_integrated": lambda al: quad_caputo_integrated(_INTERPOLANT, _GRID.time(4), al),
     "exact_caputo_monomial": lambda al: exact_caputo_monomial(2, 0.5, al),
     "CaputoWeights": lambda al: CaputoWeights(SchemeKind.l1(), al),
     "order_interior": lambda al: order_interior(

@@ -62,9 +62,7 @@ class UniformGrid:
         return self.horizon / self.steps
 
     def time(self, n: int) -> float:
-        # u is sampled through here node by node, so an int skips the call
-        if type(n) is not int:
-            _check_count(n, "node index")
+        _check_count(n, "node index")
         if not 0 <= n <= self.steps:
             raise ValueError(f"node index {n} outside 0..{self.steps}")
         return n * self.tau
@@ -120,23 +118,6 @@ class HolderTestFunction:
             raise ValueError(f"kink location must be positive and finite, got {self.xi!r}")
 
     def __call__(self, t: float) -> float:
-        return self.derivative(0, t)
-
-    def derivative(self, order: int, t: float) -> float:
-        """Classical derivative of the stated order; valid for order <= m.
-
-        d^p/dt^p u = (prod_{i<p} (m+beta-i)) (t-xi)^(m-p) |t-xi|^beta,
-        which vanishes at the kink itself for every admissible p.
-        """
-        if not 0 <= order <= self.m:
-            raise ValueError(
-                f"derivative order {order} exceeds the classical count m={self.m}"
-            )
+        # (t - xi)^m |t - xi|^beta is 0.0 at the kink itself, as beta > 0
         d = t - self.xi
-        if d == 0.0:
-            return 0.0
-        factor = 1.0
-        for i in range(order):
-            factor *= self.m + self.beta - i
-        return factor * d ** (self.m - order) * abs(d) ** self.beta
-
+        return d**self.m * abs(d) ** self.beta

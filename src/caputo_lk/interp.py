@@ -254,13 +254,14 @@ class PiecewisePolynomial:
 
 def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: int) -> LagrangePiece:
     lo = anchor - degree
+    tau = grid.tau
     return LagrangePiece(
         degree=degree,
         anchor=anchor,
-        node_times=tuple(grid.time(i) for i in range(lo, anchor + 1)),
+        node_times=tuple(i * tau for i in range(lo, anchor + 1)),
         node_values=tuple(vals[lo : anchor + 1]),
-        interval=(grid.time(j - 1), grid.time(j)),
-        tau=grid.tau,
+        interval=((j - 1) * tau, j * tau),
+        tau=tau,
     )
 
 
@@ -272,7 +273,10 @@ def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
         raise ValueError(f"evaluation node must be at least 1, got {n}")
     if n > grid.steps:
         raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
-    values = [values(grid.time(i)) for i in range(n + 1)] if callable(values) else values
+    if callable(values):
+        # node i at i * tau, the bits of grid.time(i)
+        tau = grid.tau
+        values = [values(i * tau) for i in range(n + 1)]
     if len(values) < n + 1:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
     out = list(map(float, itertools.islice(values, n + 1)))

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import caputo_lk.harness
 from caputo_lk.harness import (
     DASH,
     DegenerateDifferenceError,
+    _rate,
     _unit_grid,
     emit,
     order_first_node,
@@ -22,7 +24,7 @@ from caputo_lk.harness import (
 )
 from caputo_lk.holder import HolderTestFunction
 from caputo_lk.interp import SchemeKind
-from caputo_lk.schemes import CaputoWeights
+from caputo_lk.schemes import CaputoWeights, discrete_caputo
 
 
 class TestSchemeValue:
@@ -127,6 +129,24 @@ class TestOrderInterior:
             f = HolderTestFunction(m=m, beta=beta, xi=0.5)
             row = order_interior(scheme, f, alpha, 2.0**-7)
             assert abs(row.measured_R - row.theoretical_order) <= 0.15
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.l2(), SchemeKind.l12(), SchemeKind.lk(3)], ids=lambda s: s.label
+    )
+    @pytest.mark.parametrize("m,beta,alpha", [(1, 0.5, 0.5), (2, 0.3, 0.1), (0, 0.7, 0.3)])
+    def test_one_sampling_gives_the_rate_of_three_sampled_grids(self, scheme, m, beta, alpha):
+        """f is sampled once, on the finest grid, and its values sliced for
+        the other two; the rate equals that of three discrete_caputo calls
+        that each sample f themselves, bit for bit, on a step 1/24 whose
+        nodes are not dyadic."""
+        tau = 1.0 / 24.0
+        f = HolderTestFunction(m=m, beta=beta, xi=0.5)
+        d1, d2, d4 = (
+            discrete_caputo(scheme, grid, f, grid.node_index(0.5), alpha).value
+            for grid in (_unit_grid(tau / r) for r in (1.0, 2.0, 4.0))
+        )
+        want = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
+        assert order_interior(scheme, f, alpha, tau).measured_R.hex() == want.hex()
 
     def test_kink_must_be_a_node(self):
         f = HolderTestFunction(m=1, beta=0.5, xi=0.3)
@@ -255,6 +275,21 @@ class TestOrderFixedTime:
         ref = scheme_value(l1, 0.5, f, t / 64, t)
         assert row.error == abs(scheme_value(l1, 0.5, f, t, t) - ref)
         assert row.error_half == abs(scheme_value(l1, 0.5, f, t / 2, t) - ref)
+
+    def test_reference_node_is_evaluated_once(self, monkeypatch):
+        """Both errors share one reference value: three node evaluations
+        per measurement, not four."""
+        calls = []
+        original = caputo_lk.harness.discrete_caputo
+
+        def recorded(scheme, grid, u, n, alpha):
+            calls.append((grid.steps, n))
+            return original(scheme, grid, u, n, alpha)
+
+        monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
+        f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
+        order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7)
+        assert calls == [(256, 2), (8192, 64), (512, 4)]
 
     def test_l2_differs_from_l1_past_the_first_node(self):
         # node 2 of the 2^-8 grid: L2 is already quadratic there, so the

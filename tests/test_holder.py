@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -13,6 +14,23 @@ from caputo_lk.holder import (
     RegularityClass,
     UniformGrid,
 )
+
+
+def derivative(u: HolderTestFunction, order: int, t: float) -> float:
+    """Classical derivative of u of the stated order; valid for order <= m.
+
+    d^p/dt^p u = (prod_{i<p} (m+beta-i)) (t-xi)^(m-p) |t-xi|^beta,
+    which vanishes at the kink itself for every admissible p.
+    """
+    if not 0 <= order <= u.m:
+        raise ValueError(f"derivative order {order} exceeds the classical count m={u.m}")
+    d = t - u.xi
+    if d == 0.0:
+        return 0.0
+    factor = 1.0
+    for i in range(order):
+        factor *= u.m + u.beta - i
+    return factor * d ** (u.m - order) * abs(d) ** u.beta
 
 
 class TestUniformGrid:
@@ -123,10 +141,20 @@ class TestHolderTestFunction:
         v = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         assert v(0.0) == pytest.approx(-(0.5**1.5))
 
+    @pytest.mark.parametrize("m", range(7))
+    def test_call_is_the_zeroth_derivative_bit_for_bit(self, m):
+        """u(t) takes the formula of derivative(u, 0, t) without its factor
+        1.0 and its branch at the kink, so the two agree bit for bit on both
+        sides of the kink and at it."""
+        for beta, xi in itertools.product((0.3, 0.5, 1.0), (0.25, 0.5, 0.37109375, 1.0 / 3.0)):
+            u = HolderTestFunction(m=m, beta=beta, xi=xi)
+            for t in (0.0, xi / 3.0, xi - 2.0**-40, xi, xi + 2.0**-40, 0.7, 1.0):
+                assert u(t).hex() == derivative(u, 0, t).hex(), (beta, xi, t)
+
     def test_derivatives_vanish_at_kink(self):
         u = HolderTestFunction(m=3, beta=0.4, xi=0.25)
         for p in range(4):
-            assert u.derivative(p, 0.25) == 0.0
+            assert derivative(u, p, 0.25) == 0.0
 
     def test_derivative_matches_finite_difference(self):
         """Away from the kink the analytic derivative must agree with a
@@ -135,13 +163,13 @@ class TestHolderTestFunction:
         h = 1e-6
         for t in (0.1, 0.3, 0.8, 0.95):
             for p in (1, 2):
-                fd = (u.derivative(p - 1, t + h) - u.derivative(p - 1, t - h)) / (2 * h)
-                assert u.derivative(p, t) == pytest.approx(fd, rel=1e-7)
+                fd = (derivative(u, p - 1, t + h) - derivative(u, p - 1, t - h)) / (2 * h)
+                assert derivative(u, p, t) == pytest.approx(fd, rel=1e-7)
 
     def test_derivative_order_capped(self):
         u = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         with pytest.raises(ValueError):
-            u.derivative(2, 0.3)
+            derivative(u, 2, 0.3)
 
     def test_rejects_kink_at_origin(self):
         with pytest.raises(ValueError):
@@ -165,5 +193,5 @@ class TestModulusProbe:
             d = 2.0**-e
             want = factor * d**beta
             for t in (xi - d, xi + d):
-                got = abs(u.derivative(m, t) - u.derivative(m, xi))
+                got = abs(derivative(u, m, t) - derivative(u, m, xi))
                 assert got == pytest.approx(want, rel=1e-12)

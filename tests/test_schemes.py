@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+import caputo_lk.harness
 import caputo_lk.schemes
 from caputo_lk.holder import HolderTestFunction, UniformGrid
-from caputo_lk.harness import order_interior
+from caputo_lk.harness import order_interior, reproduce_table
 from caputo_lk.interp import LagrangePiece, SchemeKind, _runs, build_interpolant
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_piecewise
 from caputo_lk.schemes import (
@@ -393,10 +394,10 @@ class TestSharedWeights:
             assert Counter(keys) == new, scheme.label
             assert got == CaputoWeights(scheme, 0.45).value(g, vals, 40)
 
-    def test_ninth_alpha_evicts_the_first(self, monkeypatch):
+    def test_seventeenth_pair_evicts_the_first(self, monkeypatch):
         keys = _record_moment_keys(monkeypatch)
         g = UniformGrid(horizon=1.0, steps=8)
-        alphas = [0.1 * i + 0.05 for i in range(9)]
+        alphas = [0.05 * i + 0.05 for i in range(17)]
         for alpha in alphas:
             discrete_caputo(SchemeKind.l1(), g, lambda t: t * t, 8, alpha)
         keys.clear()
@@ -418,6 +419,31 @@ class TestSharedWeights:
             assert order_interior(scheme, f, 0.3, 2.0**-5) == first
             assert keys and all(key[:2] != _steady(scheme) for key in keys), scheme.label
             keys.clear()
+
+    def test_second_round_of_the_studies_fills_no_steady_lag(self, monkeypatch):
+        """The four built-in studies use 14 (scheme, alpha) pairs, which the
+        cache holds at once, so a second round in the same process evaluates
+        only the startup and final intervals of each node afresh."""
+        keys = _record_moment_keys(monkeypatch)
+        nodes = []
+        original = caputo_lk.harness.discrete_caputo
+
+        def recorded(scheme, grid, u, n, alpha):
+            nodes.append((scheme, n))
+            return original(scheme, grid, u, n, alpha)
+
+        monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
+        first = [reproduce_table(i) for i in (1, 2, 3, 4)]
+        assert caputo_lk.schemes._shared_weights.cache_info().currsize == 14
+        keys.clear()
+        nodes.clear()
+        assert [reproduce_table(i) for i in (1, 2, 3, 4)] == first
+        edges = Counter()
+        for scheme, n in nodes:
+            edges.update(
+                {key: c for key, c in _expected_keys(scheme, (n,)).items() if key[:2] != _steady(scheme)}
+            )
+        assert Counter(keys) == edges
 
     def test_both_spellings_share_one_entry(self):
         """l1() and lk(1), like l12() and lk(2), key one cached object."""

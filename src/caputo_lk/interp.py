@@ -280,7 +280,8 @@ def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
     if len(values) < n + 1:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
     out = list(map(float, itertools.islice(values, n + 1)))
-    if not all(map(math.isfinite, out)):
+    # an inf or nan makes the sum so; finite values, only if they overflow it
+    if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
         i = next(i for i, v in enumerate(out) if not math.isfinite(v))
         raise ValueError(f"node value u^{i} is not finite: {values[i]!r}")
     return out

@@ -25,19 +25,18 @@ the public per-window route and the tests' independent reference.
 The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
 weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2), indexed by
-lag.  ``CaputoWeights``, the one route to a node value, stores the steady
-columns of one (scheme, alpha) and their fold, the convolution row c(m)
-that weighs u^(n-m), extended on demand and shared by every grid and node.
-A node is one slice product over c, edge terms from the columns for the
-k nodes its steady run covers in part, and its at most k startup or final
-intervals evaluated afresh, all in one ``math.fsum``.  A column entry at
-lag >= 1 is one Horner pass of a series about the window's midpoint, with
-exact rational coefficients per (degree, offset) (``_columns``); lag 0
-folds the closed-form moments.  ``discrete_caputo`` reads one object per
-(scheme, alpha) from a cache of the last 16 pairs, so each call fills only
-the lags no earlier call at that pair reached.  The four built-in studies
-use 14 pairs, so a second round of them fills no steady lag.  Filled to
-n = 2^15, an L1-...-6 object holds about 2.9 MB, so 16 of them retain 47 MB.
+lag.  ``CaputoWeights``, the one route to a node value, keeps one weight
+per node value for one (scheme, alpha), shared by every grid and node: the
+steady columns' fold, the convolution row c(m) that weighs u^(n-m),
+extended on demand, and for each node asked a head of at most k weights
+on its first node values.  A warm node is one slice product over c, one
+over its head and one ``math.fsum``.  A column entry at lag >= 1 is one
+Horner pass of a series about the window's midpoint, with exact rational
+coefficients per (degree, offset) (``_columns``); lag 0 folds the
+closed-form moments.  ``discrete_caputo`` reads one object per (scheme,
+alpha) from a cache of the last 16 pairs, so only a node's first call at
+a pair evaluates columns.  The four built-in studies use 14 pairs.  Filled
+to n = 2^15, an L1-...-6 object holds about 4.5 MB, so 16 retain 71 MB.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import functools
 import math
 import operator
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gamma
 from typing import Callable, Sequence
@@ -315,24 +315,25 @@ def caputo_of_piece(
 
 
 class CaputoWeights:
-    """Weight columns of one scheme at one alpha, in grid units, shared by
-    every grid and node they are asked for.
+    """Weights of one scheme at one alpha, in grid units, shared by every
+    grid and node they are asked for.
 
     Interval I_j of node n, with a degree-k piece anchored at j + offset,
     contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, the column
     entries of ``_columns``: they depend on the lag alone, never on j or n.
-    The steady stencil (the run of ``interp._runs`` that grows with n; its
-    lags start at offset) keeps its columns by lag, column l shifted to
-    start at index l, and their fold, the convolution row
-
-        c(m) = sum_l w_l(m + offset - l),   l = 0..min(k, m),
-
-    the weight of u^(n-m).  Each node the steady run covers fully costs one
-    product; the p-th node below those takes only its terms l >= p from the
-    columns, and a node's at most k startup or final intervals get theirs
-    from one ``_columns`` call per run.  Columns and row grow on demand and
-    are published together in one assignment, never touching those a
-    concurrent ``value`` may be reading, so threads may share one object.
+    Node n is sum_i W(n, i) u^i.  Let lo be the first node the steady run
+    (the run of ``interp._runs`` that grows with n; its lags start at
+    offset) covers fully, k for Lk and 2 for L2, and h = min(n + 1, lo).
+    For i >= h, W(n, i) is entry n - i of the row c(m), the fsum of
+    w_l(m + offset - l), l = 0..min(k, m), from the steady columns, kept by
+    lag with column l shifted to start at index l; for L2, c(m <= 2) takes
+    in the final interval, whose entries depend on m alone.  For i < h,
+    W(n, i) is entry i of node n's head, the fsum of the column entries on
+    u^i from its startup and steady runs, computed when node n is first
+    asked for and kept as lo floats per node in one array (nan until then).
+    Columns and row grow on demand and are published in one assignment,
+    never touching those a concurrent ``value`` may be reading, and a head
+    is written in one slice assignment, so threads may share one object.
     For L1 the one column is the weight row ``verify`` checks in closed
     form.
     """
@@ -341,8 +342,9 @@ class CaputoWeights:
         self.scheme = scheme
         self.alpha = _check_alpha(alpha)
         # past 2k + 1 nodes the run that grows with n is the longest one
-        self._steady = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])[:2]
-        self._store = (tuple(array("d") for _ in range(self._steady[0] + 1)), [])
+        degree, offset, first, _ = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])
+        self._steady, self._lo = (degree, offset), first + offset
+        self._store = (tuple(array("d") for _ in range(degree + 1)), [], array("d"))
 
     def value(
         self,
@@ -353,34 +355,51 @@ class CaputoWeights:
         """Discrete Caputo value of u at node n of the grid, as
         ``discrete_caputo`` defines it, bit for bit."""
         vals = _check_nodes(grid, u, n)
-        al = self.alpha
-        products = []
-        for degree, offset, first, last in _runs(self.scheme, n):
-            # intervals first..last read lags n-first down to n-last
+        h = min(n + 1, self._lo)
+        _, row, heads = self._store
+        head = heads[n * self._lo : n * self._lo + h]
+        # the row may be one published by a call that reached fewer lags
+        if not head or math.isnan(head[0]) or len(row) <= n - h:
+            row, head = self._fill(n)
+        # u^n..u^h against c(0..n-h), u^0..u^(h-1) against the head; fsum is
+        # correctly rounded, so the order of the products is immaterial
+        products = [*map(operator.mul, vals[n : h - 1 : -1], row), *map(operator.mul, vals, head)]
+        return math.fsum(products) * grid.tau ** (-self.alpha) / gamma(1.0 - self.alpha)
+
+    def _fill(self, n: int) -> tuple[list[float], array]:
+        """Publish node n's head and the lags it reads; return (row, head)."""
+        al, lo = self.alpha, self._lo
+        cols, row, heads = self._store
+        # the column entries on u^i that the row does not hold, by node i;
+        # reversed, so L2's final interval comes before its steady run
+        edges = defaultdict(list)
+        for degree, offset, first, last in reversed(_runs(self.scheme, n)):
+            lags = range(n - last, n - first + 1)
             if (degree, offset) != self._steady:
-                cols = _columns(degree, offset, range(n - last, n - first + 1), al)
-                for l, col in enumerate(cols):
-                    window = vals[first + offset - l : last + offset - l + 1]
-                    products.extend(map(operator.mul, window, reversed(col)))
+                for l, col in enumerate(_columns(degree, offset, lags, al)):
+                    for lag, w in zip(lags, col):
+                        edges[n - lag + offset - l].append(w)
                 continue
-            # cols[l][lag + l] = w_l(lag), zero below lag offset: node i
-            # reads index n - i + offset of its columns l >= lo - i
-            lo = first + offset
-            cols, row = self._store
             if len(row) <= n - lo:
-                fresh = _columns(degree, offset, range(len(cols[0]), n - first + 1), al)
+                fresh = _columns(degree, offset, range(len(cols[0]), lags.stop), al)
                 if not row:
                     fresh = [[0.0] * (l + offset) + col[offset:] for l, col in enumerate(fresh)]
                 cols = tuple(col + array("d", more) for col, more in zip(cols, fresh))
-                # the zeros column l holds below m = l leave fsum's value alone
-                folds = zip(*(col[len(row) + offset : n - first + 1] for col in cols))
-                row = row + list(map(math.fsum, folds))
-                self._store = (cols, row)
-            products.extend(map(operator.mul, vals[lo:], row[n - lo :: -1]))
+                # zeros below m = l leave fsum alone; edges here are L2's final interval
+                folds = zip(*(col[len(row) + offset : lags.stop] for col in cols))
+                row = row + [math.fsum((*fold, *edges[n - m])) for m, fold in enumerate(folds, len(row))]
+            # cols[l][lag + l] = w_l(lag), zero below lag offset: node i < lo
+            # reads index n - i + offset of its columns l >= lo - i
             for i in range(lo - degree, lo):
-                products.extend(vals[i] * col[n - i + offset] for col in cols[lo - i :])
-        # fsum is correctly rounded, so the order of the products is immaterial
-        return math.fsum(products) * grid.tau ** (-al) / gamma(1.0 - al)
+                edges[i].extend(col[n - i + offset] for col in cols[lo - i :])
+        at, h = n * lo, min(n + 1, lo)
+        if len(heads) < at + lo:
+            # by an eighth at least, so a trajectory copies its heads O(log n) times
+            heads = heads + array("d", [math.nan]) * (max(at + lo, len(heads) * 9 // 8) - len(heads))
+        head = array("d", [math.fsum(edges[i]) for i in range(h)])
+        heads[at : at + h] = head
+        self._store = (cols, row, heads)
+        return row, head
 
 
 @functools.lru_cache(maxsize=16)
@@ -403,8 +422,8 @@ def discrete_caputo(
     linear (L1) first step.  The value is a fresh ``CaputoWeights``'s, bit
     for bit, read from a cache of the last 16 (scheme, alpha) pairs (the
     four built-in studies use 14), each holding k + 1 steady columns and
-    their folded row to the deepest lag asked for: at most 16 x 2.9 MB,
-    for L1-...-6 at n = 2^15.
+    their folded row to the deepest lag, and k weights per node up to the
+    deepest node asked for: at most 16 x 4.5 MB, for L1-...-6 at n = 2^15.
     """
     weights = _shared_weights(scheme, _check_alpha(alpha))
     value = weights.value(grid, u, n)

@@ -87,7 +87,7 @@ _FIRST_NODE_L2 = ["first-node", "--scheme", "l2", "--alpha", "0.5", "--beta", "0
     "tau_exp, line",
     [
         ("8", "tau=2^-8 error=1.214618e-04 measured_R=1.4983 expected=1.5000"),
-        ("20", "tau=2^-20 error=4.646464e-10 measured_R=1.4986 expected=1.5000"),
+        ("20", "tau=2^-20 error=4.643148e-10 measured_R=1.4982 expected=1.5000"),
     ],
 )
 def test_first_node_fine_steps(capsys, tau_exp, line):

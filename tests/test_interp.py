@@ -344,6 +344,17 @@ class TestBuildInterpolant:
             with pytest.raises(ValueError, match="u\\^2 is not finite"):
                 build_interpolant(SchemeKind.l2(), g, [0.0, 1.0, bad, 3.0, 4.0], 4)
 
+    def test_finite_values_may_overflow_their_sum(self):
+        """Finiteness is checked on the values' sum first, item by item
+        only when that is not finite: finite values whose sum overflows
+        pass, and the first bad value after them is still named."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        big = [0.0, 1e308, 1e308, -1e308, 1e308]
+        assert len(build_interpolant(SchemeKind.l1(), g, big, 4).pieces) == 4
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="u\\^3 is not finite"):
+                build_interpolant(SchemeKind.l1(), g, big[:3] + [bad, -1e308], 4)
+
     def test_piece_at_boundaries(self):
         u = HolderTestFunction(m=1, beta=0.8, xi=0.5)
         g, vals = self.grid_and_values(6, u, steps=8)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -279,10 +281,11 @@ class TestReferenceRoute:
         """A shared CaputoWeights builds no interpolant, no Lagrange piece
         and no per-piece route.  The steady columns are filled densely from
         lag 0, each lag evaluated once in any order of nodes; a startup or
-        final interval costs one column evaluation per node evaluation.
-        Every node costs one gamma call.  The values match one column
-        evaluation per interval within ``_fold_bound`` (the folded row
-        rounds its sums of columns first)."""
+        final interval costs one column evaluation the first time its node
+        is asked for, none on a repeat (node 20 here).  Every node costs
+        one gamma call.  The values match one column evaluation per
+        interval within ``_fold_bound`` (each weight rounds its sum of
+        column entries first)."""
         g = UniformGrid(horizon=1.0, steps=23)
         alpha = 0.4
         vals = [math.sin(3.0 * g.time(i)) for i in range(g.steps + 1)]
@@ -351,7 +354,8 @@ class TestReferenceRoute:
 class TestFoldedRow:
     """The steady run of a node is one product per node value: its k + 1
     weight columns are folded into the row c(m) = sum_l w_l(m + offset - l),
-    l = 0..min(k, m), the weight of u^(n-m)."""
+    l = 0..min(k, m), the weight of u^(n-m); for L2, c(m) takes in the
+    final interval's entry on u^(n-m) too, m <= 2."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
     def test_each_entry_is_the_fsum_of_the_columns_it_folds(self, scheme):
@@ -366,15 +370,118 @@ class TestFoldedRow:
             weights = CaputoWeights(scheme, alpha)
             for n in (k, k + 1, k + 2, 2 * k + 5, 40, 17, 64):
                 weights.value(g, vals, n)
-            cols, row = weights._store
+            cols, row, _ = weights._store
             fresh = caputo_lk.schemes._columns(degree, offset, range(len(cols[0])), alpha)
+            # L2's final interval, lag 0, lands on u^(n-m) for m <= 2
+            final = [col[0] for col in caputo_lk.schemes._columns(2, 0, (0,), alpha)]
             # column l from index l on, its lags below offset (L2's lag 0) zero
             shifted = [[0.0] * (l + offset) + col[offset:] for l, col in enumerate(fresh)]
             assert [list(col) for col in cols] == shifted
             assert len(row) == len(cols[0]) - offset == 64 - k + 1
             for m, c in enumerate(row):
                 folded = [fresh[l][m + offset - l] for l in range(min(k, m) + 1)]
+                if scheme == SchemeKind.l2() and m <= 2:
+                    folded.append(final[m])
                 assert c == math.fsum(folded), (alpha, m)
+
+
+def _entries_on(scheme, n, i, alpha):
+    """The column entries on u^i at node n, one ``_columns`` call per
+    interval: entry l of every interval j whose stencil holds node
+    i = j + offset - l."""
+    entries = []
+    for degree, offset, first, last in _runs(scheme, n):
+        for l in range(degree + 1):
+            if first <= i + l - offset <= last:
+                col = caputo_lk.schemes._columns(degree, offset, (n - i - l + offset,), alpha)[l]
+                entries.extend(col)
+    return entries
+
+
+class TestNodeWeights:
+    """Node n is sum_i W(n, i) u^i, one weight per node value: row entry
+    c(n - i) for i >= h = min(n + 1, lo), and below h entry i of the head
+    kept for node n, computed the first time node n is asked for."""
+
+    def test_each_weight_is_the_fsum_of_the_column_entries_on_its_node(self):
+        """Nodes asked in any order, one at a time and in jumps: every head
+        entry is the fsum of the per-interval column entries on its node
+        value, and every row entry m <= k (L2's final interval included)
+        is that same sum for every n >= h + m.  Nodes never asked keep no
+        head."""
+        hp, st, settings = _property_tools()
+
+        @settings
+        @hp.given(
+            scheme=st.sampled_from(ALL_SCHEMES),
+            alpha=st.floats(0.01, 0.99),
+            asks=st.lists(st.tuples(st.integers(1, 64), st.integers(1, 6)), min_size=1, max_size=5),
+        )
+        def check(scheme, alpha, asks):
+            g = UniformGrid(horizon=1.0, steps=64)
+            vals = [math.sin(3.0 * g.time(i)) for i in range(65)]
+            weights = CaputoWeights(scheme, alpha)
+            asked = set()
+            for start, count in asks:
+                for n in range(start, min(start + count, 65)):
+                    weights.value(g, vals, n)
+                    asked.add(n)
+            lo = weights._lo
+            _, row, heads = weights._store
+            for n in range(len(heads) // lo):
+                head = heads[n * lo : n * lo + min(n + 1, lo)]
+                if n not in asked:
+                    assert all(map(math.isnan, head)), n
+                    continue
+                want = [math.fsum(_entries_on(scheme, n, i, alpha)) for i in range(len(head))]
+                assert list(head) == want, n
+            for m in range(min(scheme.degree + 1, len(row))):
+                for n in range(lo + m, max(asked) + 1):
+                    assert row[m] == math.fsum(_entries_on(scheme, n, n - m, alpha)), (m, n)
+
+        check()
+
+    def test_second_pass_evaluates_no_column(self, monkeypatch):
+        """A node's head is kept from its first evaluation, so a second
+        pass over nodes 1..64 of every scheme makes no ``_columns`` call
+        and gives the first pass's values bit for bit."""
+        keys = _record_moment_keys(monkeypatch)
+        g = UniformGrid(horizon=1.0, steps=64)
+        vals = [math.sin(3.0 * g.time(i)) for i in range(65)]
+        for scheme in ALL_SCHEMES:
+            weights = CaputoWeights(scheme, 0.45)
+            first = [weights.value(g, vals, n) for n in range(1, 65)]
+            assert Counter(keys) == _expected_keys(scheme, range(1, 65)), scheme.label
+            keys.clear()
+            assert [weights.value(g, vals, n) for n in range(1, 65)] == first
+            assert keys == [], scheme.label
+
+    def test_heads_retain_about_eight_bytes_per_weight(self):
+        """L1-...-6 asked for every node 1..2^12: the steady columns and
+        row retain 88 B per lag (seven 8-byte columns, a list of floats),
+        and the heads no more than 8 h B per node with room for a quarter
+        more, h = 6.  139 B per node in all measured; heads kept besides
+        as per-node lists of floats in a dict measured 468.  A full garbage
+        collection empties the interpreter's free lists, whose objects
+        would count as retained."""
+        n_max = 2**12
+        scheme = SchemeKind.lk(6)
+        # the column series of every startup degree, cached per alpha
+        CaputoWeights(scheme, 0.4).value(UniformGrid(horizon=1.0, steps=20), [0.0] * 21, 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weights = CaputoWeights(scheme, 0.4)
+            # what a node's first evaluation keeps, without tracing the
+            # products of every evaluation (15 s traced, against 3 s)
+            for n in range(1, n_max + 1):
+                weights._fill(n)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert weights._lo == 6
+        assert retained <= n_max * (88 + 1.25 * 8 * 6), retained / n_max
 
 
 class TestSharedWeights:
@@ -408,8 +515,8 @@ class TestSharedWeights:
 
     def test_repeated_measurement_fills_no_steady_lag(self, monkeypatch):
         """The harness reads these shared objects too, so a second
-        order_interior at the same (scheme, alpha, tau) evaluates only the
-        startup and final intervals of its nodes afresh."""
+        order_interior at the same (scheme, alpha, tau) evaluates no column:
+        its nodes' steady lags and heads are all kept."""
         keys = _record_moment_keys(monkeypatch)
         f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         for scheme in (SchemeKind.l2(), SchemeKind.l12(), SchemeKind.lk(3)):
@@ -417,13 +524,12 @@ class TestSharedWeights:
             assert any(key[:2] == _steady(scheme) for key in keys)
             keys.clear()
             assert order_interior(scheme, f, 0.3, 2.0**-5) == first
-            assert keys and all(key[:2] != _steady(scheme) for key in keys), scheme.label
-            keys.clear()
+            assert keys == [], scheme.label
 
     def test_second_round_of_the_studies_fills_no_steady_lag(self, monkeypatch):
         """The four built-in studies use 14 (scheme, alpha) pairs, which the
-        cache holds at once, so a second round in the same process evaluates
-        only the startup and final intervals of each node afresh."""
+        cache holds at once, so a second round in the same process asks
+        only for nodes the first round asked for, and evaluates no column."""
         keys = _record_moment_keys(monkeypatch)
         nodes = []
         original = caputo_lk.harness.discrete_caputo
@@ -438,12 +544,7 @@ class TestSharedWeights:
         keys.clear()
         nodes.clear()
         assert [reproduce_table(i) for i in (1, 2, 3, 4)] == first
-        edges = Counter()
-        for scheme, n in nodes:
-            edges.update(
-                {key: c for key, c in _expected_keys(scheme, (n,)).items() if key[:2] != _steady(scheme)}
-            )
-        assert Counter(keys) == edges
+        assert nodes and keys == []
 
     def test_both_spellings_share_one_entry(self):
         """l1() and lk(1), like l12() and lk(2), key one cached object."""
@@ -532,11 +633,12 @@ def _steady(scheme) -> tuple[int, int]:
 def _expected_keys(scheme, nodes) -> Counter:
     """The (degree, offset, lag) one CaputoWeights evaluates for these node
     evaluations, with multiplicity: the startup and final intervals of each
-    evaluation, and the steady columns once each, densely from lag 0 to
-    the deepest lag any node reads."""
+    node's first evaluation (a repeat evaluates none), and the steady
+    columns once each, densely from lag 0 to the deepest lag any node
+    reads."""
     keys = Counter()
     top = -1
-    for n in nodes:
+    for n in dict.fromkeys(nodes):
         for degree, offset, first, last in _runs(scheme, n):
             if (degree, offset) == _steady(scheme):
                 top = max(top, n - first)
@@ -579,9 +681,9 @@ def _fold_bound(got, value, size):
     exact scale and unit roundoff r = eps/2, to first order in r:
     * per interval, each product rounds once and the fsum once:
       |P - S| <= r A + r |P|;
-    * folded, each row entry c(m) = fsum_l w_l rounds once, and so does
-      its product (an edge term's product only), then the fsum:
-      |F - S| <= 2r A + r |F|;
+    * folded, each weight (a row entry c(m) or a head entry, the fsum of
+      the column entries on one node value) rounds once, and so does its
+      product, then the fsum: |F - S| <= 2r A + r |F|;
     * each route then multiplies its sum by tau^-alpha and divides by
       Gamma(1 - alpha), two roundings: |F' - s F| <= 2r s |F|, as for P.
     So |F' - P'| <= 3r s (A + |F| + |P|), at most 9r s A.  The r^2 terms,
@@ -717,12 +819,13 @@ class TestColumnPrecision:
         """The 128-fold reference of ``first-node --scheme l2 --alpha 0.5
         --beta 0.5 --tau-exp 20`` (node 128 of the steps 2^-27 and 2^-28)
         against 60 digits on the same node values: both stay within eps
-        sum|u w|, and the folded row is nearer than one product per column
-        entry, 2.63e-13 against 2.71e-13 and 3.08e-13 against 5.36e-13.  So
-        is the error it prints, 4.646464e-10 against 4.646538e-10 for the
-        exact 4.643830e-10 (and 1.644328e-10 against 1.642053e-10 for
-        1.647411e-10 at tau = 2^-21): its R = 1.4986 is nearer the exact
-        1.4951 than the 1.5007 the per-column route printed."""
+        sum|u w|, and one weight per node value is nearer than one product
+        per column entry, 6.8e-14 against 2.71e-13 and 3.77e-13 against
+        5.36e-13.  So is the error it prints, 4.643148e-10 against
+        4.646538e-10 for the exact 4.643830e-10 (and 1.643641e-10 against
+        1.642053e-10 for 1.647411e-10 at tau = 2^-21): its R = 1.4982 is
+        nearer the exact 1.4951 than the 1.5007 the per-column route
+        printed."""
         mpmath = pytest.importorskip("mpmath")
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
         scheme, alpha = SchemeKind.l2(), 0.5

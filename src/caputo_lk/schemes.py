@@ -26,17 +26,17 @@ The inner sum over sigma depends only on the lag n - j and on the anchor
 offset anchor - j, never on tau or n, so it is a column of convolution
 weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2), indexed by
 lag.  ``CaputoWeights``, the one route to a node value, keeps one weight
-per node value for one (scheme, alpha), shared by every grid and node: the
-steady columns' fold, the convolution row c(m) that weighs u^(n-m),
-extended on demand, and for each node asked a head of at most k weights
-on its first node values.  A warm node is one slice product over c, one
-over its head and one ``math.fsum``.  A column entry at lag >= 1 is one
-Horner pass of a series about the window's midpoint, with exact rational
-coefficients per (degree, offset) (``_columns``); lag 0 folds the
-closed-form moments.  ``discrete_caputo`` reads one object per (scheme,
+per node value for one (scheme, alpha), shared by every grid and node,
+each the fsum of the column entries on its node value: the convolution
+row c(m) that weighs u^(n-m), extended on demand, and for each node asked
+a head of at most k weights on its first node values.  A warm node is one
+slice product over c, one over its head and one ``math.fsum``.  A column
+entry at lag >= 1 is one Horner pass of a series about the window's
+midpoint, with exact rational coefficients per (degree, offset)
+(``_columns``); lag 0 folds the closed-form moments.  ``discrete_caputo`` reads one object per (scheme,
 alpha) from a cache of the last 16 pairs, so only a node's first call at
 a pair evaluates columns.  The four built-in studies use 14 pairs.  Filled
-to n = 2^15, an L1-...-6 object holds about 4.5 MB, so 16 retain 71 MB.
+to n = 2^15, an L1-...-6 object holds about 2.6 MB, so 16 retain 42 MB.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import functools
 import math
 import operator
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from math import gamma
 from typing import Callable, Sequence
@@ -321,30 +320,30 @@ class CaputoWeights:
     Interval I_j of node n, with a degree-k piece anchored at j + offset,
     contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, the column
     entries of ``_columns``: they depend on the lag alone, never on j or n.
-    Node n is sum_i W(n, i) u^i.  Let lo be the first node the steady run
-    (the run of ``interp._runs`` that grows with n; its lags start at
-    offset) covers fully, k for Lk and 2 for L2, and h = min(n + 1, lo).
-    For i >= h, W(n, i) is entry n - i of the row c(m), the fsum of
-    w_l(m + offset - l), l = 0..min(k, m), from the steady columns, kept by
-    lag with column l shifted to start at index l; for L2, c(m <= 2) takes
-    in the final interval, whose entries depend on m alone.  For i < h,
-    W(n, i) is entry i of node n's head, the fsum of the column entries on
-    u^i from its startup and steady runs, computed when node n is first
-    asked for and kept as lo floats per node in one array (nan until then).
-    Columns and row grow on demand and are published in one assignment,
-    never touching those a concurrent ``value`` may be reading, and a head
-    is written in one slice assignment, so threads may share one object.
-    For L1 the one column is the weight row ``verify`` checks in closed
-    form.
+    Node n is sum_i W(n, i) u^i, W(n, i) the fsum of every column entry on
+    u^i.  Let lo be the first node the steady run (the run of
+    ``interp._runs`` that grows with n) covers fully, k for Lk and 2 for L2,
+    and h = min(n + 1, lo).  For i >= h, only the steady run and L2's final
+    interval reach u^i, at lags fixed by m = n - i, so W(n, i) is entry m
+    of the row c(m), shared by every node.  For i < h, W(n, i) is entry i
+    of node n's head, computed when node n is first asked for and kept as
+    lo floats per node in one array (nan until then).  A fill evaluates
+    only the lags whose entries land on a node value no kept weight covers:
+    the row's new lags and at most k seam lags below them, and the startup
+    intervals.  The row grows on demand and is published in one
+    assignment, never touching one a concurrent ``value`` may be reading,
+    and a head is written in one slice assignment, so threads may share one
+    object.  For L1 the row's partial sums are b_m / (1 - alpha), the
+    weights ``verify`` checks in closed form.
     """
 
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
         self.scheme = scheme
         self.alpha = _check_alpha(alpha)
         # past 2k + 1 nodes the run that grows with n is the longest one
-        degree, offset, first, _ = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])
-        self._steady, self._lo = (degree, offset), first + offset
-        self._store = (tuple(array("d") for _ in range(degree + 1)), [], array("d"))
+        _, offset, first, _ = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])
+        self._lo = first + offset
+        self._store = ([], array("d"))
 
     def value(
         self,
@@ -356,7 +355,7 @@ class CaputoWeights:
         ``discrete_caputo`` defines it, bit for bit."""
         vals = _check_nodes(grid, u, n)
         h = min(n + 1, self._lo)
-        _, row, heads = self._store
+        row, heads = self._store
         head = heads[n * self._lo : n * self._lo + h]
         # the row may be one published by a call that reached fewer lags
         if not head or math.isnan(head[0]) or len(row) <= n - h:
@@ -367,38 +366,30 @@ class CaputoWeights:
         return math.fsum(products) * grid.tau ** (-self.alpha) / gamma(1.0 - self.alpha)
 
     def _fill(self, n: int) -> tuple[list[float], array]:
-        """Publish node n's head and the lags it reads; return (row, head)."""
-        al, lo = self.alpha, self._lo
-        cols, row, heads = self._store
-        # the column entries on u^i that the row does not hold, by node i;
-        # reversed, so L2's final interval comes before its steady run
-        edges = defaultdict(list)
-        for degree, offset, first, last in reversed(_runs(self.scheme, n)):
-            lags = range(n - last, n - first + 1)
-            if (degree, offset) != self._steady:
-                for l, col in enumerate(_columns(degree, offset, lags, al)):
-                    for lag, w in zip(lags, col):
-                        edges[n - lag + offset - l].append(w)
-                continue
-            if len(row) <= n - lo:
-                fresh = _columns(degree, offset, range(len(cols[0]), lags.stop), al)
-                if not row:
-                    fresh = [[0.0] * (l + offset) + col[offset:] for l, col in enumerate(fresh)]
-                cols = tuple(col + array("d", more) for col, more in zip(cols, fresh))
-                # zeros below m = l leave fsum alone; edges here are L2's final interval
-                folds = zip(*(col[len(row) + offset : lags.stop] for col in cols))
-                row = row + [math.fsum((*fold, *edges[n - m])) for m, fold in enumerate(folds, len(row))]
-            # cols[l][lag + l] = w_l(lag), zero below lag offset: node i < lo
-            # reads index n - i + offset of its columns l >= lo - i
-            for i in range(lo - degree, lo):
-                edges[i].extend(col[n - i + offset] for col in cols[lo - i :])
-        at, h = n * lo, min(n + 1, lo)
+        """Publish node n's head and the row entries it reads; return (row, head)."""
+        lo = self._lo
+        row, heads = self._store
+        h = min(n + 1, lo)
+        # u^0..u^top: the head's node values and those the row does not reach
+        top = max(h - 1, n - len(row))
+        on = [[] for _ in range(top + 1)]
+        for degree, offset, first, last in _runs(self.scheme, n):
+            # entry l at lag n - j lands on u^(j + offset - l): the intervals
+            # j whose stencil reaches down to u^top or below
+            lags = range(max(n - last, n - top + offset - degree), n - first + 1)
+            for l, col in enumerate(_columns(degree, offset, lags, self.alpha)):
+                for i, w in zip(range(n - lags.start + offset - l, -1, -1), col):
+                    if i <= top:
+                        on[i].append(w)
+        if len(row) <= n - lo:
+            row = row + [math.fsum(on[n - m]) for m in range(len(row), n - lo + 1)]
+        at = n * lo
         if len(heads) < at + lo:
             # by an eighth at least, so a trajectory copies its heads O(log n) times
             heads = heads + array("d", [math.nan]) * (max(at + lo, len(heads) * 9 // 8) - len(heads))
-        head = array("d", [math.fsum(edges[i]) for i in range(h)])
+        head = array("d", [math.fsum(on[i]) for i in range(h)])
         heads[at : at + h] = head
-        self._store = (cols, row, heads)
+        self._store = (row, heads)
         return row, head
 
 
@@ -421,9 +412,9 @@ def discrete_caputo(
     values covering u^0..u^n.  At n = 1 every scheme collapses to the
     linear (L1) first step.  The value is a fresh ``CaputoWeights``'s, bit
     for bit, read from a cache of the last 16 (scheme, alpha) pairs (the
-    four built-in studies use 14), each holding k + 1 steady columns and
-    their folded row to the deepest lag, and k weights per node up to the
-    deepest node asked for: at most 16 x 4.5 MB, for L1-...-6 at n = 2^15.
+    four built-in studies use 14), each holding its row to the deepest lag
+    and k weights per node up to the deepest node asked for: at most
+    16 x 2.6 MB, for L1-...-6 at n = 2^15.
     """
     weights = _shared_weights(scheme, _check_alpha(alpha))
     value = weights.value(grid, u, n)

@@ -279,13 +279,13 @@ class TestReferenceRoute:
 
     def test_one_moment_evaluation_per_new_lag(self, monkeypatch):
         """A shared CaputoWeights builds no interpolant, no Lagrange piece
-        and no per-piece route.  The steady columns are filled densely from
-        lag 0, each lag evaluated once in any order of nodes; a startup or
-        final interval costs one column evaluation the first time its node
-        is asked for, none on a repeat (node 20 here).  Every node costs
-        one gamma call.  The values match one column evaluation per
-        interval within ``_fold_bound`` (each weight rounds its sum of
-        column entries first)."""
+        and no per-piece route.  A node's first evaluation evaluates the
+        columns of the intervals whose entries land on a node value no row
+        entry or head weighs yet: the row's new lags, at most k seam lags
+        below them and its startup or final intervals; a repeat evaluates
+        none (node 20 here).  Every node costs one gamma call.  The values
+        match one column evaluation per interval within ``_fold_bound``
+        (each weight rounds its sum of column entries first)."""
         g = UniformGrid(horizon=1.0, steps=23)
         alpha = 0.4
         vals = [math.sin(3.0 * g.time(i)) for i in range(g.steps + 1)]
@@ -339,50 +339,61 @@ class TestReferenceRoute:
     )
     def test_interior_cell_fills_each_lag_once(self, monkeypatch, scheme):
         """The three grids of an interior cell, nodes n, 2n and 4n, share
-        one CaputoWeights: the 4n steady lags are filled once (not the 7n
-        of three separate evaluations), plus each grid's own startup or
-        final intervals, once per node."""
+        one CaputoWeights: the 4n steady lags are evaluated once, plus at
+        most k + 1 seam lags per node (not the 7n of three separate
+        evaluations), and each grid's own startup or final intervals, once
+        per node."""
         keys = _record_moment_keys(monkeypatch)
         f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
         order_interior(scheme, f, 0.5, 2.0**-5)
         n = 16
         assert Counter(keys) == _expected_keys(scheme, (n, 2 * n, 4 * n))
         edges = sum(1 for key in keys if key[:2] != _steady(scheme))
-        assert len(keys) - edges <= 4 * n
+        assert len(keys) - edges <= 4 * n + 3 * (scheme.degree + 1)
 
 
 class TestFoldedRow:
-    """The steady run of a node is one product per node value: its k + 1
-    weight columns are folded into the row c(m) = sum_l w_l(m + offset - l),
-    l = 0..min(k, m), the weight of u^(n-m); for L2, c(m) takes in the
-    final interval's entry on u^(n-m) too, m <= 2."""
+    """The steady run of a node is one product per node value: the row
+    entry c(m), the weight of u^(n-m), is the fsum of the column entries
+    l = 0..min(k, m) of the steady stencil on that node value; for L2, c(m)
+    takes in the final interval's entry on u^(n-m) too, m <= 2."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
     def test_each_entry_is_the_fsum_of_the_columns_it_folds(self, scheme):
         """Bit for bit, however the row grew: from steady runs of fewer than
         k + 1 intervals (n = k, k + 1), one node at a time, in jumps and
         after a deeper node."""
-        k = scheme.degree
-        degree, offset = _steady(scheme)
         g = UniformGrid(horizon=1.0, steps=64)
         vals = [math.sin(3.0 * g.time(i)) for i in range(g.steps + 1)]
+        asked = (scheme.degree, scheme.degree + 1, scheme.degree + 2, 2 * scheme.degree + 5, 40, 17, 64)
         for alpha in (0.05, 0.5, 0.95):
             weights = CaputoWeights(scheme, alpha)
-            for n in (k, k + 1, k + 2, 2 * k + 5, 40, 17, 64):
+            for n in asked:
                 weights.value(g, vals, n)
-            cols, row, _ = weights._store
-            fresh = caputo_lk.schemes._columns(degree, offset, range(len(cols[0])), alpha)
-            # L2's final interval, lag 0, lands on u^(n-m) for m <= 2
-            final = [col[0] for col in caputo_lk.schemes._columns(2, 0, (0,), alpha)]
-            # column l from index l on, its lags below offset (L2's lag 0) zero
-            shifted = [[0.0] * (l + offset) + col[offset:] for l, col in enumerate(fresh)]
-            assert [list(col) for col in cols] == shifted
-            assert len(row) == len(cols[0]) - offset == 64 - k + 1
-            for m, c in enumerate(row):
-                folded = [fresh[l][m + offset - l] for l in range(min(k, m) + 1)]
-                if scheme == SchemeKind.l2() and m <= 2:
-                    folded.append(final[m])
-                assert c == math.fsum(folded), (alpha, m)
+            assert len(weights._store[0]) == 64 - weights._lo + 1
+            _check_store(scheme, alpha, weights, set(asked))
+
+
+def _check_store(scheme, alpha, weights, asked):
+    """Every weight ``weights`` keeps against the fsum of the per-interval
+    column entries on its node value (``_entries_on``): the head entries
+    of each asked node, and each row entry c(m) at the shallowest and the
+    deepest node asked that reads it, at every node for m <= k, where L2's
+    final interval lands.  Nodes never asked keep no head."""
+    lo = weights._lo
+    row, heads = weights._store
+    for n in range(len(heads) // lo):
+        head = heads[n * lo : n * lo + min(n + 1, lo)]
+        if n not in asked:
+            assert all(map(math.isnan, head)), n
+            continue
+        want = [math.fsum(_entries_on(scheme, n, i, alpha)) for i in range(len(head))]
+        assert list(head) == want, n
+    deepest = max(asked)
+    for m, c in enumerate(row):
+        nodes = range(lo + m, deepest + 1) if m <= scheme.degree else (lo + m, deepest)
+        for n in nodes:
+            assert c == math.fsum(_entries_on(scheme, n, n - m, alpha)), (m, n)
 
 
 def _entries_on(scheme, n, i, alpha):
@@ -405,10 +416,8 @@ class TestNodeWeights:
 
     def test_each_weight_is_the_fsum_of_the_column_entries_on_its_node(self):
         """Nodes asked in any order, one at a time and in jumps: every head
-        entry is the fsum of the per-interval column entries on its node
-        value, and every row entry m <= k (L2's final interval included)
-        is that same sum for every n >= h + m.  Nodes never asked keep no
-        head."""
+        entry and every row entry is the fsum of the per-interval column
+        entries on its node value (``_check_store``)."""
         hp, st, settings = _property_tools()
 
         @settings
@@ -426,18 +435,7 @@ class TestNodeWeights:
                 for n in range(start, min(start + count, 65)):
                     weights.value(g, vals, n)
                     asked.add(n)
-            lo = weights._lo
-            _, row, heads = weights._store
-            for n in range(len(heads) // lo):
-                head = heads[n * lo : n * lo + min(n + 1, lo)]
-                if n not in asked:
-                    assert all(map(math.isnan, head)), n
-                    continue
-                want = [math.fsum(_entries_on(scheme, n, i, alpha)) for i in range(len(head))]
-                assert list(head) == want, n
-            for m in range(min(scheme.degree + 1, len(row))):
-                for n in range(lo + m, max(asked) + 1):
-                    assert row[m] == math.fsum(_entries_on(scheme, n, n - m, alpha)), (m, n)
+            _check_store(scheme, alpha, weights, asked)
 
         check()
 
@@ -456,15 +454,46 @@ class TestNodeWeights:
             assert [weights.value(g, vals, n) for n in range(1, 65)] == first
             assert keys == [], scheme.label
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+    def test_fill_order_leaves_the_same_weights(self, scheme):
+        """Nodes 1..64 asked ascending, descending, and 64 first and then
+        the rest give the same node values and keep the same row and heads,
+        bit for bit, whichever seam lags each fill evaluated."""
+        g = UniformGrid(horizon=1.0, steps=64)
+        vals = [math.sin(3.0 * g.time(i)) for i in range(65)]
+        orders = (range(1, 65), range(64, 0, -1), (64, *range(1, 64)))
+        for alpha in (0.05, 0.95):
+            kept = set()
+            for order in orders:
+                weights = CaputoWeights(scheme, alpha)
+                values = {n: weights.value(g, vals, n).hex() for n in order}
+                row, heads = weights._store
+                size = 65 * weights._lo
+                assert all(map(math.isnan, heads[size:]))
+                kept.add((tuple(sorted(values.items())), tuple(row), heads[:size].tobytes()))
+            assert len(kept) == 1, alpha
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.l1(), SchemeKind.l2(), SchemeKind.lk(6)], ids=lambda s: s.label)
+    def test_heads_grow_geometrically(self, scheme):
+        """4096 nodes asked in turn copy the heads O(log n) times (61 to 64
+        measured): each copy grows them by an eighth at least, not by the
+        one node asked."""
+        weights = CaputoWeights(scheme, 0.4)
+        copies = 0
+        for n in range(1, 4097):
+            heads = weights._store[1]
+            weights._fill(n)
+            copies += weights._store[1] is not heads
+        assert copies <= 100
+
     def test_heads_retain_about_eight_bytes_per_weight(self):
-        """L1-...-6 asked for every node 1..2^12: the steady columns and
-        row retain 88 B per lag (seven 8-byte columns, a list of floats),
-        and the heads no more than 8 h B per node with room for a quarter
-        more, h = 6.  139 B per node in all measured; heads kept besides
-        as per-node lists of floats in a dict measured 468.  A full garbage
-        collection empties the interpreter's free lists, whose objects
-        would count as retained."""
-        n_max = 2**12
+        """L1-...-6 asked for every node 1..2^10: the row retains 32 B per
+        lag (a list of floats), and the heads no more than 8 h B per node
+        with room for a quarter more, h = 6.  79 B per node in all
+        measured; keeping the k + 1 steady columns besides the row measured
+        136.  A full garbage collection empties the interpreter's free
+        lists, whose objects would count as retained."""
+        n_max = 2**10
         scheme = SchemeKind.lk(6)
         # the column series of every startup degree, cached per alpha
         CaputoWeights(scheme, 0.4).value(UniformGrid(horizon=1.0, steps=20), [0.0] * 21, 20)
@@ -473,7 +502,7 @@ class TestNodeWeights:
             base = tracemalloc.get_traced_memory()[0]
             weights = CaputoWeights(scheme, 0.4)
             # what a node's first evaluation keeps, without tracing the
-            # products of every evaluation (15 s traced, against 3 s)
+            # products of every evaluation
             for n in range(1, n_max + 1):
                 weights._fill(n)
             gc.collect()
@@ -481,7 +510,7 @@ class TestNodeWeights:
         finally:
             tracemalloc.stop()
         assert weights._lo == 6
-        assert retained <= n_max * (88 + 1.25 * 8 * 6), retained / n_max
+        assert retained <= n_max * (32 + 1.25 * 8 * 6), retained / n_max
 
 
 class TestSharedWeights:
@@ -632,19 +661,18 @@ def _steady(scheme) -> tuple[int, int]:
 
 def _expected_keys(scheme, nodes) -> Counter:
     """The (degree, offset, lag) one CaputoWeights evaluates for these node
-    evaluations, with multiplicity: the startup and final intervals of each
-    node's first evaluation (a repeat evaluates none), and the steady
-    columns once each, densely from lag 0 to the deepest lag any node
-    reads."""
-    keys = Counter()
-    top = -1
+    evaluations, with multiplicity.  A node's first evaluation evaluates
+    each interval j whose stencil reaches a node value u^i, i <= top, that
+    no weight kept covers yet: i < min(n + 1, lo) for its head, and
+    i <= n - len(row) below the row, whose entries c(0..n - lo) it then
+    keeps (lo = 2 for L2, k for Lk).  A repeat evaluates none."""
+    lo = 2 if scheme == SchemeKind.l2() else scheme.degree
+    keys, rows = Counter(), 0
     for n in dict.fromkeys(nodes):
+        top = max(min(n + 1, lo) - 1, n - rows)
         for degree, offset, first, last in _runs(scheme, n):
-            if (degree, offset) == _steady(scheme):
-                top = max(top, n - first)
-            else:
-                keys.update((degree, offset, n - j) for j in range(first, last + 1))
-    keys.update((*_steady(scheme), lag) for lag in range(top + 1))
+            keys.update((degree, offset, n - j) for j in range(first, last + 1) if j + offset - degree <= top)
+        rows = max(rows, n - lo + 1)
     return keys
 
 

@@ -375,21 +375,18 @@ _TABLE_PARAMS = {
         xi=0.5,
         alphas=(0.1, 0.3, 0.5, 0.7),
         totals=_TOTALS_HALF,
-        title="interior convergence orders, L2 scheme (xi = 0.5, tau = 2^-7)",
     ),
     2: dict(
         scheme=SchemeKind.l12(),
         xi=0.5,
         alphas=(0.1, 0.3, 0.5, 0.7),
         totals=_TOTALS_HALF,
-        title="interior convergence orders, L1-2 scheme (xi = 0.5, tau = 2^-7)",
     ),
     4: dict(
         scheme=SchemeKind.lk(3),
         xi=0.25,
         alphas=(0.3, 0.5, 0.7),
         totals=_TOTALS_QUARTER,
-        title="interior convergence orders, L1-2-3 scheme (xi = 0.25, tau = 2^-7)",
     ),
 }
 
@@ -414,7 +411,8 @@ def _interior_report(table_id: int) -> Report:
             row = order_interior(scheme, f, alpha, tau)
             cells.append(InteriorCell(alpha=alpha, total=total, row=row))
     return Report(
-        title=params["title"],
+        title=f"interior convergence orders, {scheme.label} scheme"
+        f" (xi = {xi}, tau = 2^-{_INTERIOR_TAU_EXP})",
         kind="interior",
         scheme=scheme,
         xi=xi,

@@ -2,10 +2,10 @@
 
 Every scheme below approximates the integrand by a piecewise polynomial
 whose pieces interpolate on k+1 consecutive grid nodes.  On a uniform grid
-a piece is fixed by its degree, its anchor (the index of the rightmost
-stencil node) and the grid interval on which it is in force; ``_runs``
-gives these for a scheme, grouped into runs of intervals that share a
-degree and an anchor offset.  ``_basis_numerators`` holds the Lagrange
+a piece is fixed by its degree, its rightmost stencil node and the grid
+interval on which it is in force; ``_runs`` gives these for a scheme,
+grouped into runs of intervals that share a degree and the offset of that
+node from the interval.  ``_basis_numerators`` holds the Lagrange
 basis in grid units exactly, ``_BASIS``/``_DERIV`` it and its derivative in
 floats: all ``schemes.CaputoWeights`` needs.  ``LagrangePiece`` stores one
 piece with its stencil (ascending node times/values) and evaluates it at a
@@ -16,7 +16,6 @@ piece; the quadrature oracle reads the same differences.
 from __future__ import annotations
 
 import bisect
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from typing import Sequence
 from .holder import UniformGrid, _check_count
 
 __all__ = [
-    "SchemeTag",
     "SchemeKind",
     "LagrangePiece",
     "PiecewisePolynomial",
@@ -38,24 +36,15 @@ __all__ = [
 MAX_DEGREE = 6
 
 
-class SchemeTag(enum.Enum):
-    L2 = "l2"
-    LK = "lk"
-
-
 @dataclass(frozen=True)
 class SchemeKind:
-    """Discretization selector: L2, or the Lk family, whose k = 1 and k = 2
-    members are L1 and L1-2."""
+    """Discretization selector: the Lk family by its degree k, whose k = 1
+    and k = 2 members are L1 and L1-2, or L2 when k is None."""
 
-    tag: SchemeTag
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tag is SchemeTag.L2:
-            if self.k is not None:
-                raise ValueError(f"{self.tag.value} does not take a degree parameter")
-        else:
+        if self.k is not None:
             _check_count(self.k, "Lk degree k")
             if not 1 <= self.k <= MAX_DEGREE:
                 raise ValueError(f"Lk scheme needs k in 1..{MAX_DEGREE}, got {self.k!r}")
@@ -66,7 +55,7 @@ class SchemeKind:
 
     @classmethod
     def l2(cls) -> "SchemeKind":
-        return cls(SchemeTag.L2)
+        return cls()
 
     @classmethod
     def l12(cls) -> "SchemeKind":
@@ -74,7 +63,7 @@ class SchemeKind:
 
     @classmethod
     def lk(cls, k: int) -> "SchemeKind":
-        return cls(SchemeTag.LK, k)
+        return cls(k)
 
     @property
     def degree(self) -> int:
@@ -140,24 +129,23 @@ _DERIV: dict[int, tuple[tuple[float, ...], ...]] = {
 class LagrangePiece:
     """One polynomial piece of a scheme interpolant.
 
-    ``anchor`` is the grid index of the rightmost stencil node;
-    ``node_times``/``node_values`` run ascending over the k+1 stencil nodes,
-    ``tau`` apart;
+    ``node_times``/``node_values`` run ascending over the stencil nodes,
+    ``tau`` apart, and fix the degree;
     ``interval`` is the grid interval on which the piece is in force.
     """
 
-    degree: int
-    anchor: int
     node_times: tuple[float, ...]
     node_values: tuple[float, ...]
     interval: tuple[float, float]
     tau: float
 
     def __post_init__(self) -> None:
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"piece degree must lie in 1..{MAX_DEGREE}, got {self.degree}")
-        if len(self.node_times) != self.degree + 1 or len(self.node_values) != self.degree + 1:
-            raise ValueError("stencil needs exactly degree + 1 nodes and values")
+        nodes, values = len(self.node_times), len(self.node_values)
+        if not 2 <= nodes <= MAX_DEGREE + 1 or values != nodes:
+            raise ValueError(
+                f"stencil needs 2..{MAX_DEGREE + 1} node times and one value per node,"
+                f" got {nodes} times and {values} values"
+            )
         if not all(map(math.isfinite, self.node_times)):
             raise ValueError(f"stencil node times must be finite, got {self.node_times!r}")
         if not all(map(math.isfinite, self.node_values)):
@@ -175,6 +163,10 @@ class LagrangePiece:
                 raise ValueError(f"validity interval end is not finite: {end!r}")
         if not self.interval[0] < self.interval[1]:
             raise ValueError(f"empty validity interval {self.interval!r}")
+
+    @property
+    def degree(self) -> int:
+        return len(self.node_times) - 1
 
     def monomial_coefficients(self) -> tuple[float, ...]:
         """Coefficients b_r of the piece as sum_r b_r sigma^r with
@@ -256,8 +248,6 @@ def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: in
     lo = anchor - degree
     tau = grid.tau
     return LagrangePiece(
-        degree=degree,
-        anchor=anchor,
         node_times=tuple(i * tau for i in range(lo, anchor + 1)),
         node_values=tuple(vals[lo : anchor + 1]),
         interval=((j - 1) * tau, j * tau),
@@ -302,7 +292,7 @@ def _runs(scheme: SchemeKind, n: int) -> list[tuple[int, int, int, int]]:
       stencil {j-k..j}.  L1 (k = 1) is linear through {j-1, j} on each I_j;
       L1-2 (k = 2) is linear on I_1, then backward quadratic.
     """
-    if scheme.tag is SchemeTag.L2 and n > 1:
+    if scheme.k is None and n > 1:
         return [(2, 1, 1, n - 1), (2, 0, n, n)]
     k = scheme.degree
     runs = [(j, 0, j, j) for j in range(1, min(k, n + 1))]

@@ -112,7 +112,7 @@ def _adaptive(
     """Globally adaptive Gauss-Kronrod over the ascending break points:
     one GK15 region per pair of consecutive points to start, then
     bisection of the worst region until the summed error estimate meets tol.
-    ``f`` maps a batch of points to their values.  A ``stats`` dict gains
+    ``f`` maps a batch of points to their values.  A ``stats`` dict gets
     the final error estimate and region count, and ``evaluations``, the
     points passed to ``f``."""
     tol = max(tol, _MIN_TOL)
@@ -124,8 +124,6 @@ def _adaptive(
         value, err = _gk15(f, lo, hi)
         heap.append((-err, lo, hi, value, 0))
         total_err += err
-    if not heap:
-        return 0.0
     heapq.heapify(heap)
     starting = evaluated = len(heap)  # GK15 regions
     while total_err > tol:
@@ -148,9 +146,7 @@ def _adaptive(
         total_err += e1 + e2 + neg_err
         evaluated += 2
     if stats is not None:
-        stats["err_estimate"] = stats.get("err_estimate", 0.0) + total_err
-        stats["regions"] = stats.get("regions", 0) + len(heap)
-        stats["evaluations"] = stats.get("evaluations", 0) + len(_OFFSETS) * evaluated
+        stats.update(err_estimate=total_err, regions=len(heap), evaluations=len(_OFFSETS) * evaluated)
     return math.fsum(r[3] for r in heap)
 
 
@@ -209,8 +205,6 @@ def _w_integral(
         raise ValueError(f"tolerance must be finite, got {tol!r}")
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
-    if stats is not None:
-        stats.update(err_estimate=0.0, regions=0, evaluations=0)
     gamma_exp = 1.0 / (1.0 - al)
 
     def f(ws: Sequence[float]) -> list[float]:

@@ -1,6 +1,7 @@
 """Discrete Caputo operators: exact integration of scheme interpolants.
 
-A discrete value at node n is
+``CaputoWeights`` is the one route to a node value.  A discrete value at
+node n is
 
     (1/Gamma(1-alpha)) * sum_pieces int (t_n - s)^(-alpha) p'(s) ds.
 
@@ -8,35 +9,30 @@ In grid units sigma = s/tau this is tau^(-alpha)/Gamma(1-alpha) times
 
     sum_j sum_l u^(anchor-l) int_{j-1}^{j} (n - sigma)^(-alpha) L_l'(sigma) dsigma,
 
-one term per interval I_j of the scheme's layout (``interp._runs``) and
-per stencil node l, with L_l' the derivative of the Lagrange basis
-polynomial expanded in powers of (sigma - anchor) (``interp._DERIV``).
-Everything thus reduces to kernel moments
+one term per interval I_j of the scheme's layout (``interp._runs``), whose
+stencil ends at node anchor = j + offset, and per stencil node l, with L_l'
+the derivative of the Lagrange basis polynomial expanded in powers of
+(sigma - anchor) (``interp._DERIV``).  The inner sum over sigma depends
+only on the lag n - j and on the offset, never on tau or n, so it is a
+column of convolution weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu
+2016 for L2), indexed by lag.  ``CaputoWeights`` keeps, for one (scheme,
+alpha) and every grid and node, one weight per node value, the fsum of
+the column entries on it: the convolution row c(m) that weighs u^(n-m),
+extended on demand, and per node asked a head of at most k weights on its
+first node values.  A warm node is one slice product over c, one over its
+head and one ``math.fsum``.  A column entry at lag >= 1 is one Horner pass
+of a series about the window's midpoint, with exact rational coefficients
+per (degree, offset) (``_columns``); lag 0 folds the closed-form moments.
+``discrete_caputo`` reads one object per (scheme, alpha) from a cache.
 
-    int_a^b (t - s)^(-alpha) (s - c)^q ds,    0 <= a <= b <= t,  q <= 6,
-
-evaluated here without quadrature, so the operators are exact up to
-floating-point rounding.  One ``kernel_moments`` call gives all degrees
-0..q of one window: near the singularity a finite binomial sum per degree,
-farther away one kernel series per endpoint, Horner-evaluated from a
-coefficient table cached per alpha and shorter the farther t is.  It is
-the public per-window route and the tests' independent reference.
-
-The inner sum over sigma depends only on the lag n - j and on the anchor
-offset anchor - j, never on tau or n, so it is a column of convolution
-weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu 2016 for L2), indexed by
-lag.  ``CaputoWeights``, the one route to a node value, keeps one weight
-per node value for one (scheme, alpha), shared by every grid and node,
-each the fsum of the column entries on its node value: the convolution
-row c(m) that weighs u^(n-m), extended on demand, and for each node asked
-a head of at most k weights on its first node values.  A warm node is one
-slice product over c, one over its head and one ``math.fsum``.  A column
-entry at lag >= 1 is one Horner pass of a series about the window's
-midpoint, with exact rational coefficients per (degree, offset)
-(``_columns``); lag 0 folds the closed-form moments.  ``discrete_caputo`` reads one object per (scheme,
-alpha) from a cache of the last 16 pairs, so only a node's first call at
-a pair evaluates columns.  The four built-in studies use 14 pairs.  Filled
-to n = 2^15, an L1-...-6 object holds about 2.6 MB, so 16 retain 42 MB.
+The tests' reference is the per-window route, ``caputo_of_piece``: kernel
+moments int_a^b (t - s)^(-alpha) (s - c)^q ds, 0 <= a <= b <= t, q <= 6,
+without quadrature, all degrees of one window from one ``kernel_moments``
+call: near the singularity a finite binomial sum per degree, farther away
+one kernel series per endpoint from a table cached per alpha.  It keeps
+its names, with ``gamma``, ``KernelMoment``, ``kernel_moment`` and the
+unread ``build_interpolant``, because perfbench/spans.py patches them
+(ROADMAP item 13).
 """
 
 from __future__ import annotations
@@ -50,11 +46,8 @@ from math import gamma
 from typing import Callable, Sequence
 
 from .holder import UniformGrid, _check_alpha
-# build_interpolant is not called here and caputo_of_piece is the tests'
-# per-piece reference route; both stay module names, like gamma, KernelMoment
-# and kernel_moment, because perfbench/spans.py patches them (ROADMAP item 13)
-from .interp import _DERIV, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes, _runs
-from .interp import build_interpolant, divided_coeff
+from .interp import _DERIV, MAX_DEGREE, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes
+from .interp import _runs, build_interpolant, divided_coeff
 
 __all__ = [
     "CaputoWeights",
@@ -67,12 +60,11 @@ __all__ = [
 ]
 
 
-_MAX_MOMENT_DEGREE = 6
 _SERIES_MAX_TERMS = 72
 _LOG_SERIES_TAIL = math.log(0.5e-17)
 # terms of a column series at lag 1, where its ratio 1/(2 lag + 1) is largest
 _COLUMN_TERMS = 1 + math.ceil(_LOG_SERIES_TAIL / math.log(1.0 / 3.0))
-_BINOM = tuple(tuple(math.comb(q, i) for i in range(q + 1)) for q in range(_MAX_MOMENT_DEGREE + 1))
+_BINOM = tuple(tuple(math.comb(q, i) for i in range(q + 1)) for q in range(MAX_DEGREE + 1))
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,8 @@ def _check_moment(t: float, a: float, b: float, c: float, q: int, alpha: float) 
         raise ValueError(f"kernel moment needs a finite expansion centre c, got c={c!r}")
     if not 0.0 <= a <= b <= t:
         raise ValueError(f"kernel moment needs 0 <= a <= b <= t, got a={a}, b={b}, t={t}")
-    if not 0 <= q <= _MAX_MOMENT_DEGREE:
-        raise ValueError(f"monomial degree must lie in 0..{_MAX_MOMENT_DEGREE}, got {q}")
+    if not 0 <= q <= MAX_DEGREE:
+        raise ValueError(f"monomial degree must lie in 0..{MAX_DEGREE}, got {q}")
     return al
 
 
@@ -139,7 +131,7 @@ def _kernel_coefficients(alpha: float, terms: int) -> list[float]:
 def _series_coefficients(alpha: float) -> tuple[tuple[float, ...], ...]:
     # G[q][j] = g_j / (q + j + 1); a handful of alphas are live at once
     g = _kernel_coefficients(alpha, _SERIES_MAX_TERMS)
-    rows = range(_MAX_MOMENT_DEGREE + 1)
+    rows = range(MAX_DEGREE + 1)
     return tuple(tuple(gj / (q + j + 1.0) for j, gj in enumerate(g)) for q in rows)
 
 
@@ -321,9 +313,9 @@ class CaputoWeights:
     contributes sum_l u^(j+offset-l) w_l(lag) for lag = n - j, the column
     entries of ``_columns``: they depend on the lag alone, never on j or n.
     Node n is sum_i W(n, i) u^i, W(n, i) the fsum of every column entry on
-    u^i.  Let lo be the first node the steady run (the run of
-    ``interp._runs`` that grows with n) covers fully, k for Lk and 2 for L2,
-    and h = min(n + 1, lo).  For i >= h, only the steady run and L2's final
+    u^i.  Let lo = ``scheme.degree``, the first node the steady run (the
+    run of ``interp._runs`` that grows with n) covers fully, and
+    h = min(n + 1, lo).  For i >= h, only the steady run and L2's final
     interval reach u^i, at lags fixed by m = n - i, so W(n, i) is entry m
     of the row c(m), shared by every node.  For i < h, W(n, i) is entry i
     of node n's head, computed when node n is first asked for and kept as
@@ -340,9 +332,7 @@ class CaputoWeights:
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
         self.scheme = scheme
         self.alpha = _check_alpha(alpha)
-        # past 2k + 1 nodes the run that grows with n is the longest one
-        _, offset, first, _ = max(_runs(scheme, 2 * scheme.degree + 2), key=lambda r: r[3] - r[2])
-        self._lo = first + offset
+        self._lo = scheme.degree
         self._store = ([], array("d"))
 
     def value(

@@ -84,8 +84,6 @@ def _check_partition_of_unity(rng: random.Random) -> tuple[bool, str]:
             start = rng.uniform(0.0, 20.0) * tau
             times = tuple(start + i * tau for i in range(k + 1))
             ones = LagrangePiece(
-                degree=k,
-                anchor=k,
                 node_times=times,
                 node_values=(1.0,) * (k + 1),
                 interval=(times[-2], times[-1]),
@@ -141,8 +139,6 @@ def _check_interpolation_exactness(rng: random.Random) -> tuple[bool, str]:
             start = rng.randrange(0, 8)
             times = tuple((start + i) * tau for i in range(k + 1))
             piece = LagrangePiece(
-                degree=k,
-                anchor=start + k,
                 node_times=times,
                 node_values=tuple(poly(t) for t in times),
                 interval=(times[-2], times[-1]),
@@ -254,7 +250,7 @@ def _check_power_rule(rng: random.Random) -> tuple[bool, str]:
         alpha = rng.uniform(0.15, 0.85)
         t = rng.uniform(0.4, 1.0)
         times = tuple(t * i / p for i in range(p + 1))
-        piece = LagrangePiece(p, p, times, tuple(s**p for s in times), (0.0, t), t / p)
+        piece = LagrangePiece(times, tuple(s**p for s in times), (0.0, t), t / p)
         interp = PiecewisePolynomial((piece,))
         want = exact_caputo_monomial(p, t, alpha)
         for route in (quad_caputo_piecewise, quad_caputo_integrated):

@@ -11,8 +11,9 @@ import pytest
 from caputo_lk.holder import HolderTestFunction, UniformGrid
 from caputo_lk.interp import (
     LagrangePiece,
+    MAX_DEGREE,
     SchemeKind,
-    SchemeTag,
+    _runs,
     build_interpolant,
     divided_coeff,
 )
@@ -25,8 +26,6 @@ def random_piece(rng: random.Random, k: int, values=None) -> LagrangePiece:
     if values is None:
         values = tuple(rng.uniform(-2.0, 2.0) for _ in range(k + 1))
     return LagrangePiece(
-        degree=k,
-        anchor=start + k,
         node_times=times,
         node_values=tuple(values),
         interval=(times[-2], times[-1]),
@@ -63,13 +62,17 @@ class TestSchemeKind:
         assert SchemeKind.l12() != SchemeKind.l2()
 
     def test_lk_needs_valid_k(self):
-        with pytest.raises(ValueError):
-            SchemeKind.lk(0)
-        with pytest.raises(ValueError):
-            SchemeKind.lk(7)
-        with pytest.raises(ValueError):
-            SchemeKind(SchemeTag.L2, k=2)
+        """A rejection names the bad k."""
+        for k in (0, 7, 2.5):
+            for make in (SchemeKind.lk, lambda k: SchemeKind(k=k)):
+                with pytest.raises(ValueError) as excinfo:
+                    make(k)
+                assert f"got {k!r}" in str(excinfo.value)
 
+    def test_no_degree_is_l2(self):
+        """L2 is the one member without a settled degree k."""
+        assert SchemeKind() == SchemeKind.l2()
+        assert hash(SchemeKind()) == hash(SchemeKind.l2())
 
     @pytest.mark.parametrize("k", [2.0, 2.5])
     def test_lk_refuses_a_non_integer_k(self, k):
@@ -136,8 +139,6 @@ class TestLagrangeEval:
 
                 times = tuple(0.25 + i * tau for i in range(k + 1))
                 piece = LagrangePiece(
-                    degree=k,
-                    anchor=k,
                     node_times=times,
                     node_values=tuple(poly(t) for t in times),
                     interval=(times[-2], times[-1]),
@@ -169,8 +170,6 @@ class TestLagrangeEval:
                     base = 0.5 - (k * 0.5 + 0.37) * tau
                     times = tuple(base + i * tau for i in range(k + 1))
                     piece = LagrangePiece(
-                        degree=k,
-                        anchor=k,
                         node_times=times,
                         node_values=tuple(u(t) for t in times),
                         interval=(times[-2], times[-1]),
@@ -188,33 +187,40 @@ class TestLagrangeEval:
     def test_piece_validation(self):
         with pytest.raises(ValueError):
             LagrangePiece(
-                degree=2,
-                anchor=2,
-                node_times=(0.0, 0.25),
-                node_values=(0.0, 1.0, 2.0),
-                interval=(0.0, 0.25),
-                tau=0.25,
-            )
-        with pytest.raises(ValueError):
-            LagrangePiece(
-                degree=1,
-                anchor=1,
                 node_times=(0.0, 0.25),
                 node_values=(0.0, 1.0),
                 interval=(0.25, 0.25),
                 tau=0.25,
             )
 
-    # LagrangePiece(1, 1, (0.0, 0.5), (0.0, 1.0), (0.0, 0.5), 0.5) is valid;
+    # LagrangePiece((0.0, 0.5), (0.0, 1.0), (0.0, 0.5), 0.5) is valid;
     # each case below replaces one field with a bad value it must name
     _VALID = dict(
-        degree=1,
-        anchor=1,
         node_times=(0.0, 0.5),
         node_values=(0.0, 1.0),
         interval=(0.0, 0.5),
         tau=0.5,
     )
+
+    @pytest.mark.parametrize(
+        "times, values, got",
+        [
+            ((0.0,), (1.0,), "got 1 times and 1 values"),
+            (
+                tuple(0.5 * i for i in range(MAX_DEGREE + 2)),
+                (1.0,) * (MAX_DEGREE + 2),
+                f"got {MAX_DEGREE + 2} times and {MAX_DEGREE + 2} values",
+            ),
+            ((0.0, 0.5), (0.0, 1.0, 2.0), "got 2 times and 3 values"),
+            ((0.0, 0.5, 1.0), (0.0, 1.0), "got 3 times and 2 values"),
+        ],
+        ids=["one-node", "too-many-nodes", "extra-value", "missing-value"],
+    )
+    def test_rejects_bad_stencil_size(self, times, values, got):
+        """The stencil fixes the degree, 1..MAX_DEGREE, so it needs
+        2..MAX_DEGREE + 1 nodes with one value per node."""
+        with pytest.raises(ValueError, match=got):
+            LagrangePiece(**{**self._VALID, "node_times": times, "node_values": values})
 
     @pytest.mark.parametrize(
         "times, bad",
@@ -237,7 +243,7 @@ class TestLagrangeEval:
         read 0.5625 at s = 0.75 through evaluate, which reads the node
         times, and 0.25 through monomial_coefficients, which reads tau."""
         with pytest.raises(ValueError, match="tau=0.25 apart"):
-            LagrangePiece(2, 2, (0.0, 0.5, 1.0), (0.0, 0.25, 1.0), (0.5, 1.0), 0.25)
+            LagrangePiece((0.0, 0.5, 1.0), (0.0, 0.25, 1.0), (0.5, 1.0), 0.25)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_node_values(self, bad):
@@ -264,6 +270,24 @@ class TestLagrangeEval:
         assert repr(bad) in str(excinfo.value)
 
 
+class TestRuns:
+    def test_steady_run_starts_at_the_degree(self):
+        """The run that grows with n first covers a whole stencil at node
+        first + offset = scheme.degree, the lo CaputoWeights splits its
+        heads from its row at."""
+        for scheme in _SEVEN_SCHEMES:
+            k = scheme.degree
+            for n in range(2 * k + 2, 2 * k + 7):
+                grown = [
+                    first + offset
+                    for (_, offset, first, last), (_, _, first2, last2) in zip(
+                        _runs(scheme, n), _runs(scheme, n + 1)
+                    )
+                    if last2 - first2 > last - first
+                ]
+                assert grown == [k], (scheme.label, n)
+
+
 class TestBuildInterpolant:
     def grid_and_values(self, n, u, steps=None):
         g = UniformGrid(horizon=1.0, steps=steps or n)
@@ -277,7 +301,14 @@ class TestBuildInterpolant:
                 p = build_interpolant(scheme, g, vals, n)
                 if n == 1:
                     # every scheme's first step is the single L1 piece
-                    assert [(q.degree, q.anchor) for q in p.pieces] == [(1, 1)]
+                    assert [(q.degree, q.node_times[-1]) for q in p.pieces] == [(1, g.time(1))]
+                # interval j's stencil ends at node j + offset, as _runs lays it out
+                layout = [
+                    (degree, (j + offset) * g.tau)
+                    for degree, offset, first, last in _runs(scheme, n)
+                    for j in range(first, last + 1)
+                ]
+                assert [(q.degree, q.node_times[-1]) for q in p.pieces] == layout
                 assert p.pieces[0].interval[0] == 0.0
                 assert p.t_end == pytest.approx(g.time(n), abs=1e-15)
                 for a, b in zip(p.pieces, p.pieces[1:]):
@@ -309,10 +340,10 @@ class TestBuildInterpolant:
         assert len(p.pieces) == 5
         assert all(piece.degree == 2 for piece in p.pieces)
         # interval j < n uses nodes {j-1, j, j+1}
-        assert p.pieces[0].anchor == 2
-        assert p.pieces[3].anchor == 5
+        assert p.pieces[0].node_times[-1] == g.time(2)
+        assert p.pieces[3].node_times[-1] == g.time(5)
         # final interval keeps the previous stencil
-        assert p.pieces[4].anchor == 5
+        assert p.pieces[4].node_times[-1] == g.time(5)
         assert p.pieces[4].node_times == p.pieces[3].node_times
 
     def test_l12_piece_layout(self):
@@ -324,16 +355,16 @@ class TestBuildInterpolant:
         # backward stencils {j-2, j-1, j} from the second interval on
         for j, piece in enumerate(p.pieces[1:], start=2):
             assert piece.degree == 2
-            assert piece.anchor == j
+            assert piece.node_times[-1] == g.time(j)
 
     def test_lk_startup_layout(self):
         u = HolderTestFunction(m=1, beta=0.8, xi=0.5)
         g, vals = self.grid_and_values(7, u, steps=8)
         p = build_interpolant(SchemeKind.lk(4), g, vals, 7)
         assert [piece.degree for piece in p.pieces] == [1, 2, 3, 4, 4, 4, 4]
-        # growing startup pieces are anchored at their own right endpoint
+        # growing startup pieces end their stencil at their own right endpoint
         for j in range(3):
-            assert p.pieces[j].anchor == j + 1
+            assert p.pieces[j].node_times[-1] == g.time(j + 1)
 
     def test_needs_all_node_values(self):
         u = HolderTestFunction(m=0, beta=0.5, xi=0.5)

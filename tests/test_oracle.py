@@ -28,8 +28,6 @@ def monomial_interpolant(p: int, t_end: float) -> PiecewisePolynomial:
     tau = t_end / p if p > 0 else t_end
     times = tuple(i * tau for i in range(p + 1))
     piece = LagrangePiece(
-        degree=max(p, 1),
-        anchor=p,
         node_times=times if p > 0 else (0.0, t_end),
         node_values=tuple(s**p for s in times) if p > 0 else (1.0, 1.0),
         interval=(0.0, t_end),
@@ -229,7 +227,7 @@ class TestNewtonDerivative:
             anchor = k + rng.randrange(0, 40)
             times = tuple((anchor - k + i) * tau for i in range(k + 1))
             values = tuple(rng.uniform(-1.0, 1.0) for _ in range(k + 1))
-            piece = LagrangePiece(k, anchor, times, values, (times[-2], times[-1]), tau)
+            piece = LagrangePiece(times, values, (times[-2], times[-1]), tau)
             assert piece.newton is piece.newton  # computed once per piece
             mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
             points = [*times, *mids, times[0] - tau, times[-1] + tau]
@@ -449,7 +447,7 @@ class TestIntegratedOracle:
         tau = 2.0**-5
         times = tuple((3 + i) * tau for i in range(k + 1))
         values = tuple(rng.uniform(-1.0, 1.0) for _ in range(k + 1))
-        piece = LagrangePiece(k, k + 3, times, values, (times[-2], times[-1]), tau)
+        piece = LagrangePiece(times, values, (times[-2], times[-1]), tau)
         x = [Fraction(t) for t in times]
 
         def exact(s):

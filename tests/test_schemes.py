@@ -40,8 +40,6 @@ ALL_SCHEMES = [
 class TestCaputoOfPiece:
     def test_constant_piece_vanishes(self):
         piece = LagrangePiece(
-            degree=1,
-            anchor=1,
             node_times=(0.0, 0.5),
             node_values=(3.0, 3.0),
             interval=(0.0, 0.5),
@@ -53,8 +51,6 @@ class TestCaputoOfPiece:
         """d/dt of t under order one half over the whole history gives
         t^(1/2) / Gamma(3/2) = 2/sqrt(pi) at t = 1."""
         piece = LagrangePiece(
-            degree=1,
-            anchor=1,
             node_times=(0.0, 1.0),
             node_values=(0.0, 1.0),
             interval=(0.0, 1.0),
@@ -67,8 +63,6 @@ class TestCaputoOfPiece:
         # pinned from adaptive Gauss-Kronrod quadrature of
         # p'(s) (t-s)^-alpha / Gamma(1-alpha) over the window
         piece = LagrangePiece(
-            degree=2,
-            anchor=2,
             node_times=(0.0, 0.25, 0.5),
             node_values=(0.1, -0.3, 0.4),
             interval=(0.0, 0.25),
@@ -79,8 +73,6 @@ class TestCaputoOfPiece:
 
     def test_window_must_sit_left_of_t(self):
         piece = LagrangePiece(
-            degree=1,
-            anchor=1,
             node_times=(0.0, 0.5),
             node_values=(0.0, 1.0),
             interval=(0.0, 0.5),

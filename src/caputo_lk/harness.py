@@ -11,7 +11,8 @@ first-node table.
 
 ``reproduce_table`` packages the four built-in studies over the Holder
 test family into ``Report`` objects, and ``emit`` renders a report as
-CSV or markdown with deterministic bytes.
+CSV or markdown with deterministic bytes.  A report keeps only its cells,
+in table order, and both renderers read the table layout from that order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import TextIO, Union
 
 from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha
@@ -351,17 +354,19 @@ class FirstNodeCell:
 
 @dataclass(frozen=True)
 class Report:
-    """A rendered-ready collection of order measurements."""
+    """A render-ready collection of order measurements.
+
+    The cells are in table order, alpha-major, and the renderers read the
+    table layout from that order: a run of interior cells with one alpha is
+    a table row, as is a run of first-node cells with one alpha and step,
+    and the first run's cells name the columns.  ``tau_exp`` is the
+    study's coarsest step exponent, the step the interior CSV rows print.
+    """
 
     title: str
-    kind: str
     scheme: SchemeKind
     xi: float
     tau_exp: int
-    alphas: tuple[float, ...]
-    totals: tuple[float, ...] = ()
-    betas: tuple[float, ...] = ()
-    tau_exps: tuple[int, ...] = ()
     interior_cells: tuple[InteriorCell, ...] = ()
     first_node_cells: tuple[FirstNodeCell, ...] = ()
 
@@ -404,21 +409,15 @@ def _interior_report(table_id: int) -> Report:
     for alpha in params["alphas"]:
         for total in params["totals"]:
             rc = RegularityClass.from_total(total)
-            if total <= alpha + 1e-12:
-                cells.append(InteriorCell(alpha=alpha, total=total, row=None))
-                continue
             f = HolderTestFunction(m=rc.m, beta=rc.beta, xi=xi)
-            row = order_interior(scheme, f, alpha, tau)
+            row = None if total <= alpha + 1e-12 else order_interior(scheme, f, alpha, tau)
             cells.append(InteriorCell(alpha=alpha, total=total, row=row))
     return Report(
         title=f"interior convergence orders, {scheme.label} scheme"
         f" (xi = {xi}, tau = 2^-{_INTERIOR_TAU_EXP})",
-        kind="interior",
         scheme=scheme,
         xi=xi,
         tau_exp=_INTERIOR_TAU_EXP,
-        alphas=tuple(params["alphas"]),
-        totals=tuple(params["totals"]),
         interior_cells=tuple(cells),
     )
 
@@ -444,13 +443,9 @@ def _first_node_report() -> Report:
                 )
     return Report(
         title="first-node errors and orders at t = tau (m = 2, xi = 0.5)",
-        kind="first-node",
         scheme=scheme,
         xi=xi,
         tau_exp=_TABLE3_TAU_EXPS[0],
-        alphas=_TABLE3_ALPHAS,
-        betas=_TABLE3_BETAS,
-        tau_exps=_TABLE3_TAU_EXPS,
         first_node_cells=tuple(cells),
     )
 
@@ -485,85 +480,46 @@ _CSV_HEADER = "scheme,alpha,m,beta,xi,tau,measured_R,theoretical_order,error"
 
 def _csv_lines(report: Report) -> list[str]:
     lines = [_CSV_HEADER]
-    if report.kind == "interior":
-        tau = 2.0 ** (-report.tau_exp)
-        for cell in report.interior_cells:
-            rc = RegularityClass.from_total(cell.total)
-            if cell.row is None:
-                r_txt = DASH
-                order_txt = _fmt(cell.total - cell.alpha)
-            else:
-                r_txt = _fmt(cell.row.measured_R)
-                order_txt = _fmt(cell.row.theoretical_order)
-            lines.append(
-                ",".join(
-                    [
-                        report.scheme.label,
-                        _fmt(cell.alpha),
-                        str(rc.m),
-                        _fmt(rc.beta),
-                        _fmt(report.xi),
-                        _fmt(tau),
-                        r_txt,
-                        order_txt,
-                        "",
-                    ]
-                )
-            )
-    else:
-        for cell in report.first_node_cells:
-            row = cell.row
-            lines.append(
-                ",".join(
-                    [
-                        row.scheme.label,
-                        _fmt(row.alpha),
-                        str(row.m),
-                        _fmt(row.beta),
-                        _fmt(row.xi),
-                        _fmt(row.tau),
-                        _fmt(row.measured_R),
-                        _fmt(2.0 - row.alpha),
-                        _fmt(row.error),
-                    ]
-                )
-            )
+    tau = _fmt(2.0 ** (-report.tau_exp))
+    for cell in report.interior_cells:
+        rc, row = RegularityClass.from_total(cell.total), cell.row
+        rate = DASH if row is None else _fmt(row.measured_R)
+        order = cell.total - cell.alpha if row is None else row.theoretical_order
+        fields = [report.scheme.label, _fmt(cell.alpha), str(rc.m), _fmt(rc.beta), _fmt(report.xi),
+                  tau, rate, _fmt(order), ""]
+        lines.append(",".join(fields))
+    for cell in report.first_node_cells:
+        row = cell.row
+        fields = [row.scheme.label, _fmt(row.alpha), str(row.m), _fmt(row.beta), _fmt(row.xi),
+                  _fmt(row.tau), _fmt(row.measured_R), _fmt(2.0 - row.alpha), _fmt(row.error)]
+        lines.append(",".join(fields))
     return lines
 
 
+def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+    """A markdown table, after a blank line."""
+    return ["", *("| " + " | ".join(row) + " |" for row in [header, ["---"] * len(header), *rows])]
+
+
 def _markdown_lines(report: Report) -> list[str]:
-    lines = [f"## {report.title}", ""]
-    if report.kind == "interior":
-        header = ["alpha \\ m+beta"] + [_fmt(t) for t in report.totals]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join(" --- " for _ in header) + "|")
-        by_key = {(c.alpha, c.total): c for c in report.interior_cells}
-        for alpha in report.alphas:
-            row = [_fmt(alpha)]
-            for total in report.totals:
-                cell = by_key[(alpha, total)]
-                row.append(DASH if cell.row is None else f"{cell.row.measured_R:.2f}")
-            lines.append("| " + " | ".join(row) + " |")
-    else:
-        header = ["alpha", "tau"]
-        for beta in report.betas:
-            header.append(f"error (beta={_fmt(beta)})")
-        header.append("R")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join(" --- " for _ in header) + "|")
-        by_key = {(c.alpha, c.tau_exp, c.beta): c for c in report.first_node_cells}
-        for alpha in report.alphas:
-            for tau_exp in report.tau_exps:
-                row = [_fmt(alpha), f"2^-{tau_exp}"]
-                rs = []
-                for beta in report.betas:
-                    cell = by_key[(alpha, tau_exp, beta)]
-                    row.append(_fmt(cell.row.error))
-                    rs.append(cell.row.measured_R)
-                # the order estimate is essentially beta-independent; the
-                # R column reports the beta = 0.2 value
-                row.append(f"{rs[0]:.2f}")
-                lines.append("| " + " | ".join(row) + " |")
+    lines = [f"## {report.title}"]
+    runs = [list(r) for _, r in groupby(report.interior_cells, attrgetter("alpha"))]
+    if runs:
+        header = ["alpha \\ m+beta", *(_fmt(c.total) for c in runs[0])]
+        lines += _table(header, [
+            [_fmt(r[0].alpha), *(DASH if c.row is None else f"{c.row.measured_R:.2f}" for c in r)]
+            for r in runs
+        ])
+    runs = [list(r) for _, r in groupby(report.first_node_cells, attrgetter("alpha", "tau_exp"))]
+    if runs:
+        header = ["alpha", "tau", *(f"error (beta={_fmt(c.beta)})" for c in runs[0]), "R"]
+        # the order estimate is essentially beta-independent; the R column
+        # reports the first beta's value
+        lines += _table(header, [
+            [_fmt(r[0].alpha), f"2^-{r[0].tau_exp}", *(_fmt(c.row.error) for c in r),
+             f"{r[0].row.measured_R:.2f}"]
+            for r in runs
+        ])
     return lines
 
 

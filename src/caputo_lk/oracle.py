@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from math import gamma
 from typing import Callable, Sequence
 
@@ -83,8 +84,11 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when adaptive refinement stalls; carries the best estimate."""
 
     def __init__(self, message: str, best: float):
-        super().__init__(f"{message} (best estimate {best!r})")
+        super().__init__(message)
         self.best = best
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (best estimate {self.best!r})"
 
 
 def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
@@ -114,7 +118,8 @@ def _adaptive(
     bisection of the worst region until the summed error estimate meets tol.
     ``f`` maps a batch of points to their values.  A ``stats`` dict gets
     the final error estimate and region count, and ``evaluations``, the
-    points passed to ``f``."""
+    points passed to ``f``, whether or not the estimate meets tol; when it
+    does not, QuadratureConvergenceError carries the sum of those regions."""
     tol = max(tol, _MIN_TOL)
     heap = []
     total_err = 0.0
@@ -126,18 +131,16 @@ def _adaptive(
         total_err += err
     heapq.heapify(heap)
     starting = evaluated = len(heap)  # GK15 regions
+    failure = None
     while total_err > tol:
         if len(heap) - starting >= _MAX_REGIONS:
-            raise QuadratureConvergenceError(
-                "adaptive quadrature exceeded the region budget",
-                math.fsum(r[3] for r in heap),
-            )
+            failure = "adaptive quadrature exceeded the region budget"
+            break
+        # the worst region, at heap[0], is the one bisected next
+        if heap[0][4] >= _MAX_DEPTH:
+            failure = f"adaptive quadrature exceeded depth {_MAX_DEPTH}"
+            break
         neg_err, lo, hi, val, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH:
-            raise QuadratureConvergenceError(
-                f"adaptive quadrature exceeded depth {_MAX_DEPTH}",
-                math.fsum(r[3] for r in heap) + val,
-            )
         mid = 0.5 * (lo + hi)
         v1, e1 = _gk15(f, lo, mid)
         v2, e2 = _gk15(f, mid, hi)
@@ -145,9 +148,12 @@ def _adaptive(
         heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1))
         total_err += e1 + e2 + neg_err
         evaluated += 2
+    value = math.fsum(r[3] for r in heap)
     if stats is not None:
         stats.update(err_estimate=total_err, regions=len(heap), evaluations=len(_OFFSETS) * evaluated)
-    return math.fsum(r[3] for r in heap)
+    if failure is not None:
+        raise QuadratureConvergenceError(failure, value)
+    return value
 
 
 def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
@@ -216,6 +222,22 @@ def _w_integral(
     return _adaptive(f, points, tol, stats)
 
 
+def _in_value_units(integral, value, scale, stats: dict | None) -> float:
+    """value(integral()), a route's value from its ``_w_integral``, with a
+    ``stats`` dict's ``err_estimate`` mapped by ``scale``, the linear part
+    of ``value``, and a failure's best estimate by ``value``."""
+    try:
+        w, failure = integral(), None
+    except QuadratureConvergenceError as exc:
+        w, failure = exc.best, exc
+    if stats is not None:
+        stats["err_estimate"] = scale(stats["err_estimate"])
+    if failure is None:
+        return value(w)
+    failure.best = value(w)
+    raise failure
+
+
 def quad_caputo_piecewise(
     p: PiecewisePolynomial,
     t_n: float,
@@ -226,13 +248,12 @@ def quad_caputo_piecewise(
     """Numerical value of the discrete operator applied to interpolant p:
     the integral of (t_n - s)^(-alpha) p'(s) over (0, t_n] by
     ``_w_integral``, over Gamma(1 - alpha).  ``tol`` and ``stats`` are
-    ``_w_integral``'s, the error estimate scaled like the value."""
+    ``_w_integral``'s, the error estimate, and a failure's best estimate,
+    scaled like the value."""
     al = _check_alpha(alpha)
     g = gamma(1.0 - al)
-    value = _w_integral(p, t_n, al, _piece_derivative, tol, stats) / g
-    if stats is not None:
-        stats["err_estimate"] /= g
-    return value
+    integral = partial(_w_integral, p, t_n, al, _piece_derivative, tol, stats)
+    return _in_value_units(integral, lambda w: w / g, lambda e: e / g, stats)
 
 
 def quad_caputo_integrated(
@@ -254,7 +275,8 @@ def quad_caputo_integrated(
     which has no cancellation at t_n.  That needs p's last stencil to end
     at t_n, as every ``build_interpolant`` result's does; anything else
     raises ``ValueError``.  ``tol`` and ``stats`` are ``_w_integral``'s,
-    the error estimate scaled like the integral's share of the value.
+    the error estimate scaled like the integral's share of the value; a
+    failure's best estimate is mapped like the value.
     """
     al = _check_alpha(alpha)
     if not isinstance(p, PiecewisePolynomial):
@@ -271,11 +293,10 @@ def quad_caputo_integrated(
             return _secant_slope(piece, points)
         return [(u_t - v) / (t_n - s) for s, v in zip(points, piece.evaluate(points))]
 
-    total = _w_integral(p, t_n, al, slope, tol, stats)
     g = gamma(1.0 - al)
-    if stats is not None:
-        stats["err_estimate"] *= al / g
-    return (u_t - p(0.0)) / (g * t_n**al) + al / g * total
+    head = (u_t - p(0.0)) / (g * t_n**al)
+    integral = partial(_w_integral, p, t_n, al, slope, tol, stats)
+    return _in_value_units(integral, lambda w: head + al / g * w, lambda e: al / g * e, stats)
 
 
 def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:

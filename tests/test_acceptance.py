@@ -160,7 +160,7 @@ def test_criterion_4_first_node_errors_and_rates():
     assert elapsed < 120.0, f"first-node study took {elapsed:.1f}s, budget is 120s"
 
     # the finest grid involved: tau = 2^-9 refined 128-fold
-    finest = 2 ** (max(report.tau_exps) + 1) * 128
+    finest = 2 ** (max(cell.tau_exp for cell in report.first_node_cells) + 1) * 128
     assert finest >= 2**15
 
     err_bad = []

@@ -11,7 +11,13 @@ import pytest
 import caputo_lk.harness
 from caputo_lk.harness import (
     DASH,
+    ConvergenceRow,
     DegenerateDifferenceError,
+    FirstNodeCell,
+    FirstNodeRow,
+    FixedTimeRow,
+    InteriorCell,
+    Report,
     _rate,
     _unit_grid,
     emit,
@@ -328,7 +334,7 @@ class TestOrderFixedTime:
 class TestReproduceTable:
     def test_interior_study_shape(self):
         rep = reproduce_table(1)
-        assert rep.kind == "interior"
+        assert rep.first_node_cells == ()
         assert len(rep.interior_cells) == 40
         dashes = [c for c in rep.interior_cells if c.row is None]
         # regularity at or below alpha carries no rate
@@ -338,7 +344,7 @@ class TestReproduceTable:
 
     def test_first_node_study_shape(self):
         rep = reproduce_table(3)
-        assert rep.kind == "first-node"
+        assert rep.interior_cells == ()
         assert len(rep.first_node_cells) == 18
         for c in rep.first_node_cells:
             assert c.fixed_time.t == 2.0**-7
@@ -411,6 +417,45 @@ class TestRendering:
         dest = tmp_path / "report.csv"
         emit(rep, format="csv", out=str(dest))
         assert dest.read_text(encoding="utf-8") == text
+
+    def test_hand_built_report(self):
+        """The renderers read rows and columns from cell order alone: an
+        interior row opening on a dash, and one first-node row over two
+        betas, in one report, which no built-in study has."""
+        l2 = SchemeKind.l2()
+        interior = (
+            InteriorCell(alpha=0.5, total=0.3, row=None),
+            InteriorCell(alpha=0.5, total=1.5, row=ConvergenceRow(l2, 0.5, 1, 0.5, 0.5, 0.0625, 0.987, 1.0)),
+        )
+        first_node = tuple(
+            FirstNodeCell(
+                alpha=0.3,
+                tau_exp=4,
+                beta=beta,
+                row=FirstNodeRow(l2, 0.3, beta, 2, 0.5, 0.0625, error, r),
+                fixed_time=FixedTimeRow(0.3, beta, 2, 0.5, 0.0625, 0.0625, 2.0**-10, 0.0, 0.0, 0.0),
+            )
+            for beta, error, r in ((0.2, 0.00125, 1.704), (0.8, 0.0025, 1.6))
+        )
+        rep = Report("hand-built", l2, 0.5, 4, interior_cells=interior, first_node_cells=first_node)
+        assert render(rep, "markdown") == (
+            "## hand-built\n"
+            "\n"
+            "| alpha \\ m+beta | 0.3 | 1.5 |\n"
+            "| --- | --- | --- |\n"
+            "| 0.5 | - | 0.99 |\n"
+            "\n"
+            "| alpha | tau | error (beta=0.2) | error (beta=0.8) | R |\n"
+            "| --- | --- | --- | --- | --- |\n"
+            "| 0.3 | 2^-4 | 0.00125 | 0.0025 | 1.70 |\n"
+        )
+        assert render(rep, "csv") == (
+            "scheme,alpha,m,beta,xi,tau,measured_R,theoretical_order,error\n"
+            "L2,0.5,0,0.3,0.5,0.0625,-,-0.2,\n"
+            "L2,0.5,1,0.5,0.5,0.0625,0.987,1,\n"
+            "L2,0.3,2,0.2,0.5,0.0625,1.704,1.7,0.00125\n"
+            "L2,0.3,2,0.8,0.5,0.0625,1.6,1.7,0.0025\n"
+        )
 
     def test_six_significant_digits(self):
         rep = reproduce_table(3)

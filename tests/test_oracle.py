@@ -179,6 +179,49 @@ class TestAdaptiveCore:
             oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
 
 
+    def test_depth_limit_still_reports_stats(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_DEPTH", 3)
+        c = 1.0 / math.sqrt(7.0)
+        stats = {}
+        with pytest.raises(QuadratureConvergenceError):
+            oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14, stats)
+        assert stats.keys() == {"err_estimate", "regions", "evaluations"}
+        # one starting region; each bisection adds one region and evaluates two
+        assert stats["regions"] >= 4
+        assert stats["evaluations"] == len(oracle._OFFSETS) * (2 * stats["regions"] - 1)
+        assert stats["err_estimate"] > 1e-14
+
+
+class TestFailureUnits:
+    """A route that runs out of regions reports its best estimate and its
+    error estimate in the units of its return value, not of the w-integral
+    under it (which is Gamma(1 - alpha) times larger on the piecewise
+    route)."""
+
+    @pytest.mark.parametrize("route", [quad_caputo_piecewise, quad_caputo_integrated])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_best_estimate_is_a_value(self, monkeypatch, route, alpha):
+        g = UniformGrid(horizon=1.0, steps=16)
+        u = HolderTestFunction(m=0, beta=0.3, xi=g.time(5))
+        p = build_interpolant(SchemeKind.l12(), g, [u(g.time(i)) for i in range(11)], 10)
+        settled = {}
+        value = route(p, g.time(10), alpha, stats=settled)
+        monkeypatch.setattr(oracle, "_MAX_REGIONS", 0)
+        stats = {}
+        with pytest.raises(QuadratureConvergenceError) as info:
+            route(p, g.time(10), alpha, tol=1e-14, stats=stats)
+        best = info.value.best
+        assert best == pytest.approx(value, rel=1e-6)
+        assert repr(best) in str(info.value)
+        assert stats.keys() == settled.keys() == {"err_estimate", "regions", "evaluations"}
+        # the starting regions only: one per piece
+        assert stats["regions"] == len(p.pieces)
+        assert stats["evaluations"] == len(oracle._OFFSETS) * len(p.pieces)
+        # the error estimate, scaled like the value, bounds the best
+        # estimate's distance to it
+        assert abs(best - value) <= stats["err_estimate"]
+
+
 class TestExactMonomial:
     def test_constant_and_origin(self):
         assert exact_caputo_monomial(0, 0.7, 0.5) == 0.0

@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``order-table`` renders one of the built-in convergence
-studies, ``order`` measures a single interior convergence order,
-``first-node`` measures the error and order at the first grid node, and
-``verify`` runs the self-check suite.  Exit codes: 0 on success, 1 when a
-verification or order measurement fails, 2 on usage errors and on an
-output path that cannot be written.
+Subcommands: ``order-table`` writes one built-in convergence study, as
+``harness.render`` gives it, to stdout or ``--out``; ``order`` measures
+a single interior convergence order, ``first-node`` the error and order
+at the first grid node, and ``verify`` runs the self-check suite.  Exit
+codes: 0 on success, 1 when a verification or order measurement fails,
+2 on usage errors and on an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import sys
 
 from .harness import (
     DegenerateDifferenceError,
-    emit,
     order_first_node,
     order_interior,
+    render,
     reproduce_table,
 )
 from .holder import HolderTestFunction
@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--table", type=int, required=True, choices=(1, 2, 3, 4))
     p_table.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p_table.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_table.set_defaults(handler=_cmd_order_table)
 
     p_order = sub.add_parser(
         "order", help="measure one interior convergence order at the kink"
@@ -65,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_order.add_argument(
         "--tau-exp", type=int, default=7, help="coarsest step is 2^-E (default 7)"
     )
+    p_order.set_defaults(handler=_cmd_order)
 
     p_first = sub.add_parser(
         "first-node", help="measure the error and order at the first grid node"
@@ -75,14 +77,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_first.add_argument(
         "--tau-exp", type=int, default=7, help="coarsest step is 2^-E (default 7)"
     )
+    p_first.set_defaults(handler=_cmd_first_node)
 
-    sub.add_parser("verify", help="run the self-check suite")
+    sub.add_parser("verify", help="run the self-check suite").set_defaults(handler=_cmd_verify)
     return parser
 
 
 def _cmd_order_table(args: argparse.Namespace) -> int:
-    report = reproduce_table(args.table)
-    emit(report, format=args.format, out=args.out)
+    text = render(reproduce_table(args.table), args.format)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return 0
 
 
@@ -126,14 +133,8 @@ def _cmd_verify(_: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "order-table": _cmd_order_table,
-        "order": _cmd_order,
-        "first-node": _cmd_first_node,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ of that error under grid halving into an order estimate.
 first-node table.
 
 ``reproduce_table`` packages the four built-in studies over the Holder
-test family into ``Report`` objects, and ``emit`` renders a report as
-CSV or markdown with deterministic bytes.  A report keeps only its cells,
-in table order, and both renderers read the table layout from that order.
+test family into ``Report`` objects, and ``render`` turns a report into
+CSV or markdown text with deterministic bytes, which the CLI writes.  A
+report keeps only its cells, in table order, and both renderers read the
+table layout from that order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import TextIO, Union
 
 from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha
 from .interp import SchemeKind, _check_nodes
@@ -42,7 +42,7 @@ __all__ = [
     "order_first_node",
     "order_fixed_time",
     "reproduce_table",
-    "emit",
+    "render",
 ]
 
 # Cell marker for regularity at or below the differentiation order, where
@@ -211,18 +211,24 @@ def order_interior(
     )
 
 
-def _reference_error(value: float, ref: float, alpha, f, tau, t, h, what: str) -> float:
-    """Error of the step-tau grid's value at time t against ref, the same
-    operator's value there on the step-h grid, refused when it is below the
-    round-off floor of that reference value."""
-    err = abs(value - ref)
+def _errors_and_rate(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grids, what: str):
+    """The errors of two grids (tau, t, h), the step-tau value at time t
+    less the step-h one, each refused below its reference's round-off
+    floor, and their rate; each distinct (h, t) is evaluated once."""
     al = _check_alpha(alpha)
-    floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(t)))
-    floor *= h**-al / math.gamma(2.0 - al)
-    if err < floor:
-        raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is below "
-                                        f"the round-off floor {floor:.3e} of its reference")
-    return err
+    refs, errs = {}, []
+    for tau, t, h in grids:
+        value = scheme_value(scheme, alpha, f, tau, t)
+        if (h, t) not in refs:
+            refs[h, t] = scheme_value(scheme, alpha, f, h, t)
+        err = abs(value - refs[h, t])
+        floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(t)))
+        floor *= h**-al / math.gamma(2.0 - al)
+        if err < floor:
+            raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is below "
+                                            f"the round-off floor {floor:.3e} of its reference")
+        errs.append(err)
+    return (*errs, _rate(*errs, f"{what}s", alpha, f))
 
 
 def order_first_node(
@@ -250,12 +256,8 @@ def order_first_node(
     if f.m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
     h = tau / _FIRST_NODE_REFINEMENT
-    err, err_half = (
-        _reference_error(scheme_value(scheme, alpha, f, s, s), scheme_value(scheme, alpha, f, r, s),
-                         alpha, f, s, s, r, "first-node error")
-        for s, r in ((tau, h), (tau / 2.0, h / 2.0))
-    )
-    rate = _rate(err, err_half, "first-node errors", alpha, f)
+    grids = ((tau, tau, h), (tau / 2.0, tau / 2.0, h / 2.0))
+    err, _, rate = _errors_and_rate(scheme, alpha, f, grids, "first-node error")
     return FirstNodeRow(
         scheme=scheme,
         alpha=alpha,
@@ -301,14 +303,9 @@ def order_fixed_time(
             f"step {tau!r} halved is not coarser than the reference step "
             f"{t!r}/{_FIXED_TIME_REFINEMENT}"
         )
-    l1 = SchemeKind.l1()
     tau_ref = t / _FIXED_TIME_REFINEMENT
-    value = scheme_value(l1, alpha, f, tau, t)
-    ref = scheme_value(l1, alpha, f, tau_ref, t)
-    err = _reference_error(value, ref, alpha, f, tau, t, tau_ref, "fixed-time error")
-    value = scheme_value(l1, alpha, f, tau / 2.0, t)
-    err_half = _reference_error(value, ref, alpha, f, tau / 2.0, t, tau_ref, "fixed-time error")
-    rate = _rate(err, err_half, "fixed-time errors", alpha, f)
+    grids = ((tau, t, tau_ref), (tau / 2.0, t, tau_ref))
+    err, err_half, rate = _errors_and_rate(SchemeKind.l1(), alpha, f, grids, "fixed-time error")
     return FixedTimeRow(
         alpha=alpha,
         beta=f.beta,
@@ -532,23 +529,3 @@ def render(report: Report, format: str = "markdown") -> str:
     else:
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'markdown'")
     return "\n".join(lines) + "\n"
-
-
-def emit(
-    report: Report,
-    format: str = "markdown",
-    out: Union[str, TextIO, None] = None,
-) -> str:
-    """Write a rendered report to a path, a stream, or stdout.
-
-    Returns the rendered text so callers can reuse it.
-    """
-    text = render(report, format)
-    if out is None:
-        sys.stdout.write(text)
-    elif isinstance(out, str):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return text

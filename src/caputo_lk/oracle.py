@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import partial
 from math import gamma
 from typing import Callable, Sequence
 
@@ -81,10 +80,10 @@ Integrand = Callable[[Sequence[float]], Sequence[float]]
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when adaptive refinement stalls; carries the best estimate."""
+    """Raised when adaptive refinement stalls; carries the best estimate (``args[1]``)."""
 
     def __init__(self, message: str, best: float):
-        super().__init__(message)
+        super().__init__(message, best)
         self.best = best
 
     def __str__(self) -> str:
@@ -199,14 +198,17 @@ def _w_integral(
     factor: Callable[[LagrangePiece, Sequence[float]], Sequence[float]],
     tol: float,
     stats: dict | None,
+    head: float,
+    coef: float,
 ) -> float:
-    """int_0^t_n (t_n - s)^(-alpha) f(s) ds, where ``factor(piece, points)``
-    gives f at a batch of points on one piece of p, as one adaptive
-    integral in w = (t_n - s)^(1-alpha), which removes the endpoint
-    singularity exactly; the pieces' ends are its break points and ``tol``
-    bounds the whole integral.  A ``stats`` dict receives ``regions``,
-    ``err_estimate``, the summed final Gauss-Kronrod error estimates, and
-    ``evaluations``, the integrand points evaluated (15 per region)."""
+    """head + coef * I, I = int_0^t_n (t_n - s)^(-alpha) f(s) ds and
+    ``factor(piece, points)`` f at a batch of points on one piece of p: a
+    route's value.  I is one adaptive integral in w = (t_n - s)^(1-alpha),
+    which removes the endpoint singularity exactly, with the pieces' ends
+    as break points and ``tol`` bounding I.  A ``stats`` dict receives
+    ``regions``, ``evaluations`` (15 per region) and ``err_estimate``, the
+    summed final Gauss-Kronrod error estimates times coef; a stall raises
+    QuadratureConvergenceError with head + coef * (I's best estimate)."""
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tol!r}")
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
@@ -219,23 +221,15 @@ def _w_integral(
 
     # w = 0 at t_n; a region's centre, its first point, names its piece
     points = [0.0, *((t_n - q.interval[0]) ** (1.0 - al) for q in reversed(p.pieces))]
-    return _adaptive(f, points, tol, stats)
-
-
-def _in_value_units(integral, value, scale, stats: dict | None) -> float:
-    """value(integral()), a route's value from its ``_w_integral``, with a
-    ``stats`` dict's ``err_estimate`` mapped by ``scale``, the linear part
-    of ``value``, and a failure's best estimate by ``value``."""
     try:
-        w, failure = integral(), None
+        w, failure = _adaptive(f, points, tol, stats), None
     except QuadratureConvergenceError as exc:
-        w, failure = exc.best, exc
+        w, failure = exc.best, exc.args[0]
     if stats is not None:
-        stats["err_estimate"] = scale(stats["err_estimate"])
-    if failure is None:
-        return value(w)
-    failure.best = value(w)
-    raise failure
+        stats["err_estimate"] *= coef
+    if failure is not None:
+        raise QuadratureConvergenceError(failure, head + coef * w)
+    return head + coef * w
 
 
 def quad_caputo_piecewise(
@@ -247,13 +241,11 @@ def quad_caputo_piecewise(
 ) -> float:
     """Numerical value of the discrete operator applied to interpolant p:
     the integral of (t_n - s)^(-alpha) p'(s) over (0, t_n] by
-    ``_w_integral``, over Gamma(1 - alpha).  ``tol`` and ``stats`` are
-    ``_w_integral``'s, the error estimate, and a failure's best estimate,
-    scaled like the value."""
+    ``_w_integral``, with head 0 and coef 1/Gamma(1 - alpha).  ``tol`` and
+    ``stats`` are ``_w_integral``'s; the error estimate, and a failure's
+    best estimate, are in value units."""
     al = _check_alpha(alpha)
-    g = gamma(1.0 - al)
-    integral = partial(_w_integral, p, t_n, al, _piece_derivative, tol, stats)
-    return _in_value_units(integral, lambda w: w / g, lambda e: e / g, stats)
+    return _w_integral(p, t_n, al, _piece_derivative, tol, stats, 0.0, 1.0 / gamma(1.0 - al))
 
 
 def quad_caputo_integrated(
@@ -274,9 +266,9 @@ def quad_caputo_integrated(
     the last, and from the last piece's Newton form without its first term,
     which has no cancellation at t_n.  That needs p's last stencil to end
     at t_n, as every ``build_interpolant`` result's does; anything else
-    raises ``ValueError``.  ``tol`` and ``stats`` are ``_w_integral``'s,
-    the error estimate scaled like the integral's share of the value; a
-    failure's best estimate is mapped like the value.
+    raises ``ValueError``.  ``_w_integral`` takes head, the first term,
+    and coef = alpha/Gamma(1-alpha), and its ``tol`` and ``stats``; the
+    error estimate, and a failure's best estimate, are in value units.
     """
     al = _check_alpha(alpha)
     if not isinstance(p, PiecewisePolynomial):
@@ -295,8 +287,7 @@ def quad_caputo_integrated(
 
     g = gamma(1.0 - al)
     head = (u_t - p(0.0)) / (g * t_n**al)
-    integral = partial(_w_integral, p, t_n, al, slope, tol, stats)
-    return _in_value_units(integral, lambda w: head + al / g * w, lambda e: al / g * e, stats)
+    return _w_integral(p, t_n, al, slope, tol, stats, head, al / g)
 
 
 def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:

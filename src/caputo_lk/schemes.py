@@ -353,7 +353,13 @@ class CaputoWeights:
         # u^n..u^h against c(0..n-h), u^0..u^(h-1) against the head; fsum is
         # correctly rounded, so the order of the products is immaterial
         products = [*map(operator.mul, vals[n : h - 1 : -1], row), *map(operator.mul, vals, head)]
-        return math.fsum(products) * grid.tau ** (-self.alpha) / gamma(1.0 - self.alpha)
+        try:
+            value = math.fsum(products) * grid.tau ** (-self.alpha) / gamma(1.0 - self.alpha)
+        except (OverflowError, ValueError):  # the sum overflows, or meets inf - inf
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"the value at node {n} overflows: its node values are too large")
+        return value
 
     def _fill(self, n: int) -> tuple[list[float], array]:
         """Publish node n's head and the row entries it reads; return (row, head)."""

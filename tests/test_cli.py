@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from caputo_lk import cli, verify
@@ -108,13 +110,17 @@ def test_first_node_round_off_fails_the_measurement(capsys, tau_exp):
     assert "below the round-off floor" in captured.err
 
 
-def test_order_table_to_file(tmp_path, capsys):
-    dest = tmp_path / "t4.csv"
-    code = main(["order-table", "--table", "4", "--format", "csv", "--out", str(dest)])
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_order_table_to_file(tmp_path, capsys, fmt):
+    """--out writes the golden bytes, "\n" line ends on every platform,
+    and nothing to stdout."""
+    suffix = "csv" if fmt == "csv" else "md"
+    dest = tmp_path / f"t4.{suffix}"
+    code = main(["order-table", "--table", "4", "--format", fmt, "--out", str(dest)])
     assert code == 0
-    lines = dest.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("scheme,alpha,")
-    assert len(lines) == 28
+    assert capsys.readouterr().out == ""
+    golden = Path(__file__).parent / "data" / f"table4.{suffix}"
+    assert dest.read_bytes() == golden.read_bytes()
 
 
 def test_order_table_to_unwritable_path(tmp_path, capsys):

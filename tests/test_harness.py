@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from caputo_lk.harness import (
     Report,
     _rate,
     _unit_grid,
-    emit,
     order_first_node,
     order_fixed_time,
     order_interior,
@@ -254,6 +252,21 @@ class TestOrderFirstNode:
         with pytest.raises(DegenerateDifferenceError, match="first-node error"):
             order_first_node(SchemeKind.l2(), f, 0.5, 2.0**-tau_exp)
 
+    def test_each_grid_value_is_evaluated_once(self, monkeypatch):
+        """Each grid and each reference is evaluated once, a grid before
+        its reference: four node evaluations per measurement."""
+        calls = []
+        original = caputo_lk.harness.discrete_caputo
+
+        def recorded(scheme, grid, u, n, alpha):
+            calls.append((grid.steps, n))
+            return original(scheme, grid, u, n, alpha)
+
+        monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
+        f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
+        order_first_node(SchemeKind.l2(), f, 0.3, 2.0**-7)
+        assert calls == [(128, 1), (16384, 128), (256, 1), (32768, 128)]
+
     def test_rejects_non_quadratic_scheme(self):
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
         with pytest.raises(ValueError):
@@ -408,15 +421,6 @@ class TestRendering:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render(reproduce_table(4), "html")
-
-    def test_emit_to_stream_and_path(self, tmp_path):
-        rep = reproduce_table(4)
-        buf = io.StringIO()
-        text = emit(rep, format="csv", out=buf)
-        assert buf.getvalue() == text
-        dest = tmp_path / "report.csv"
-        emit(rep, format="csv", out=str(dest))
-        assert dest.read_text(encoding="utf-8") == text
 
     def test_hand_built_report(self):
         """The renderers read rows and columns from cell order alone: an

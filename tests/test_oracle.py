@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -213,6 +215,9 @@ class TestFailureUnits:
         best = info.value.best
         assert best == pytest.approx(value, rel=1e-6)
         assert repr(best) in str(info.value)
+        # the arguments carry the same best estimate, so the failure pickles
+        assert info.value.args[1] == best
+        self.assert_survives_pickle_and_copy(info.value)
         assert stats.keys() == settled.keys() == {"err_estimate", "regions", "evaluations"}
         # the starting regions only: one per piece
         assert stats["regions"] == len(p.pieces)
@@ -220,6 +225,21 @@ class TestFailureUnits:
         # the error estimate, scaled like the value, bounds the best
         # estimate's distance to it
         assert abs(best - value) <= stats["err_estimate"]
+
+    @staticmethod
+    def assert_survives_pickle_and_copy(exc):
+        for twin in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+            assert type(twin) is QuadratureConvergenceError
+            assert twin.args == exc.args
+            assert twin.best == exc.best
+            assert str(twin) == str(exc)
+
+    def test_error_pickles_and_copies(self):
+        """Its constructor takes (message, best), so the arguments it
+        passes on must be those too, or unpickling and copying fail."""
+        exc = QuadratureConvergenceError("stalled", 0.5)
+        assert exc.args == ("stalled", 0.5)
+        self.assert_survives_pickle_and_copy(exc)
 
 
 class TestExactMonomial:

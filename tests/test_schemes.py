@@ -212,6 +212,17 @@ class TestDiscreteCaputo:
                 with pytest.raises(ValueError, match="not finite"):
                     discrete_caputo(scheme, g, vals, 4, 0.5)
 
+    @pytest.mark.parametrize(
+        "vals", [[0.0, 1e308, -1e308, 1e308, -1e308], [1e308] * 5], ids=["alternating", "constant"]
+    )
+    def test_rejects_finite_values_that_overflow(self, vals):
+        """Finite node values pass the finiteness check but can overflow
+        the sum: once -inf for the alternating values and an OverflowError
+        from fsum for the constant ones."""
+        g = UniformGrid(horizon=1.0, steps=4)
+        with pytest.raises(ValueError, match="the value at node 4 overflows"):
+            discrete_caputo(SchemeKind.l1(), g, vals, 4, 0.5)
+
     @pytest.mark.parametrize("n", [3.0, 2.5, "3"])
     def test_rejects_non_integer_node(self, n):
         """n = 3.0 once failed inside islice for node values and with a

@@ -110,17 +110,16 @@ def test_first_node_round_off_fails_the_measurement(capsys, tau_exp):
     assert "below the round-off floor" in captured.err
 
 
-@pytest.mark.parametrize("fmt", ["csv", "markdown"])
-def test_order_table_to_file(tmp_path, capsys, fmt):
+def test_order_table_to_file(tmp_path, capsys):
     """--out writes the golden bytes, "\n" line ends on every platform,
-    and nothing to stdout."""
-    suffix = "csv" if fmt == "csv" else "md"
-    dest = tmp_path / f"t4.{suffix}"
-    code = main(["order-table", "--table", "4", "--format", fmt, "--out", str(dest)])
-    assert code == 0
-    assert capsys.readouterr().out == ""
-    golden = Path(__file__).parent / "data" / f"table4.{suffix}"
-    assert dest.read_bytes() == golden.read_bytes()
+    and nothing to stdout, in both formats."""
+    for fmt, suffix in (("csv", "csv"), ("markdown", "md")):
+        dest = tmp_path / f"t4.{suffix}"
+        code = main(["order-table", "--table", "4", "--format", fmt, "--out", str(dest)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        golden = Path(__file__).parent / "data" / f"table4.{suffix}"
+        assert dest.read_bytes() == golden.read_bytes()
 
 
 def test_order_table_to_unwritable_path(tmp_path, capsys):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
-from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha
+from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha, _check_count
 from .interp import SchemeKind, _check_nodes
 from .schemes import discrete_caputo
 
@@ -162,8 +162,6 @@ def scheme_value(scheme: SchemeKind, alpha: float, u, tau: float, t: float) -> f
     """
     grid = _unit_grid(tau)
     n = grid.node_index(t)
-    if n == 0:
-        raise ValueError("the discrete operator starts at the first node")
     return discrete_caputo(scheme, grid, u, n, alpha).value
 
 
@@ -371,40 +369,12 @@ class Report:
 _TOTALS_HALF = (0.3, 0.5, 0.9, 1.3, 1.5, 1.9, 2.2, 2.5, 2.7, 3.0)
 _TOTALS_QUARTER = (0.5, 0.8, 1.3, 1.6, 2.3, 2.6, 3.2, 3.4, 3.6)
 
-_TABLE_PARAMS = {
-    1: dict(
-        scheme=SchemeKind.l2(),
-        xi=0.5,
-        alphas=(0.1, 0.3, 0.5, 0.7),
-        totals=_TOTALS_HALF,
-    ),
-    2: dict(
-        scheme=SchemeKind.l12(),
-        xi=0.5,
-        alphas=(0.1, 0.3, 0.5, 0.7),
-        totals=_TOTALS_HALF,
-    ),
-    4: dict(
-        scheme=SchemeKind.lk(3),
-        xi=0.25,
-        alphas=(0.3, 0.5, 0.7),
-        totals=_TOTALS_QUARTER,
-    ),
-}
 
-_TABLE3_ALPHAS = (0.3, 0.5, 0.7)
-_TABLE3_BETAS = (0.2, 0.5, 0.8)
-_TABLE3_TAU_EXPS = (7, 8)
-
-
-def _interior_report(table_id: int) -> Report:
-    params = _TABLE_PARAMS[table_id]
-    scheme: SchemeKind = params["scheme"]
-    xi: float = params["xi"]
+def _interior_report(scheme: SchemeKind, xi: float, alphas, totals) -> Report:
     tau = 2.0 ** (-_INTERIOR_TAU_EXP)
     cells = []
-    for alpha in params["alphas"]:
-        for total in params["totals"]:
+    for alpha in alphas:
+        for total in totals:
             rc = RegularityClass.from_total(total)
             f = HolderTestFunction(m=rc.m, beta=rc.beta, xi=xi)
             row = None if total <= alpha + 1e-12 else order_interior(scheme, f, alpha, tau)
@@ -419,14 +389,14 @@ def _interior_report(table_id: int) -> Report:
     )
 
 
-def _first_node_report() -> Report:
+def _first_node_report(alphas, tau_exps, betas) -> Report:
     scheme = SchemeKind.l2()
     xi = 0.5
-    t_fixed = 2.0 ** (-min(_TABLE3_TAU_EXPS))
+    t_fixed = 2.0 ** (-min(tau_exps))
     cells = []
-    for alpha in _TABLE3_ALPHAS:
-        for tau_exp in _TABLE3_TAU_EXPS:
-            for beta in _TABLE3_BETAS:
+    for alpha in alphas:
+        for tau_exp in tau_exps:
+            for beta in betas:
                 f = HolderTestFunction(m=2, beta=beta, xi=xi)
                 tau = 2.0 ** (-tau_exp)
                 cells.append(
@@ -442,9 +412,17 @@ def _first_node_report() -> Report:
         title="first-node errors and orders at t = tau (m = 2, xi = 0.5)",
         scheme=scheme,
         xi=xi,
-        tau_exp=_TABLE3_TAU_EXPS[0],
+        tau_exp=tau_exps[0],
         first_node_cells=tuple(cells),
     )
+
+
+_STUDIES = {
+    1: lambda: _interior_report(SchemeKind.l2(), 0.5, (0.1, 0.3, 0.5, 0.7), _TOTALS_HALF),
+    2: lambda: _interior_report(SchemeKind.l12(), 0.5, (0.1, 0.3, 0.5, 0.7), _TOTALS_HALF),
+    3: lambda: _first_node_report((0.3, 0.5, 0.7), (7, 8), (0.2, 0.5, 0.8)),
+    4: lambda: _interior_report(SchemeKind.lk(3), 0.25, (0.3, 0.5, 0.7), _TOTALS_QUARTER),
+}
 
 
 def reproduce_table(table_id: int) -> Report:
@@ -458,13 +436,13 @@ def reproduce_table(table_id: int) -> Report:
        2^-13 grid, which reproduce the published errors and 2^-7 rates.
     4: interior orders of L1-2-3 at xi = 0.25 over nine classes.
 
-    The interior studies take their coarsest step as 2^-7.
+    The interior studies take their coarsest step as 2^-7.  The builders
+    are one table, ``_STUDIES``; any other id, 1.0 too, raises ValueError.
     """
-    if table_id in _TABLE_PARAMS:
-        return _interior_report(table_id)
-    if table_id == 3:
-        return _first_node_report()
-    raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")
+    _check_count(table_id, "table id")
+    if table_id not in _STUDIES:
+        raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")
+    return _STUDIES[table_id]()
 
 
 def _fmt(x: float) -> str:

@@ -16,7 +16,6 @@ __all__ = [
     "UniformGrid",
     "RegularityClass",
     "HolderTestFunction",
-    "NotAGridNodeError",
 ]
 
 _MAX_M = 6
@@ -37,10 +36,6 @@ def _check_count(value, what: str) -> None:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-class NotAGridNodeError(ValueError):
-    """Raised when a time does not coincide with any grid node."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +63,12 @@ class UniformGrid:
         return n * self.tau
 
     def node_index(self, t: float) -> int:
-        """Map a time to its node index, refusing off-grid times."""
+        """Map a time to its node index; an off-grid time raises ValueError."""
         x = t / self.tau
         # round() cannot take an infinite or NaN quotient; refuse it here
         n = round(x) if math.isfinite(x) else -1
         if abs(x - n) > _NODE_TOL or not 0 <= n <= self.steps:
-            raise NotAGridNodeError(f"time {t!r} is not a node of {self}")
+            raise ValueError(f"time {t!r} is not a node of {self}")
         return n
 
 

@@ -147,7 +147,10 @@ def _adaptive(
         heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1))
         total_err += e1 + e2 + neg_err
         evaluated += 2
-    value = math.fsum(r[3] for r in heap)
+    try:
+        value = math.fsum(r[3] for r in heap)
+    except (OverflowError, ValueError):  # the sum overflows, or meets inf - inf
+        value = math.nan
     if stats is not None:
         stats.update(err_estimate=total_err, regions=len(heap), evaluations=len(_OFFSETS) * evaluated)
     if failure is not None:
@@ -207,7 +210,8 @@ def _w_integral(
     which removes the endpoint singularity exactly, with the pieces' ends
     as break points and ``tol`` bounding I.  A ``stats`` dict receives
     ``regions``, ``evaluations`` (15 per region) and ``err_estimate``, the
-    summed final Gauss-Kronrod error estimates times coef; a stall raises
+    summed final Gauss-Kronrod error estimates times coef.  A value that is
+    not finite raises ValueError naming t_n, before any stall raises
     QuadratureConvergenceError with head + coef * (I's best estimate)."""
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tol!r}")
@@ -227,9 +231,12 @@ def _w_integral(
         w, failure = exc.best, exc.args[0]
     if stats is not None:
         stats["err_estimate"] *= coef
+    value = head + coef * w
+    if not math.isfinite(value):
+        raise ValueError(f"the value at t_n = {t_n!r} overflows: its node values are too large")
     if failure is not None:
-        raise QuadratureConvergenceError(failure, head + coef * w)
-    return head + coef * w
+        raise QuadratureConvergenceError(failure, value)
+    return value
 
 
 def quad_caputo_piecewise(

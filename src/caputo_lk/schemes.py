@@ -64,7 +64,6 @@ _SERIES_MAX_TERMS = 72
 _LOG_SERIES_TAIL = math.log(0.5e-17)
 # terms of a column series at lag 1, where its ratio 1/(2 lag + 1) is largest
 _COLUMN_TERMS = 1 + math.ceil(_LOG_SERIES_TAIL / math.log(1.0 / 3.0))
-_BINOM = tuple(tuple(math.comb(q, i) for i in range(q + 1)) for q in range(MAX_DEGREE + 1))
 
 
 @dataclass(frozen=True)
@@ -109,13 +108,12 @@ def _moment_closed(t: float, a: float, b: float, c: float, q: int, alpha: float)
     tc = t - c
     w_hi = t - a
     w_lo = t - b
-    binom = _BINOM[q]
     terms = []
     for i in range(q + 1):
         p = i + 1.0 - alpha
         bracket = (w_hi**p - w_lo**p) / p
         sign = -1.0 if i % 2 else 1.0
-        terms.append(binom[i] * sign * tc ** (q - i) * bracket)
+        terms.append(math.comb(q, i) * sign * tc ** (q - i) * bracket)
     return math.fsum(terms)
 
 
@@ -262,12 +260,8 @@ def kernel_moment(m: KernelMoment) -> float:
 
 @dataclass(frozen=True)
 class DiscreteCaputoValue:
-    """Result of one single-node evaluation of a discrete Caputo operator."""
+    """The value of one single-node evaluation of a discrete Caputo operator."""
 
-    scheme: SchemeKind
-    node: int
-    time: float
-    alpha: float
     value: float
 
 
@@ -410,11 +404,9 @@ def discrete_caputo(
     for bit, read from a cache of the last 16 (scheme, alpha) pairs (the
     four built-in studies use 14), each holding its row to the deepest lag
     and k weights per node up to the deepest node asked for: at most
-    16 x 2.6 MB, for L1-...-6 at n = 2^15.
+    16 x 2.6 MB, for L1-...-6 at n = 2^15.  It returns DiscreteCaputoValue(value).
     """
     weights = _shared_weights(scheme, _check_alpha(alpha))
     value = weights.value(grid, u, n)
-    return DiscreteCaputoValue(
-        scheme=scheme, node=n, time=grid.time(n), alpha=weights.alpha, value=value
-    )
+    return DiscreteCaputoValue(value)
 

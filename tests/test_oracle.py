@@ -242,6 +242,23 @@ class TestFailureUnits:
         self.assert_survives_pickle_and_copy(exc)
 
 
+class TestNonFiniteValues:
+    """Node values whose value overflows once came back as inf from both
+    routes, or raised fsum's bare "-inf + inf" from inside the adaptive
+    sum; discrete_caputo refuses the same values."""
+
+    @pytest.mark.parametrize("route", [quad_caputo_piecewise, quad_caputo_integrated])
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1)])
+    def test_overflowing_value_raises(self, route, signs):
+        g = UniformGrid(1.0, 4)
+        vals = [0.0, *(s * 1e308 for s in signs)]
+        p = build_interpolant(SchemeKind.l1(), g, vals, 4)
+        with pytest.raises(ValueError, match=r"value at t_n = 1\.0 overflows"):
+            route(p, 1.0, 0.5)
+        with pytest.raises(ValueError, match="the value at node 4 overflows"):
+            discrete_caputo(SchemeKind.l1(), g, vals, 4, 0.5)
+
+
 class TestExactMonomial:
     def test_constant_and_origin(self):
         assert exact_caputo_monomial(0, 0.7, 0.5) == 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import operator
@@ -192,12 +193,11 @@ class TestDiscreteCaputo:
         assert a == b
 
     def test_result_metadata(self):
+        """The result carries its value alone; the caller holds the rest."""
         g = UniformGrid(horizon=1.0, steps=8)
         r = discrete_caputo(SchemeKind.l1(), g, lambda t: t, 4, 0.5)
-        assert r.node == 4
-        assert r.time == pytest.approx(0.5)
-        assert r.alpha == 0.5
-        assert r.scheme.label == "L1"
+        assert tuple(f.name for f in dataclasses.fields(r)) == ("value",)
+        assert r.value == CaputoWeights(SchemeKind.l1(), 0.5).value(g, lambda t: t, 4)
 
     def test_rejects_bad_node(self):
         g = UniformGrid(horizon=1.0, steps=8)

@@ -1,13 +1,13 @@
 """Convergence-order measurement for the discrete Caputo schemes.
 
-Two experiment styles are provided.  ``order_interior`` estimates the
-convergence order at a fixed interior time by Richardson extrapolation
-over three nested grids.  ``order_first_node`` measures the error of the
-very first time step against a 128-fold refinement and turns the decay
-of that error under grid halving into an order estimate.
-``order_fixed_time`` measures the error at one fixed time against a grid
-64 times finer than that time, the construction behind the published
-first-node table.
+``order_interior`` estimates the convergence order at a fixed interior
+time by Richardson extrapolation over three nested grids.
+``order_first_node`` measures the error of the very first time step
+against a 128-fold refinement, ``order_fixed_time`` the error at one
+fixed time against a grid 64 times finer than that time, the construction
+behind the published first-node table; each turns the decay of its error
+under grid halving into an order, in one ``ReferenceErrorRow`` that
+carries both errors.
 
 ``reproduce_table`` packages the four built-in studies over the Holder
 test family into ``Report`` objects, and ``render`` turns a report into
@@ -31,8 +31,7 @@ from .schemes import discrete_caputo
 __all__ = [
     "DASH",
     "ConvergenceRow",
-    "FirstNodeRow",
-    "FixedTimeRow",
+    "ReferenceErrorRow",
     "InteriorCell",
     "FirstNodeCell",
     "Report",
@@ -91,32 +90,18 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True, slots=True)
-class FirstNodeRow:
-    """One first-node error and order measurement.
+class ReferenceErrorRow:
+    """One error and order measurement against a reference grid.
 
-    The test function always has m = 2 so the first-node order is governed
-    by alpha alone.
+    ``error`` and ``error_half`` are the errors of the step-tau and
+    step-tau/2 grids at time t, and ``measured_R`` is log2 of their ratio.
+    ``t`` and ``tau_ref`` belong to the step-tau grid: its error is taken
+    at t against the step-tau_ref grid.  A first-node row halves both for
+    its step-tau/2 grid, which is read at its own first node; a fixed-time
+    row keeps them, and its ``scheme`` is L1.
     """
 
     scheme: SchemeKind
-    alpha: float
-    beta: float
-    m: int
-    xi: float
-    tau: float
-    error: float
-    measured_R: float
-
-
-@dataclass(frozen=True, slots=True)
-class FixedTimeRow:
-    """One fixed-time L1 error and order measurement.
-
-    ``error`` and ``error_half`` are the errors of the step-tau and
-    step-tau/2 L1 grids at the fixed time t, both against the step-tau_ref
-    L1 grid.
-    """
-
     alpha: float
     beta: float
     m: int
@@ -209,9 +194,9 @@ def order_interior(
     )
 
 
-def _errors_and_rate(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grids, what: str):
-    """The errors of two grids (tau, t, h), the step-tau value at time t
-    less the step-h one, each refused below its reference's round-off
+def _reference_row(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grids, what: str):
+    """The row of two grids (tau, t, h): the errors of the step-tau values at
+    time t less the step-h ones, each refused below its reference's round-off
     floor, and their rate; each distinct (h, t) is evaluated once."""
     al = _check_alpha(alpha)
     refs, errs = {}, []
@@ -226,7 +211,20 @@ def _errors_and_rate(scheme: SchemeKind, alpha: float, f: HolderTestFunction, gr
             raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is below "
                                             f"the round-off floor {floor:.3e} of its reference")
         errs.append(err)
-    return (*errs, _rate(*errs, f"{what}s", alpha, f))
+    tau, t, h = grids[0]
+    return ReferenceErrorRow(
+        scheme=scheme,
+        alpha=alpha,
+        beta=f.beta,
+        m=f.m,
+        xi=f.xi,
+        t=t,
+        tau=tau,
+        tau_ref=h,
+        error=errs[0],
+        error_half=errs[1],
+        measured_R=_rate(*errs, f"{what}s", alpha, f),
+    )
 
 
 def order_first_node(
@@ -234,7 +232,7 @@ def order_first_node(
     f: HolderTestFunction,
     alpha: float,
     tau: float,
-) -> FirstNodeRow:
+) -> ReferenceErrorRow:
     """Measure the first-node error at t = tau and its decay order.
 
     The error of each grid is taken at that grid's own first node against
@@ -255,17 +253,7 @@ def order_first_node(
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
     h = tau / _FIRST_NODE_REFINEMENT
     grids = ((tau, tau, h), (tau / 2.0, tau / 2.0, h / 2.0))
-    err, _, rate = _errors_and_rate(scheme, alpha, f, grids, "first-node error")
-    return FirstNodeRow(
-        scheme=scheme,
-        alpha=alpha,
-        beta=f.beta,
-        m=f.m,
-        xi=f.xi,
-        tau=tau,
-        error=err,
-        measured_R=rate,
-    )
+    return _reference_row(scheme, alpha, f, grids, "first-node error")
 
 
 def order_fixed_time(
@@ -273,7 +261,7 @@ def order_fixed_time(
     alpha: float,
     tau: float,
     t: float,
-) -> FixedTimeRow:
+) -> ReferenceErrorRow:
     """Measure the L1 error at the fixed time t and its decay order.
 
     The error of the step-h L1 grid is taken at t against L1 on the grid
@@ -303,19 +291,7 @@ def order_fixed_time(
         )
     tau_ref = t / _FIXED_TIME_REFINEMENT
     grids = ((tau, t, tau_ref), (tau / 2.0, t, tau_ref))
-    err, err_half, rate = _errors_and_rate(SchemeKind.l1(), alpha, f, grids, "fixed-time error")
-    return FixedTimeRow(
-        alpha=alpha,
-        beta=f.beta,
-        m=f.m,
-        xi=f.xi,
-        t=t,
-        tau=tau,
-        tau_ref=tau_ref,
-        error=err,
-        error_half=err_half,
-        measured_R=rate,
-    )
+    return _reference_row(SchemeKind.l1(), alpha, f, grids, "fixed-time error")
 
 
 @dataclass(frozen=True)
@@ -343,8 +319,8 @@ class FirstNodeCell:
     alpha: float
     tau_exp: int
     beta: float
-    row: FirstNodeRow
-    fixed_time: FixedTimeRow
+    row: ReferenceErrorRow
+    fixed_time: ReferenceErrorRow
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _check_count(value, what: str) -> None:
-    """Refuse a count that is not an integer; 2.0 is refused like 2.5."""
+    """Refuse a count that is not an integer; 2.0 and True are refused like 2.5."""
     try:
-        operator.index(value)
+        operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 

@@ -9,8 +9,8 @@ node from the interval.  ``_basis_numerators`` holds the Lagrange
 basis in grid units exactly, ``_BASIS``/``_DERIV`` it and its derivative in
 floats: all ``schemes.CaputoWeights`` needs.  ``LagrangePiece`` stores one
 piece with its stencil (ascending node times/values) and evaluates it at a
-batch of points in Newton form, from divided differences computed once per
-piece; the quadrature oracle reads the same differences.
+batch of points by ``_horner`` on the Newton form of divided differences
+computed once per piece, which the quadrature oracle reads too.
 """
 
 from __future__ import annotations
@@ -125,6 +125,18 @@ _DERIV: dict[int, tuple[tuple[float, ...], ...]] = {
 }
 
 
+def _horner(top: float, xs: Sequence[float], cs: Sequence[float], points) -> list[float]:
+    """Horner's rule p = p * (s - x) + c over zip(xs, cs) from p = top, at each point."""
+    steps = tuple(zip(xs, cs))
+    out = []
+    for s in points:
+        p = top
+        for x, c in steps:
+            p = p * (s - x) + c
+        out.append(p)
+    return out
+
+
 @dataclass(frozen=True)
 class LagrangePiece:
     """One polynomial piece of a scheme interpolant.
@@ -195,15 +207,7 @@ class LagrangePiece:
         p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)); the last step
         leaves c_0, so the anchor value comes back exactly."""
         c = self.newton
-        top = c[-1]
-        steps = tuple(zip(self.node_times[1:], c[-2::-1]))
-        out = []
-        for s in points:
-            p = top
-            for x, ci in steps:
-                p = p * (s - x) + ci
-            out.append(p)
-        return out
+        return _horner(c[-1], self.node_times[1:], c[-2::-1], points)
 
     def __call__(self, s: float) -> float:
         return self.evaluate((s,))[0]
@@ -256,8 +260,8 @@ def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: in
 
 
 def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
-    """Check node n and the values u^0..u^n for evaluation at node n, given
-    as a sequence or as a callable sampled at the nodes; return them as floats."""
+    """Check node n and the real, finite values u^0..u^n, a sequence or a
+    callable sampled at the nodes, for evaluation at node n; return them as floats."""
     _check_count(n, "evaluation node n")
     if n < 1:
         raise ValueError(f"evaluation node must be at least 1, got {n}")
@@ -269,7 +273,15 @@ def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
         values = [values(i * tau) for i in range(n + 1)]
     if len(values) < n + 1:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
-    out = list(map(float, itertools.islice(values, n + 1)))
+    try:
+        out = list(map(float, itertools.islice(values, n + 1)))
+    except (TypeError, ValueError):
+        for i, v in enumerate(itertools.islice(values, n + 1)):
+            try:
+                float(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"node value u^{i} is not a real number: {v!r}") from None
+        raise
     # an inf or nan makes the sum so; finite values, only if they overflow it
     if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
         i = next(i for i, v in enumerate(out) if not math.isfinite(v))

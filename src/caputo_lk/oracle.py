@@ -13,14 +13,14 @@ singularity exactly, with the pieces' ends as break points
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
 below is self-contained, and both routes read an interpolant through its
 pieces' Newton form (``LagrangePiece.newton``, divided differences of the
-stencil data): the integrated route through ``piece.evaluate`` and, on the
-last piece, the form less its first term; the piecewise route through the
-derivative of the same form.  The adaptive routine follows QUADPACK's
-QAGP: one starting region per pair of consecutive break points, then
-global bisection of the worst region within a per-call budget.  Integrands
-take a batch: each Gauss-Kronrod region passes its 15 nodes in one call
-and gets their values back as a list, so an interpolant's piece is looked
-up once per region.
+stencil data): the integrated route through ``interp._horner``, the pass
+of ``piece.evaluate``, and on the last piece over the form less its first
+term; the piecewise route through the derivative of the same form.  The
+adaptive routine follows QUADPACK's QAGP: one starting region per pair of
+consecutive break points, then global bisection of the worst region within
+a per-call budget.  Integrands take a batch: each Gauss-Kronrod region
+passes its 15 nodes in one call and gets their values back as a list, so
+an interpolant's piece is looked up once per region.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import gamma
 from typing import Callable, Sequence
 
 from .holder import _check_alpha
-from .interp import LagrangePiece, PiecewisePolynomial
+from .interp import LagrangePiece, PiecewisePolynomial, _horner
 
 __all__ = [
     "QuadratureConvergenceError",
@@ -180,18 +180,16 @@ def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[flo
 
 def _secant_slope(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
     # (p(x_0) - p(s)) / (x_0 - s) at each point, x_0 the anchor: the Newton
-    # form less its first term, c_1 + (s - x_1)(c_2 + ...), by Horner's
-    # rule, so nothing cancels as s nears x_0
+    # form less its first term, c_1 + (s - x_1)(c_2 + ...), by evaluate's
+    # Horner pass, so nothing cancels as s nears x_0
     c = piece.newton
-    top = c[-1]
-    steps = tuple(zip(piece.node_times[1:-1], c[-2:0:-1]))
-    out = []
-    for s in points:
-        q = top
-        for x, ci in steps:
-            q = q * (s - x) + ci
-        out.append(q)
-    return out
+    return _horner(c[-1], piece.node_times[1:-1], c[-2:0:-1], points)
+
+
+def _check_interpolant(p: PiecewisePolynomial) -> None:
+    """Refuse anything but an interpolant, before either route reads it."""
+    if not isinstance(p, PiecewisePolynomial):
+        raise ValueError(f"the oracle takes an interpolant, got {type(p).__name__}")
 
 
 def _w_integral(
@@ -252,6 +250,7 @@ def quad_caputo_piecewise(
     ``stats`` are ``_w_integral``'s; the error estimate, and a failure's
     best estimate, are in value units."""
     al = _check_alpha(alpha)
+    _check_interpolant(p)
     return _w_integral(p, t_n, al, _piece_derivative, tol, stats, 0.0, 1.0 / gamma(1.0 - al))
 
 
@@ -278,8 +277,7 @@ def quad_caputo_integrated(
     error estimate, and a failure's best estimate, are in value units.
     """
     al = _check_alpha(alpha)
-    if not isinstance(p, PiecewisePolynomial):
-        raise ValueError(f"the integrated form takes an interpolant, got {type(p).__name__}")
+    _check_interpolant(p)
     last = p.pieces[-1]
     if not math.isclose(last.node_times[-1], t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,8 @@ from caputo_lk.harness import (
     ConvergenceRow,
     DegenerateDifferenceError,
     FirstNodeCell,
-    FirstNodeRow,
-    FixedTimeRow,
     InteriorCell,
+    ReferenceErrorRow,
     Report,
     _rate,
     _unit_grid,
@@ -148,6 +148,20 @@ class TestOrderInterior:
         want = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
         assert order_interior(scheme, f, alpha, tau).measured_R.hex() == want.hex()
 
+    def test_rate_is_capped_at_the_design_order(self):
+        """The law is capped at the scheme's design order: min(m + beta,
+        k + 1) - alpha.  The plain family reads at least 0.1 above the cap
+        on each of these cells; adding t^(k + 1) brings the rate to the cap,
+        so the check tests the cap and not the smoothness."""
+        cells = [(SchemeKind.l1(), 0.3, 2)] + [(SchemeKind.l12(), a, 3) for a in (0.1, 0.3, 0.5, 0.9)]
+        for scheme, alpha, m in cells:
+            k = scheme.degree
+            cap = k + 1 - alpha
+            capped = order_interior(scheme, _CapProbe(0.5, m, 0.5, k), alpha, 2.0**-11)
+            plain = order_interior(scheme, HolderTestFunction(m, 0.5, 0.5), alpha, 2.0**-11)
+            assert abs(capped.measured_R - cap) <= 0.05, (scheme.label, alpha, capped.measured_R)
+            assert plain.measured_R >= cap + 0.1, (scheme.label, alpha, plain.measured_R)
+
     def test_kink_must_be_a_node(self):
         f = HolderTestFunction(m=1, beta=0.5, xi=0.3)
         with pytest.raises(ValueError):
@@ -165,6 +179,20 @@ class TestOrderInterior:
         f = HolderTestFunction(m=0, beta=1.0, xi=0.5)
         with pytest.raises(DegenerateDifferenceError):
             order_interior(SchemeKind.l1(), f, 0.5, 2.0**-7)
+
+
+@dataclass(frozen=True)
+class _CapProbe:
+    """u(t) = (t - xi)^m |t - xi|^beta + t^(k+1): the test family plus a
+    smooth term that the degree-k schemes do not reproduce."""
+
+    xi: float
+    m: int
+    beta: float
+    k: int
+
+    def __call__(self, t):
+        return HolderTestFunction(self.m, self.beta, self.xi)(t) + t ** (self.k + 1)
 
 
 def _taylor_free(f, degree=7):
@@ -222,6 +250,17 @@ class TestOrderFirstNode:
         row = order_first_node(SchemeKind.l2(), f, 0.3, 2.0**-7)
         assert row.error == pytest.approx(5.829087e-05, rel=1e-5)
         assert row.measured_R == pytest.approx(1.6987, abs=0.002)
+
+    def test_rate_is_read_from_the_row(self):
+        """The row carries both errors its rate came from, and the
+        step-tau grid's reference step; its half-step error is the first-node
+        error of the step-tau/2 grid."""
+        f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
+        tau = 2.0**-7
+        row = order_first_node(SchemeKind.l2(), f, 0.3, tau)
+        assert (row.t, row.tau, row.tau_ref) == (tau, tau, tau / 128)
+        assert row.measured_R == math.log2(row.error / row.error_half)
+        assert row.error_half == order_first_node(SchemeKind.l2(), f, 0.3, tau / 2).error
 
     def test_order_near_two_minus_alpha(self):
         for alpha in (0.3, 0.5, 0.7):
@@ -360,11 +399,12 @@ class TestReproduceTable:
             assert c.fixed_time.tau == c.row.tau == 2.0**-c.tau_exp
 
     def test_unknown_table_rejected(self):
-        """reproduce_table(1.0) and (3.0) once returned tables 1 and 3."""
+        """reproduce_table(1.0), (3.0) and (True) once returned tables 1, 3
+        and 1."""
         for table_id in (0, 5):
             with pytest.raises(ValueError, match="unknown table id"):
                 reproduce_table(table_id)
-        for table_id in (1.0, 3.0, "1"):
+        for table_id in (1.0, 3.0, "1", True):
             with pytest.raises(ValueError, match="table id must be an integer"):
                 reproduce_table(table_id)
 
@@ -437,8 +477,10 @@ class TestRendering:
                 alpha=0.3,
                 tau_exp=4,
                 beta=beta,
-                row=FirstNodeRow(l2, 0.3, beta, 2, 0.5, 0.0625, error, r),
-                fixed_time=FixedTimeRow(0.3, beta, 2, 0.5, 0.0625, 0.0625, 2.0**-10, 0.0, 0.0, 0.0),
+                row=ReferenceErrorRow(l2, 0.3, beta, 2, 0.5, 0.0625, 0.0625, 2.0**-11, error, 0.0, r),
+                fixed_time=ReferenceErrorRow(
+                    SchemeKind.l1(), 0.3, beta, 2, 0.5, 0.0625, 0.0625, 2.0**-10, 0.0, 0.0, 0.0
+                ),
             )
             for beta, error, r in ((0.2, 0.00125, 1.704), (0.8, 0.0025, 1.6))
         )

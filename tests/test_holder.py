@@ -68,14 +68,14 @@ class TestUniformGrid:
             with pytest.raises(ValueError):
                 UniformGrid(horizon=horizon, steps=4)
 
-    @pytest.mark.parametrize("n", [2.5, 2.0])
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_time_refuses_a_non_integer_index(self, n):
         """time(2.5) once returned 0.625 on this grid, which is no node."""
         g = UniformGrid(horizon=1.0, steps=4)
         with pytest.raises(ValueError, match="node index must be an integer"):
             g.time(n)
 
-    @pytest.mark.parametrize("steps", [2.5, 2.0, math.nan, "4"])
+    @pytest.mark.parametrize("steps", [2.5, 2.0, math.nan, "4", True])
     def test_rejects_non_integer_steps(self, steps):
         with pytest.raises(ValueError, match="grid steps must be an integer"):
             UniformGrid(horizon=1.0, steps=steps)
@@ -122,7 +122,7 @@ class TestRegularityClass:
         with pytest.raises(ValueError, match=f"total smoothness.*got {total!r}"):
             RegularityClass.from_total(total)
 
-    @pytest.mark.parametrize("m", [1.5, 1.0, math.nan])
+    @pytest.mark.parametrize("m", [1.5, 1.0, math.nan, True])
     def test_rejects_non_integer_m(self, m):
         with pytest.raises(ValueError, match="derivative count m must be an integer"):
             RegularityClass(m=m, beta=0.5)

@@ -74,7 +74,7 @@ class TestSchemeKind:
         assert SchemeKind() == SchemeKind.l2()
         assert hash(SchemeKind()) == hash(SchemeKind.l2())
 
-    @pytest.mark.parametrize("k", [2.0, 2.5])
+    @pytest.mark.parametrize("k", [2.0, 2.5, True])
     def test_lk_refuses_a_non_integer_k(self, k):
         """lk(2.0) was once accepted: its label raised TypeError, and
         discrete_caputo raised on a cold cache but read Lk(2)'s weights on a

@@ -333,6 +333,14 @@ class TestPiecewiseOracle:
         with pytest.raises(ValueError):
             quad_caputo_piecewise(interp, 0.75, 0.5)
 
+    def test_rejects_a_non_interpolant(self):
+        """A piece, a list or a callable once raised AttributeError on
+        t_end here, where the integrated route refused them by name."""
+        piece = monomial_interpolant(2, 0.8).pieces[-1]
+        for p in (piece, [piece], lambda s: s * s):
+            with pytest.raises(ValueError, match="takes an interpolant"):
+                quad_caputo_piecewise(p, 0.8, 0.5)
+
     def test_multi_piece_instance(self):
         g = UniformGrid(horizon=1.0, steps=8)
         u = HolderTestFunction(m=1, beta=0.7, xi=0.4)

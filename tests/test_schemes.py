@@ -213,6 +213,22 @@ class TestDiscreteCaputo:
                     discrete_caputo(scheme, g, vals, 4, 0.5)
 
     @pytest.mark.parametrize(
+        "u", [[0, 1j, 2, 3, 4], lambda t: None if t else 0.0, [0, "abc", 2, 3, 4]],
+        ids=["complex", "none", "text"],
+    )
+    def test_rejects_a_value_that_is_not_a_real_number(self, u):
+        """These once raised float's bare TypeError, or a ValueError that
+        named no index."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        with pytest.raises(ValueError, match=r"u\^1"):
+            discrete_caputo(SchemeKind.l1(), g, u, 4, 0.5)
+
+    def test_accepts_numeric_strings(self):
+        g = UniformGrid(horizon=1.0, steps=8)
+        got = discrete_caputo(SchemeKind.l1(), g, ["0", "1", "2", "3", "4"], 4, 0.5).value
+        assert got == discrete_caputo(SchemeKind.l1(), g, [0.0, 1.0, 2.0, 3.0, 4.0], 4, 0.5).value
+
+    @pytest.mark.parametrize(
         "vals", [[0.0, 1e308, -1e308, 1e308, -1e308], [1e308] * 5], ids=["alternating", "constant"]
     )
     def test_rejects_finite_values_that_overflow(self, vals):
@@ -223,7 +239,7 @@ class TestDiscreteCaputo:
         with pytest.raises(ValueError, match="the value at node 4 overflows"):
             discrete_caputo(SchemeKind.l1(), g, vals, 4, 0.5)
 
-    @pytest.mark.parametrize("n", [3.0, 2.5, "3"])
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3", True])
     def test_rejects_non_integer_node(self, n):
         """n = 3.0 once failed inside islice for node values and with a
         TypeError from range for a callable."""

@@ -119,15 +119,11 @@ def _cmd_first_node(args: argparse.Namespace) -> int:
 
 def _cmd_verify(_: argparse.Namespace) -> int:
     results = run_verification()
-    failed = 0
     for r in results:
-        mark = "ok  " if r.ok else "FAIL"
-        print(f"{mark} {r.name}: {r.detail}")
-        if not r.ok:
-            failed += 1
-    total = len(results)
-    print(f"{total - failed}/{total} checks passed")
-    return 0 if failed == 0 else 1
+        print(f"{'ok  ' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+    passed = sum(r.ok for r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,11 @@ behind the published first-node table; each turns the decay of its error
 under grid halving into an order, in one ``ReferenceErrorRow`` that
 carries both errors.
 
+Measurements sample a probe through one thread-safe ``lru_cache`` keyed by
+(probe, step, node count), the probe by hash and equality, so no other class
+reads a ``HolderTestFunction``'s samples.  It keeps up to 64 samplings of under
+513 nodes as ``array('d')``, under 0.3 MB; others are sampled on every call.
+
 ``reproduce_table`` packages the four built-in studies over the Holder
 test family into ``Report`` objects, and ``render`` turns a report into
 CSV or markdown text with deterministic bytes, which the CLI writes.  A
@@ -18,8 +23,10 @@ table layout from that order.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -126,6 +133,27 @@ def _unit_grid(tau: float) -> UniformGrid:
     return UniformGrid(horizon=_HORIZON, steps=steps)
 
 
+# Samplings the probe memo keeps have fewer nodes than this: 4.2 KB each.
+_MEMO_NODES = 513
+
+
+@functools.lru_cache(maxsize=64)
+def _memo(f, tau: float, n: int) -> array:
+    return array("d", _check_nodes(_unit_grid(tau), f, n))
+
+
+def _samples(f, tau: float, t: float) -> array | list[float]:
+    """The checked values of f at nodes 0..t/tau of the step-tau grid, shared
+    read-only through the probe memo when f is hashable and they are few."""
+    grid = _unit_grid(tau)
+    n = grid.node_index(t)
+    try:
+        hash(f)
+    except TypeError:  # an unhashable probe is sampled without the memo
+        return _check_nodes(grid, f, n)
+    return _memo(f, tau, n) if n < _MEMO_NODES else _check_nodes(grid, f, n)
+
+
 def _rate(coarse: float, fine: float, what: str, alpha: float, f: HolderTestFunction) -> float:
     """log2(coarse / fine), refused when either quantity is round-off."""
     if coarse < _MIN_DIFF or fine < _MIN_DIFF:
@@ -165,7 +193,8 @@ def order_interior(
 
     xi must be a node of the coarsest grid and must sit at least
     ``scheme.degree`` steps into it, so all three grids evaluate past the
-    scheme's startup region.  Raises DegenerateDifferenceError when either
+    scheme's startup region.  f is sampled once, on the finest grid,
+    through the probe memo.  Raises DegenerateDifferenceError when either
     difference falls below 1e-15; a scheme that is exact on the probe has
     no measurable order.
     """
@@ -179,7 +208,7 @@ def order_interior(
 
     # one sampling of f on the finest grid serves all three: node i of the
     # step-tau/r grid is node 4i/r of the step-tau/4 grid, bit for bit
-    vals = _check_nodes(_unit_grid(tau / 4.0), f, 4 * n_coarse)
+    vals = _samples(f, tau / 4.0, xi)
     d1, d2, d4 = (scheme_value(scheme, alpha, vals[:: 4 // r], tau / r, xi) for r in (1, 2, 4))
     rate = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
     return ConvergenceRow(
@@ -201,11 +230,12 @@ def _reference_row(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grid
     al = _check_alpha(alpha)
     refs, errs = {}, []
     for tau, t, h in grids:
-        value = scheme_value(scheme, alpha, f, tau, t)
+        vals = _samples(f, tau, t)
+        value = scheme_value(scheme, alpha, vals, tau, t)
         if (h, t) not in refs:
-            refs[h, t] = scheme_value(scheme, alpha, f, h, t)
+            refs[h, t] = scheme_value(scheme, alpha, _samples(f, h, t), h, t)
         err = abs(value - refs[h, t])
-        floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(f(0.0)), abs(f(t)))
+        floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(vals[0]), abs(vals[-1]))
         floor *= h**-al / math.gamma(2.0 - al)
         if err < floor:
             raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is below "
@@ -244,8 +274,9 @@ def order_first_node(
     Only the quadratic schemes are admitted; their first interval is the
     linear first step, whose error order 2 - alpha is the quantity under
     test.  The probe must have m = 2 so the kink does not interfere with
-    the first node.  Raises DegenerateDifferenceError when either error is
-    below the round-off floor of its reference node value.
+    the first node; each grid samples it through the probe memo.  Raises
+    DegenerateDifferenceError when either error is below the round-off
+    floor of its reference node value.
     """
     if scheme not in (SchemeKind.l2(), SchemeKind.l12()):
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
@@ -271,15 +302,15 @@ def order_fixed_time(
         R = log2 E(tau) / E(tau/2),  E(h) = |d_h(t) - d_{t/64}(t)|.
 
     t must be a node of the step-tau grid, and the step-tau/2 grid must be
-    coarser than the reference grid, so t / tau < 32.  Raises
-    DegenerateDifferenceError when either error is below the round-off
-    floor of the reference value.
+    coarser than the reference grid, so t / tau < 32.  Each grid samples f
+    through the probe memo.  Raises DegenerateDifferenceError when either
+    error is below the round-off floor of the reference value.
 
     With t = 2^-7 and tau in {2^-7, 2^-8} this reproduces all 18 errors
     of the published first-node table to their printed digits, and its
     2^-7 rates; its 2^-8 rates lie within 0.043 of the published ones,
-    whose construction is not identified.  Whether the
-    published table used L1 at every node, or only on the linear first
+    whose construction is not identified.  Whether the published table
+    used L1 at every node, or only on the linear first
     step shared by the quadratic schemes, is unsettled: at t = tau the two
     coincide, but at node 2 of the 2^-8 grid L2 is about 1e-8 from its
     reference, against 2e-5 for L1 (alpha = 0.3).

@@ -275,12 +275,12 @@ def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
         raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
     try:
         out = list(map(float, itertools.islice(values, n + 1)))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         for i, v in enumerate(itertools.islice(values, n + 1)):
             try:
                 float(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"node value u^{i} is not a real number: {v!r}") from None
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"node value u^{i} is not a real number in float range: {v!r}") from None
         raise
     # an inf or nan makes the sum so; finite values, only if they overflow it
     if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):

@@ -30,7 +30,7 @@ import math
 from math import gamma
 from typing import Callable, Sequence
 
-from .holder import _check_alpha
+from .holder import _check_alpha, _check_count
 from .interp import LagrangePiece, PiecewisePolynomial, _horner
 
 __all__ = [
@@ -297,14 +297,14 @@ def quad_caputo_integrated(
 
 def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:
     """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) t^(p-alpha),
-    and zero for the constant p = 0."""
-    if p < 0:
-        raise ValueError(f"monomial degree must be nonnegative, got {p}")
+    and zero for the constant p = 0.  The degree p is an integer in 0..170,
+    where Gamma(p+1) is a float; any other p raises ValueError."""
+    _check_count(p, "monomial degree")
+    if not 0 <= p <= 170:
+        raise ValueError(f"monomial degree must lie in 0..170, got {p}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     al = _check_alpha(alpha)
-    if p == 0:
-        return 0.0
-    if t == 0.0:
+    if p == 0 or t == 0.0:
         return 0.0
     return gamma(p + 1.0) / gamma(p + 1.0 - al) * t ** (p - al)

@@ -37,15 +37,8 @@ __all__ = ["CheckResult", "run_check", "run_verification"]
 
 _SEED = 20260817
 
-_ALL_SCHEMES = (
-    SchemeKind.l1(),
-    SchemeKind.l2(),
-    SchemeKind.l12(),
-    SchemeKind.lk(3),
-    SchemeKind.lk(4),
-    SchemeKind.lk(5),
-    SchemeKind.lk(6),
-)
+# L1, L2, then L1-2 (k = 2) and Lk for k = 3..6
+_ALL_SCHEMES = (SchemeKind.l1(), SchemeKind.l2(), *map(SchemeKind.lk, range(2, 7)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import random
+import sys
+import threading
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +22,9 @@ from caputo_lk.harness import (
     InteriorCell,
     ReferenceErrorRow,
     Report,
+    _memo,
     _rate,
+    _samples,
     _unit_grid,
     order_first_node,
     order_fixed_time,
@@ -377,6 +384,143 @@ class TestOrderFixedTime:
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
         with pytest.raises(ValueError):
             order_fixed_time(f, 0.5, 2.0**-12, 2.0**-7)
+
+
+def _count_probe_calls(monkeypatch) -> list[int]:
+    """Count HolderTestFunction calls, with the probe memo emptied so the
+    count does not depend on the calls of earlier tests."""
+    _memo.cache_clear()
+    calls = [0]
+    original = HolderTestFunction.__call__
+
+    def counted(self, t):
+        calls[0] += 1
+        return original(self, t)
+
+    monkeypatch.setattr(HolderTestFunction, "__call__", counted)
+    return calls
+
+
+class _Shifted(HolderTestFunction):
+    """The test family plus one: equal fields and hash, another class."""
+
+    def __call__(self, t):
+        return HolderTestFunction.__call__(self, t) + 1.0
+
+
+class TestProbeMemo:
+    def test_one_probe_is_sampled_once_across_schemes_and_alphas(self, monkeypatch):
+        """Eight interior cells, L2 and L1-2 at four alphas, read one
+        sampling of nodes 0..256 on the step-2^-9 grid."""
+        calls = _count_probe_calls(monkeypatch)
+        f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
+        for scheme in (SchemeKind.l2(), SchemeKind.l12()):
+            for alpha in (0.1, 0.3, 0.5, 0.7):
+                order_interior(scheme, f, alpha, 2.0**-7)
+        assert calls[0] == 257
+        assert _memo.cache_info().currsize == 1
+
+    def test_reference_grids_are_sampled_once(self, monkeypatch):
+        """Two first-node cells sample each grid and reference once: nodes
+        0..1 of two grids and 0..128 of their two references."""
+        calls = _count_probe_calls(monkeypatch)
+        f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
+        for scheme, alpha in ((SchemeKind.l2(), 0.3), (SchemeKind.l12(), 0.5)):
+            order_first_node(scheme, f, alpha, 2.0**-7)
+        assert calls[0] == 2 + 129 + 2 + 129
+
+    @pytest.mark.parametrize("other", [_CapProbe(0.5, 1, 0.5, 2), _Shifted(1, 0.5, 0.5)],
+                             ids=["cap", "shifted"])
+    def test_another_probe_class_never_reads_the_test_family(self, other):
+        f = HolderTestFunction(m=1, beta=0.5, xi=0.5)
+        _memo.cache_clear()
+        cold = order_interior(SchemeKind.l2(), other, 0.3, 2.0**-7)
+        _memo.cache_clear()
+        plain = order_interior(SchemeKind.l2(), f, 0.3, 2.0**-7)
+        assert order_interior(SchemeKind.l2(), other, 0.3, 2.0**-7) == cold
+        assert cold.measured_R != plain.measured_R
+        assert _memo.cache_info().currsize == 2
+
+    def test_an_unhashable_probe_is_sampled_anew(self, monkeypatch):
+        class Unhashable(HolderTestFunction):
+            __hash__ = None
+
+        calls = _count_probe_calls(monkeypatch)
+        f = Unhashable(1, 0.5, 0.5)
+        rows = [order_interior(SchemeKind.l2(), f, 0.3, 2.0**-7) for _ in range(2)]
+        assert rows[0] == rows[1]
+        assert rows[0].measured_R == order_interior(
+            SchemeKind.l2(), HolderTestFunction(1, 0.5, 0.5), 0.3, 2.0**-7).measured_R
+        assert calls[0] == 3 * 257 and _memo.cache_info().currsize == 1
+
+    def test_warm_rows_equal_cold_rows_bit_for_bit(self):
+        warm = [reproduce_table(i) for i in (1, 2, 3, 4)]
+        assert _memo.cache_info().currsize >= 46
+        _memo.cache_clear()
+        cold = [reproduce_table(i) for i in (1, 2, 3, 4)]
+        assert [render(r, "csv") for r in warm] == [render(r, "csv") for r in cold]
+        for w, c in zip(warm, cold):
+            rows = [(a.row, b.row) for a, b in zip(w.interior_cells, c.interior_cells) if a.row]
+            for a, b in zip(w.first_node_cells, c.first_node_cells):
+                rows += [(a.row, b.row), (a.fixed_time, b.fixed_time)]
+            for a, b in rows:
+                assert a == b and a.measured_R.hex() == b.measured_R.hex()
+
+    def test_threads_share_the_memo_bit_for_bit(self):
+        """Four threads measure twelve cells over three probes, each in its
+        own order, from an empty memo under a short switch interval."""
+        cells = [(scheme, alpha, HolderTestFunction(m, beta, 0.5))
+                 for scheme in (SchemeKind.l2(), SchemeKind.l12()) for alpha in (0.3, 0.7)
+                 for m, beta in ((1, 0.5), (2, 0.2), (0, 0.9))]
+        want = {c: order_interior(c[0], c[2], c[1], 2.0**-7) for c in cells}
+        _memo.cache_clear()
+        barrier = threading.Barrier(4, timeout=60.0)
+        wrong, done = [], []
+
+        def work(seed):
+            order = random.Random(seed).sample(cells, len(cells))
+            barrier.wait()
+            for c in order:
+                if order_interior(c[0], c[2], c[1], 2.0**-7) != want[c]:
+                    wrong.append(c)
+            done.append(seed)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert wrong == []
+        assert _memo.cache_info().currsize == 3
+
+    def test_retained_memory_stays_under_its_bound(self):
+        """A full memo of the largest samplings it keeps stays under the
+        0.3 MB the module states, and a fine-step measurement, sampled
+        without it, adds nothing."""
+        _memo.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for i in range(64):
+                assert len(_samples(HolderTestFunction(1, 0.5, (i + 1) / 128), 2.0**-9, 1.0)) == 513
+            order_interior(SchemeKind.l1(), HolderTestFunction(1, 0.5, 0.5), 0.5, 2.0**-9)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        mine = snapshot.filter_traces([tracemalloc.Filter(True, caputo_lk.harness.__file__)])
+        retained = sum(stat.size for stat in mine.statistics("filename"))
+        info = _memo.cache_info()
+        assert (info.currsize, info.misses) == (64, 64)
+        assert 64 * 8 * 513 < retained < 300_000
+        _memo.cache_clear()
 
 
 class TestReproduceTable:

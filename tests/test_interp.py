@@ -375,6 +375,13 @@ class TestBuildInterpolant:
             with pytest.raises(ValueError, match="u\\^2 is not finite"):
                 build_interpolant(SchemeKind.l2(), g, [0.0, 1.0, bad, 3.0, 4.0], 4)
 
+    def test_rejects_an_integer_beyond_float_range(self):
+        """10**400 is a real number with no float: float() once raised a
+        bare OverflowError that named no node."""
+        g = UniformGrid(horizon=1.0, steps=8)
+        with pytest.raises(ValueError, match=r"u\^1 is not a real number in float range"):
+            build_interpolant(SchemeKind.l1(), g, [0, 10**400, 2, 3, 4], 4)
+
     def test_finite_values_may_overflow_their_sum(self):
         """Finiteness is checked on the values' sum first, item by item
         only when that is not finite: finite values whose sum overflows

@@ -272,6 +272,27 @@ class TestExactMonomial:
         with pytest.raises(ValueError):
             exact_caputo_monomial(-1, 0.5, 0.5)
 
+    @pytest.mark.parametrize("p", [True, 2.0, 1.5, "2"], ids=repr)
+    def test_rejects_a_degree_that_is_not_an_integer(self, p):
+        """True once returned the p = 1 value, 1.128 at t = 1."""
+        with pytest.raises(ValueError, match="monomial degree must be an integer"):
+            exact_caputo_monomial(p, 1.0, 0.5)
+
+    def test_rejects_a_degree_whose_gamma_overflows(self):
+        """Gamma(p + 1) is a float up to p = 170; p = 400 once raised a bare
+        OverflowError from gamma."""
+        assert 0.0 < exact_caputo_monomial(170, 1.0, 0.5) < math.inf
+        for p in (171, 400):
+            with pytest.raises(ValueError, match=r"must lie in 0\.\.170, got " + str(p)):
+                exact_caputo_monomial(p, 2.0, 0.5)
+
+    def test_power_rule_is_the_gamma_ratio_bit_for_bit(self):
+        """Degrees 1..6, the ones the verify power-rule check reads."""
+        for p in range(1, 7):
+            for t, alpha in ((0.8, 0.3), (0.9, 0.71), (1.0, 0.5)):
+                want = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha) * t ** (p - alpha)
+                assert exact_caputo_monomial(p, t, alpha).hex() == want.hex()
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError) as excinfo:

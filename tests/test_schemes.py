@@ -213,12 +213,13 @@ class TestDiscreteCaputo:
                     discrete_caputo(scheme, g, vals, 4, 0.5)
 
     @pytest.mark.parametrize(
-        "u", [[0, 1j, 2, 3, 4], lambda t: None if t else 0.0, [0, "abc", 2, 3, 4]],
-        ids=["complex", "none", "text"],
+        "u",
+        [[0, 1j, 2, 3, 4], lambda t: None if t else 0.0, [0, "abc", 2, 3, 4], [0, 10**400, 2, 3, 4]],
+        ids=["complex", "none", "text", "beyond-float"],
     )
     def test_rejects_a_value_that_is_not_a_real_number(self, u):
-        """These once raised float's bare TypeError, or a ValueError that
-        named no index."""
+        """These once raised float's bare TypeError or OverflowError, or a
+        ValueError that named no index."""
         g = UniformGrid(horizon=1.0, steps=8)
         with pytest.raises(ValueError, match=r"u\^1"):
             discrete_caputo(SchemeKind.l1(), g, u, 4, 0.5)

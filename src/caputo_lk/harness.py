@@ -7,7 +7,7 @@ against a 128-fold refinement, ``order_fixed_time`` the error at one
 fixed time against a grid 64 times finer than that time, the construction
 behind the published first-node table; each turns the decay of its error
 under grid halving into an order, in one ``ReferenceErrorRow`` that
-carries both errors.
+carries both errors, refused only by each error's round-off floor.
 
 Measurements sample a probe through one thread-safe ``lru_cache`` keyed by
 (probe, step, node count), the probe by hash and equality, so no other class
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
-from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_alpha, _check_count
+from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_count, _check_real
 from .interp import SchemeKind, _check_nodes
 from .schemes import discrete_caputo
 
@@ -123,8 +123,7 @@ class ReferenceErrorRow:
 
 def _unit_grid(tau: float) -> UniformGrid:
     """The step-tau grid over [0, 1]; 1/tau must be integral."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"step tau must be positive and finite, got tau={tau!r}")
+    tau = _check_real(tau, "step tau", 0.0)
     if _HORIZON / tau == math.inf:
         raise ValueError(f"step tau={tau!r} is too small: 1/tau overflows")
     steps = round(_HORIZON / tau)
@@ -152,16 +151,6 @@ def _samples(f, tau: float, t: float) -> array | list[float]:
     except TypeError:  # an unhashable probe is sampled without the memo
         return _check_nodes(grid, f, n)
     return _memo(f, tau, n) if n < _MEMO_NODES else _check_nodes(grid, f, n)
-
-
-def _rate(coarse: float, fine: float, what: str, alpha: float, f: HolderTestFunction) -> float:
-    """log2(coarse / fine), refused when either quantity is round-off."""
-    if coarse < _MIN_DIFF or fine < _MIN_DIFF:
-        raise DegenerateDifferenceError(
-            f"{what} {coarse:.3e} / {fine:.3e} are below the "
-            f"round-off floor at alpha={alpha}, m={f.m}, beta={f.beta}"
-        )
-    return math.log2(coarse / fine)
 
 
 def scheme_value(scheme: SchemeKind, alpha: float, u, tau: float, t: float) -> float:
@@ -210,7 +199,10 @@ def order_interior(
     # step-tau/r grid is node 4i/r of the step-tau/4 grid, bit for bit
     vals = _samples(f, tau / 4.0, xi)
     d1, d2, d4 = (scheme_value(scheme, alpha, vals[:: 4 // r], tau / r, xi) for r in (1, 2, 4))
-    rate = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
+    coarse, fine = abs(d1 - d2), abs(d2 - d4)
+    if coarse < _MIN_DIFF or fine < _MIN_DIFF:
+        raise DegenerateDifferenceError(f"refinement differences {coarse:.3e} / {fine:.3e} are below "
+                                        f"the round-off floor at alpha={alpha}, m={f.m}, beta={f.beta}")
     return ConvergenceRow(
         scheme=scheme,
         alpha=alpha,
@@ -218,27 +210,24 @@ def order_interior(
         beta=f.beta,
         xi=xi,
         tau_base=tau,
-        measured_R=rate,
+        measured_R=math.log2(coarse / fine),
         theoretical_order=f.m + f.beta - alpha,
     )
 
 
 def _reference_row(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grids, what: str):
     """The row of two grids (tau, t, h): the errors of the step-tau values at
-    time t less the step-h ones, each refused below its reference's round-off
-    floor, and their rate; each distinct (h, t) is evaluated once."""
-    al = _check_alpha(alpha)
-    refs, errs = {}, []
+    time t less the step-h ones, each refused at or below its reference's
+    round-off floor alone, which scales with u, and their rate."""
+    errs = []
     for tau, t, h in grids:
         vals = _samples(f, tau, t)
         value = scheme_value(scheme, alpha, vals, tau, t)
-        if (h, t) not in refs:
-            refs[h, t] = scheme_value(scheme, alpha, _samples(f, h, t), h, t)
-        err = abs(value - refs[h, t])
+        err = abs(value - scheme_value(scheme, alpha, _samples(f, h, t), h, t))
         floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(vals[0]), abs(vals[-1]))
-        floor *= h**-al / math.gamma(2.0 - al)
-        if err < floor:
-            raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is below "
+        floor *= h**-alpha / math.gamma(2.0 - alpha)  # alpha checked by scheme_value
+        if not err > floor:
+            raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is at or below "
                                             f"the round-off floor {floor:.3e} of its reference")
         errs.append(err)
     tau, t, h = grids[0]
@@ -253,7 +242,7 @@ def _reference_row(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grid
         tau_ref=h,
         error=errs[0],
         error_half=errs[1],
-        measured_R=_rate(*errs, f"{what}s", alpha, f),
+        measured_R=math.log2(errs[0] / errs[1]),
     )
 
 
@@ -274,15 +263,15 @@ def order_first_node(
     Only the quadratic schemes are admitted; their first interval is the
     linear first step, whose error order 2 - alpha is the quantity under
     test.  The probe must have m = 2 so the kink does not interfere with
-    the first node; each grid samples it through the probe memo.  Raises
-    DegenerateDifferenceError when either error is below the round-off
-    floor of its reference node value.
+    the first node; each grid samples it through the probe memo.  Its one
+    refusal: DegenerateDifferenceError when an error is at or below the
+    round-off floor of its reference node value, which scales with u.
     """
     if scheme not in (SchemeKind.l2(), SchemeKind.l12()):
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
     if f.m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
-    h = tau / _FIRST_NODE_REFINEMENT
+    h = _check_real(tau, "step tau", 0.0) / _FIRST_NODE_REFINEMENT
     grids = ((tau, tau, h), (tau / 2.0, tau / 2.0, h / 2.0))
     return _reference_row(scheme, alpha, f, grids, "first-node error")
 
@@ -303,8 +292,8 @@ def order_fixed_time(
 
     t must be a node of the step-tau grid, and the step-tau/2 grid must be
     coarser than the reference grid, so t / tau < 32.  Each grid samples f
-    through the probe memo.  Raises DegenerateDifferenceError when either
-    error is below the round-off floor of the reference value.
+    through the probe memo.  Its one refusal: DegenerateDifferenceError when
+    an error is at or below the reference value's round-off floor.
 
     With t = 2^-7 and tau in {2^-7, 2^-8} this reproduces all 18 errors
     of the published first-node table to their printed digits, and its
@@ -315,6 +304,7 @@ def order_fixed_time(
     coincide, but at node 2 of the 2^-8 grid L2 is about 1e-8 from its
     reference, against 2e-5 for L1 (alpha = 0.3).
     """
+    t, tau = _check_real(t, "fixed time t", 0.0), _check_real(tau, "step tau", 0.0)
     if t / tau >= _FIXED_TIME_REFINEMENT / 2:
         raise ValueError(
             f"step {tau!r} halved is not coarser than the reference step "

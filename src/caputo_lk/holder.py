@@ -22,12 +22,23 @@ _MAX_M = 6
 _NODE_TOL = 1e-9
 
 
+def _check_real(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """A real parameter as a float, or ValueError naming what unless it lies in
+    (low, high); a str or bool is not real, and a bad value is named by type."""
+    real = type(value) is float or not isinstance(value, (str, bytes, bytearray, bool))
+    try:
+        x = float(value) if real else None
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or not low < x < high:
+        got = f"type {type(value).__name__}" if x is None else repr(x)
+        raise ValueError(f"{what} must be a real number in ({low:g}, {high:g}), got {got}")
+    return x
+
+
 def _check_alpha(alpha: float) -> float:
     """The fractional order as a float, refused unless it lies in (0, 1)."""
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    return a
+    return _check_real(alpha, "fractional order", 0.0, 1.0)
 
 
 def _check_count(value, what: str) -> None:
@@ -46,11 +57,11 @@ class UniformGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"grid horizon must be positive and finite, got {self.horizon!r}")
+        _check_real(self.horizon, "grid horizon", 0.0)
         _check_count(self.steps, "grid steps")
-        if self.steps < 1:
-            raise ValueError(f"grid needs at least one step, got {self.steps!r}")
+        # horizon / steps must be a positive float: at most 1e308 steps, and no underflow
+        if not 1 <= self.steps <= 1e308 or self.tau == 0.0:
+            raise ValueError("grid needs at least one step, each of positive float length")
 
     @property
     def tau(self) -> float:
@@ -84,7 +95,7 @@ class RegularityClass:
         _check_count(self.m, "derivative count m")
         if not 0 <= self.m <= _MAX_M:
             raise ValueError(f"derivative count m must lie in 0..{_MAX_M}, got {self.m!r}")
-        if not 0.0 < self.beta <= 1.0:
+        if not 0.0 < _check_real(self.beta, "Holder exponent") <= 1.0:
             raise ValueError(f"Holder exponent must lie in (0, 1], got {self.beta!r}")
 
     @classmethod
@@ -93,7 +104,7 @@ class RegularityClass:
         beta in (0, 1]: e.g. 3.0 -> (2, 1.0) and 2.2 -> (2, 0.2).  A total
         within 1e-12 above an integer k <= 6 is read as k, so it splits as
         (k - 1, 1.0); totals up to 1e-12 are refused."""
-        if not 1e-12 < total <= _MAX_M + 1.0:
+        if not 1e-12 < _check_real(total, "total smoothness") <= _MAX_M + 1.0:
             raise ValueError(f"total smoothness must lie in (1e-12, {_MAX_M + 1}], got {total!r}")
         m = math.ceil(total - 1e-12) - 1
         return cls(m=m, beta=min(total - m, 1.0))
@@ -109,10 +120,12 @@ class HolderTestFunction:
 
     def __post_init__(self) -> None:
         RegularityClass(self.m, self.beta)
-        if not 0.0 < self.xi < math.inf:
-            raise ValueError(f"kink location must be positive and finite, got {self.xi!r}")
+        _check_real(self.xi, "kink location", 0.0)
 
     def __call__(self, t: float) -> float:
         # (t - xi)^m |t - xi|^beta is 0.0 at the kink itself, as beta > 0
         d = t - self.xi
-        return d**self.m * abs(d) ** self.beta
+        try:
+            return d**self.m * abs(d) ** self.beta
+        except OverflowError:  # float ** raises past float range, where * gives inf
+            return math.copysign(math.inf, d) ** self.m

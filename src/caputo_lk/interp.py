@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
 
-from .holder import UniformGrid, _check_count
+from .holder import UniformGrid, _check_count, _check_real
 
 __all__ = [
     "SchemeKind",
@@ -162,8 +162,7 @@ class LagrangePiece:
             raise ValueError(f"stencil node times must be finite, got {self.node_times!r}")
         if not all(map(math.isfinite, self.node_values)):
             raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"grid step must be positive and finite, got tau={self.tau!r}")
+        _check_real(self.tau, "grid step tau", 0.0)
         # evaluate reads the node times, monomial_coefficients only tau
         for a, b in zip(self.node_times, self.node_times[1:]):
             if not abs(b - a - self.tau) <= 1e-9 * self.tau:
@@ -280,7 +279,8 @@ def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
             try:
                 float(v)
             except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"node value u^{i} is not a real number in float range: {v!r}") from None
+                raise ValueError(f"node value u^{i} is not a real number in float range, "
+                                 f"got type {type(v).__name__}") from None
         raise
     # an inf or nan makes the sum so; finite values, only if they overflow it
     if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):

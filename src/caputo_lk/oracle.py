@@ -18,7 +18,8 @@ of ``piece.evaluate``, and on the last piece over the form less its first
 term; the piecewise route through the derivative of the same form.  The
 adaptive routine follows QUADPACK's QAGP: one starting region per pair of
 consecutive break points, then global bisection of the worst region within
-a per-call budget.  Integrands take a batch: each Gauss-Kronrod region
+a per-call budget; it returns why it stopped short, and only
+``_w_integral`` raises.  Integrands take a batch: each Gauss-Kronrod region
 passes its 15 nodes in one call and gets their values back as a list, so
 an interpolant's piece is looked up once per region.
 """
@@ -30,7 +31,7 @@ import math
 from math import gamma
 from typing import Callable, Sequence
 
-from .holder import _check_alpha, _check_count
+from .holder import _check_alpha, _check_count, _check_real
 from .interp import LagrangePiece, PiecewisePolynomial, _horner
 
 __all__ = [
@@ -106,19 +107,14 @@ def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
     return kron, abs(kron - gauss)
 
 
-def _adaptive(
-    f: Integrand,
-    points: Sequence[float],
-    tol: float,
-    stats: dict | None = None,
-) -> float:
+def _adaptive(f: Integrand, points: Sequence[float], tol: float) -> tuple[float, str | None, dict]:
     """Globally adaptive Gauss-Kronrod over the ascending break points:
     one GK15 region per pair of consecutive points to start, then
     bisection of the worst region until the summed error estimate meets tol.
-    ``f`` maps a batch of points to their values.  A ``stats`` dict gets
-    the final error estimate and region count, and ``evaluations``, the
-    points passed to ``f``, whether or not the estimate meets tol; when it
-    does not, QuadratureConvergenceError carries the sum of those regions."""
+    ``f`` maps a batch of points to their values.  Returns the sum of the
+    final regions, the reason refinement stopped short of tol or None, and
+    the counts: the summed error estimate, the regions and ``evaluations``,
+    the points passed to ``f``."""
     tol = max(tol, _MIN_TOL)
     heap = []
     total_err = 0.0
@@ -151,11 +147,8 @@ def _adaptive(
         value = math.fsum(r[3] for r in heap)
     except (OverflowError, ValueError):  # the sum overflows, or meets inf - inf
         value = math.nan
-    if stats is not None:
-        stats.update(err_estimate=total_err, regions=len(heap), evaluations=len(_OFFSETS) * evaluated)
-    if failure is not None:
-        raise QuadratureConvergenceError(failure, value)
-    return value
+    return value, failure, {"err_estimate": total_err, "regions": len(heap),
+                            "evaluations": len(_OFFSETS) * evaluated}
 
 
 def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
@@ -208,9 +201,9 @@ def _w_integral(
     which removes the endpoint singularity exactly, with the pieces' ends
     as break points and ``tol`` bounding I.  A ``stats`` dict receives
     ``regions``, ``evaluations`` (15 per region) and ``err_estimate``, the
-    summed final Gauss-Kronrod error estimates times coef.  A value that is
-    not finite raises ValueError naming t_n, before any stall raises
-    QuadratureConvergenceError with head + coef * (I's best estimate)."""
+    summed final Gauss-Kronrod error estimates times coef, settled or not.
+    A value that is not finite raises ValueError naming t_n, before a stall
+    raises QuadratureConvergenceError with head + coef * (I's best estimate)."""
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tol!r}")
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
@@ -223,12 +216,9 @@ def _w_integral(
 
     # w = 0 at t_n; a region's centre, its first point, names its piece
     points = [0.0, *((t_n - q.interval[0]) ** (1.0 - al) for q in reversed(p.pieces))]
-    try:
-        w, failure = _adaptive(f, points, tol, stats), None
-    except QuadratureConvergenceError as exc:
-        w, failure = exc.best, exc.args[0]
+    w, failure, counts = _adaptive(f, points, tol)
     if stats is not None:
-        stats["err_estimate"] *= coef
+        stats.update(counts, err_estimate=coef * counts["err_estimate"])
     value = head + coef * w
     if not math.isfinite(value):
         raise ValueError(f"the value at t_n = {t_n!r} overflows: its node values are too large")
@@ -298,13 +288,19 @@ def quad_caputo_integrated(
 def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:
     """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) t^(p-alpha),
     and zero for the constant p = 0.  The degree p is an integer in 0..170,
-    where Gamma(p+1) is a float; any other p raises ValueError."""
+    where Gamma(p+1) is a float; any other p, or a value past float range, raises ValueError."""
     _check_count(p, "monomial degree")
     if not 0 <= p <= 170:
         raise ValueError(f"monomial degree must lie in 0..170, got {p}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    if not 0.0 <= _check_real(t, "time"):
+        raise ValueError(f"time must be nonnegative, got {t!r}")
     al = _check_alpha(alpha)
     if p == 0 or t == 0.0:
         return 0.0
-    return gamma(p + 1.0) / gamma(p + 1.0 - al) * t ** (p - al)
+    try:
+        value = gamma(p + 1.0) / gamma(p + 1.0 - al) * t ** (p - al)
+    except OverflowError:  # float ** raises where * gives inf
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"the derivative of t^{p} at t = {t!r} overflows")
+    return value

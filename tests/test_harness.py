@@ -23,7 +23,6 @@ from caputo_lk.harness import (
     ReferenceErrorRow,
     Report,
     _memo,
-    _rate,
     _samples,
     _unit_grid,
     order_first_node,
@@ -65,7 +64,7 @@ class TestSchemeValue:
     @pytest.mark.parametrize("tau", [0.0, -0.25, math.nan, math.inf])
     def test_rejects_bad_step(self, tau):
         """tau = 0 once raised ZeroDivisionError and NaN a conversion error."""
-        with pytest.raises(ValueError, match="step tau must be positive and finite"):
+        with pytest.raises(ValueError, match=r"step tau must be a real number in \(0, inf\)"):
             scheme_value(SchemeKind.l1(), 0.5, lambda t: t, tau, 0.5)
 
     def test_rejects_step_whose_reciprocal_overflows(self):
@@ -152,7 +151,7 @@ class TestOrderInterior:
             discrete_caputo(scheme, grid, f, grid.node_index(0.5), alpha).value
             for grid in (_unit_grid(tau / r) for r in (1.0, 2.0, 4.0))
         )
-        want = _rate(abs(d1 - d2), abs(d2 - d4), "refinement differences", alpha, f)
+        want = math.log2(abs(d1 - d2) / abs(d2 - d4))
         assert order_interior(scheme, f, alpha, tau).measured_R.hex() == want.hex()
 
     def test_rate_is_capped_at_the_design_order(self):
@@ -337,20 +336,24 @@ class TestOrderFixedTime:
         assert row.error == abs(scheme_value(l1, 0.5, f, t, t) - ref)
         assert row.error_half == abs(scheme_value(l1, 0.5, f, t / 2, t) - ref)
 
-    def test_reference_node_is_evaluated_once(self, monkeypatch):
-        """Both errors share one reference value: three node evaluations
-        per measurement, not four."""
-        calls = []
+    def test_reference_node_is_read_twice_to_the_same_bits(self, monkeypatch):
+        """Each error reads its own reference, a grid before its reference:
+        four node evaluations per measurement, and both reads of the shared
+        2^-13 reference return the same bits."""
+        calls, values = [], []
         original = caputo_lk.harness.discrete_caputo
 
         def recorded(scheme, grid, u, n, alpha):
             calls.append((grid.steps, n))
-            return original(scheme, grid, u, n, alpha)
+            result = original(scheme, grid, u, n, alpha)
+            values.append(result.value.hex())
+            return result
 
         monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
         f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
         order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7)
-        assert calls == [(256, 2), (8192, 64), (512, 4)]
+        assert calls == [(256, 2), (8192, 64), (512, 4), (8192, 64)]
+        assert values[1] == values[3]
 
     def test_l2_differs_from_l1_past_the_first_node(self):
         # node 2 of the 2^-8 grid: L2 is already quadratic there, so the
@@ -406,6 +409,36 @@ class _Shifted(HolderTestFunction):
 
     def __call__(self, t):
         return HolderTestFunction.__call__(self, t) + 1.0
+
+
+class _Scaled(HolderTestFunction):
+    """The test family times 2^-60: every node value, error and round-off
+    floor scales exactly, so its rates are the family's bit for bit."""
+
+    def __call__(self, t):
+        return HolderTestFunction.__call__(self, t) * 2.0**-60
+
+
+class TestScaleInvariance:
+    """A reference row is refused by its own round-off floor only, which
+    scales with u; an absolute floor once refused these rows, whose errors
+    sit near 1e-23."""
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda f: order_first_node(SchemeKind.l2(), f, 0.3, 2.0**-7),
+            lambda f: order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7),
+        ],
+        ids=["first-node", "fixed-time"],
+    )
+    @pytest.mark.parametrize("beta", [0.2, 0.8])
+    def test_scaled_probe_keeps_its_rate(self, measure, beta):
+        plain = measure(HolderTestFunction(m=2, beta=beta, xi=0.5))
+        scaled = measure(_Scaled(m=2, beta=beta, xi=0.5))
+        assert scaled.error == plain.error * 2.0**-60
+        assert scaled.error_half == plain.error_half * 2.0**-60
+        assert scaled.measured_R.hex() == plain.measured_R.hex()
 
 
 class TestProbeMemo:

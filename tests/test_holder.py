@@ -8,11 +8,16 @@ import re
 
 import pytest
 
+from caputo_lk.harness import order_fixed_time, order_first_node, order_interior
 from caputo_lk.holder import (
     HolderTestFunction,
     RegularityClass,
     UniformGrid,
+    _check_alpha,
 )
+from caputo_lk.interp import SchemeKind
+from caputo_lk.oracle import exact_caputo_monomial
+from caputo_lk.schemes import discrete_caputo
 
 
 def derivative(u: HolderTestFunction, order: int, t: float) -> float:
@@ -194,3 +199,117 @@ class TestModulusProbe:
             for t in (xi - d, xi + d):
                 got = abs(derivative(u, m, t) - derivative(u, m, xi))
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+_GRID = UniformGrid(horizon=1.0, steps=8)
+_PROBE = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+
+
+def _finite_or_value_error(call) -> None:
+    """call() returns a finite float or raises ValueError; any other
+    exception, TypeError and OverflowError included, propagates."""
+    try:
+        got = call()
+    except ValueError:
+        return
+    assert isinstance(got, float) and math.isfinite(got), got
+
+
+class TestInputContract:
+    """Every public entry point refuses a parameter that is not a real
+    number in its range with ValueError naming it, never TypeError or
+    OverflowError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _check_alpha(None),
+            lambda: _check_alpha(1j),
+            lambda: _check_alpha("0.5"),
+            lambda: UniformGrid(None, 4),
+            lambda: UniformGrid(5e-324, 2),
+            lambda: UniformGrid(1.0, 10**400),
+            lambda: RegularityClass(1, None),
+            lambda: RegularityClass.from_total(None),
+            lambda: HolderTestFunction(1, 0.5, None),
+            lambda: order_interior(SchemeKind.l2(), _PROBE, 0.5, None),
+            lambda: order_first_node(SchemeKind.l2(), _PROBE, 0.5, None),
+            lambda: order_fixed_time(_PROBE, 0.5, None, 2.0**-7),
+            lambda: order_fixed_time(_PROBE, 0.5, 2.0**-8, None),
+            lambda: exact_caputo_monomial(6, 1e300, 0.5),
+            lambda: exact_caputo_monomial(1, "1", 0.5),
+            lambda: exact_caputo_monomial(1, None, 0.5),
+        ],
+    )
+    def test_refusal_is_a_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_refusal_names_the_parameter(self):
+        kink = r"kink location must be a real number in \(0, inf\), got type NoneType"
+        with pytest.raises(ValueError, match=kink):
+            HolderTestFunction(1, 0.5, None)
+        with pytest.raises(ValueError, match=r"fractional order must be .* \(0, 1\), got 1\.5"):
+            _check_alpha(1.5)
+
+    def test_probe_past_float_range_is_not_finite(self):
+        """float ** raises OverflowError where the product would be inf; the
+        probe gives +-inf, which the node check refuses by index."""
+        assert HolderTestFunction(6, 1.0, 1e300)(0.0) == math.inf
+        assert HolderTestFunction(5, 1.0, 1e300)(0.0) == -math.inf
+        with pytest.raises(ValueError, match=r"u\^0 is not finite"):
+            discrete_caputo(SchemeKind.l1(), _GRID, HolderTestFunction(6, 1.0, 1e300), 4, 0.5)
+
+    def test_power_rule_values_are_unchanged(self):
+        """Gamma(p+1)/Gamma(p+1-alpha) t^(p-alpha), bit for bit, for p <= 6."""
+        for p in range(7):
+            for t in (0.25, 1.0, 3.0):
+                want = math.gamma(p + 1.0) / math.gamma(p + 1.0 - 0.3) * t ** (p - 0.3)
+                assert exact_caputo_monomial(p, t, 0.3) == (want if p else 0.0)
+
+    def test_property(self):
+        """Arbitrary ints, bools, floats (nan, +-inf, subnormal, huge),
+        strings, None and complex values as alpha, grid and probe
+        parameters, node values and exact_caputo_monomial's arguments."""
+        hp = pytest.importorskip("hypothesis")
+        st = hp.strategies
+        anything = st.one_of(
+            st.integers(), st.booleans(), st.floats(), st.just(10**400), st.just(10**5000),
+            st.text(max_size=6), st.sampled_from(["0.5", "1", "nan", "1e400"]), st.none(),
+            st.complex_numbers(),
+        )
+        alpha = st.one_of(st.floats(0.0, 1.0), anything)
+        positive = st.one_of(st.floats(0.0, 2.0), st.floats(min_value=0.0), anything)
+
+        # no explain phase: it traces each failing case, for minutes on end
+        @hp.settings(
+            derandomize=True,
+            max_examples=300,
+            deadline=None,
+            database=None,
+            phases=(hp.Phase.generate, hp.Phase.shrink),
+        )
+        @hp.given(
+            alpha=alpha,
+            horizon=positive,
+            steps=st.one_of(st.integers(-2, 64), anything),
+            m=st.one_of(st.integers(-1, 7), anything),
+            beta=st.one_of(st.floats(0.0, 1.5), anything),
+            xi=positive,
+            values=st.lists(st.one_of(st.floats(-1e308, 1e308), anything), min_size=5, max_size=5),
+            p=st.one_of(st.integers(-1, 200), anything),
+            t=positive,
+        )
+        def check(alpha, horizon, steps, m, beta, xi, values, p, t):
+            l1 = SchemeKind.l1()
+            for call in (
+                lambda: discrete_caputo(l1, _GRID, values, 4, 0.5).value,
+                lambda: discrete_caputo(SchemeKind.l2(), _GRID, _PROBE, 4, alpha).value,
+                lambda: discrete_caputo(l1, UniformGrid(horizon, steps), abs, 1, 0.5).value,
+                lambda: discrete_caputo(l1, _GRID, HolderTestFunction(m, beta, xi), 4, 0.5).value,
+                lambda: RegularityClass.from_total(beta).beta,
+                lambda: exact_caputo_monomial(p, t, alpha),
+            ):
+                _finite_or_value_error(call)
+
+        check()

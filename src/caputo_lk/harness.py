@@ -436,10 +436,7 @@ def reproduce_table(table_id: int) -> Report:
     The interior studies take their coarsest step as 2^-7.  The builders
     are one table, ``_STUDIES``; any other id, 1.0 too, raises ValueError.
     """
-    _check_count(table_id, "table id")
-    if table_id not in _STUDIES:
-        raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")
-    return _STUDIES[table_id]()
+    return _STUDIES[_check_count(table_id, "table id", 1, len(_STUDIES))]()
 
 
 def _fmt(x: float) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 
 __all__ = [
@@ -41,12 +42,16 @@ def _check_alpha(alpha: float) -> float:
     return _check_real(alpha, "fractional order", 0.0, 1.0)
 
 
-def _check_count(value, what: str) -> None:
-    """Refuse a count that is not an integer; 2.0 and True are refused like 2.5."""
-    try:
-        operator.index(None if isinstance(value, bool) else value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+def _check_count(value, what: str, low: int, high: float) -> int:
+    """A count as an int, or ValueError naming what and low..high unless it is an
+    integer in that range; 2.0 and True are refused, and an int past 1e308 is not printed."""
+    index = type(value) is int or hasattr(type(value), "__index__") and not isinstance(value, bool)
+    n = operator.index(value) if index else None
+    if n is None or not low <= n <= high:
+        got = (reprlib.repr(value) if n is None
+               else f"{n:.15g}" if abs(n) < 1e308 else "an int past 1e308")
+        raise ValueError(f"{what} must be an integer in {low:.15g}..{high:.15g}, got {got}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -58,25 +63,21 @@ class UniformGrid:
 
     def __post_init__(self) -> None:
         _check_real(self.horizon, "grid horizon", 0.0)
-        _check_count(self.steps, "grid steps")
         # horizon / steps must be a positive float: at most 1e308 steps, and no underflow
-        if not 1 <= self.steps <= 1e308 or self.tau == 0.0:
-            raise ValueError("grid needs at least one step, each of positive float length")
+        _check_count(self.steps, "grid steps", 1, 1e308)
+        _check_real(self.tau, "grid step horizon / steps", 0.0)
 
     @property
     def tau(self) -> float:
         return self.horizon / self.steps
 
     def time(self, n: int) -> float:
-        _check_count(n, "node index")
-        if not 0 <= n <= self.steps:
-            raise ValueError(f"node index {n} outside 0..{self.steps}")
-        return n * self.tau
+        return _check_count(n, "node index", 0, self.steps) * self.tau
 
     def node_index(self, t: float) -> int:
-        """Map a time to its node index; an off-grid time raises ValueError."""
-        x = t / self.tau
-        # round() cannot take an infinite or NaN quotient; refuse it here
+        """Map a time to its node index; an off-grid or non-real time raises ValueError."""
+        x = _check_real(t, "time t") / self.tau
+        # t / tau may overflow to inf, which round() cannot take; refuse it here
         n = round(x) if math.isfinite(x) else -1
         if abs(x - n) > _NODE_TOL or not 0 <= n <= self.steps:
             raise ValueError(f"time {t!r} is not a node of {self}")
@@ -92,9 +93,7 @@ class RegularityClass:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_count(self.m, "derivative count m")
-        if not 0 <= self.m <= _MAX_M:
-            raise ValueError(f"derivative count m must lie in 0..{_MAX_M}, got {self.m!r}")
+        _check_count(self.m, "derivative count m", 0, _MAX_M)
         if not 0.0 < _check_real(self.beta, "Holder exponent") <= 1.0:
             raise ValueError(f"Holder exponent must lie in (0, 1], got {self.beta!r}")
 

@@ -45,9 +45,7 @@ class SchemeKind:
 
     def __post_init__(self) -> None:
         if self.k is not None:
-            _check_count(self.k, "Lk degree k")
-            if not 1 <= self.k <= MAX_DEGREE:
-                raise ValueError(f"Lk scheme needs k in 1..{MAX_DEGREE}, got {self.k!r}")
+            _check_count(self.k, "Lk degree k", 1, MAX_DEGREE)
 
     @classmethod
     def l1(cls) -> "SchemeKind":
@@ -80,9 +78,8 @@ class SchemeKind:
 def divided_coeff(k: int, l: int) -> int:
     """Denominator d_l = (-1)^l (k-l)! l! of the l-th Lagrange weight on a
     uniform stencil of degree k (node counted back from the stencil's right
-    end)."""
-    if not 0 <= l <= k <= MAX_DEGREE:
-        raise ValueError(f"need 0 <= l <= k <= {MAX_DEGREE}, got l={l}, k={k}")
+    end), for integers 0 <= l <= k <= MAX_DEGREE."""
+    _check_count(l, "stencil node l", 0, _check_count(k, "stencil degree k", 0, MAX_DEGREE))
     value = math.factorial(k - l) * math.factorial(l)
     return -value if l % 2 else value
 
@@ -158,21 +155,17 @@ class LagrangePiece:
                 f"stencil needs 2..{MAX_DEGREE + 1} node times and one value per node,"
                 f" got {nodes} times and {values} values"
             )
-        if not all(map(math.isfinite, self.node_times)):
-            raise ValueError(f"stencil node times must be finite, got {self.node_times!r}")
         if not all(map(math.isfinite, self.node_values)):
             raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
         _check_real(self.tau, "grid step tau", 0.0)
-        # evaluate reads the node times, monomial_coefficients only tau
+        # evaluate reads the node times, monomial_coefficients only tau; times tau apart are finite
         for a, b in zip(self.node_times, self.node_times[1:]):
             if not abs(b - a - self.tau) <= 1e-9 * self.tau:
                 raise ValueError(
                     f"stencil node times must ascend tau={self.tau!r} apart, got {a!r} then {b!r}"
                 )
-        for end in self.interval:
-            if not math.isfinite(end):
-                raise ValueError(f"validity interval end is not finite: {end!r}")
-        if not self.interval[0] < self.interval[1]:
+        lo, hi = (_check_real(end, "validity interval end") for end in self.interval)
+        if not lo < hi:
             raise ValueError(f"empty validity interval {self.interval!r}")
 
     @property
@@ -261,11 +254,7 @@ def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: in
 def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
     """Check node n and the real, finite values u^0..u^n, a sequence or a
     callable sampled at the nodes, for evaluation at node n; return them as floats."""
-    _check_count(n, "evaluation node n")
-    if n < 1:
-        raise ValueError(f"evaluation node must be at least 1, got {n}")
-    if n > grid.steps:
-        raise ValueError(f"evaluation node {n} beyond the grid's {grid.steps} steps")
+    _check_count(n, "evaluation node n", 1, grid.steps)
     if callable(values):
         # node i at i * tau, the bits of grid.time(i)
         tau = grid.tau

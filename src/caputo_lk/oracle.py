@@ -179,10 +179,14 @@ def _secant_slope(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
     return _horner(c[-1], piece.node_times[1:-1], c[-2:0:-1], points)
 
 
-def _check_interpolant(p: PiecewisePolynomial) -> None:
-    """Refuse anything but an interpolant, before either route reads it."""
+def _check_call(p, t_n: float, alpha: float, tol: float, stats: dict | None) -> tuple[float, ...]:
+    """Refuse a bad argument before either route reads p; return alpha, t_n and tol."""
+    al = _check_alpha(alpha)
     if not isinstance(p, PiecewisePolynomial):
         raise ValueError(f"the oracle takes an interpolant, got {type(p).__name__}")
+    if stats is not None and not isinstance(stats, dict):
+        raise ValueError(f"stats must be a dict or None, got type {type(stats).__name__}")
+    return al, _check_real(t_n, "evaluation time t_n"), _check_real(tol, "tolerance")
 
 
 def _w_integral(
@@ -204,8 +208,6 @@ def _w_integral(
     summed final Gauss-Kronrod error estimates times coef, settled or not.
     A value that is not finite raises ValueError naming t_n, before a stall
     raises QuadratureConvergenceError with head + coef * (I's best estimate)."""
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol!r}")
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
     gamma_exp = 1.0 / (1.0 - al)
@@ -239,8 +241,7 @@ def quad_caputo_piecewise(
     ``_w_integral``, with head 0 and coef 1/Gamma(1 - alpha).  ``tol`` and
     ``stats`` are ``_w_integral``'s; the error estimate, and a failure's
     best estimate, are in value units."""
-    al = _check_alpha(alpha)
-    _check_interpolant(p)
+    al, t_n, tol = _check_call(p, t_n, alpha, tol, stats)
     return _w_integral(p, t_n, al, _piece_derivative, tol, stats, 0.0, 1.0 / gamma(1.0 - al))
 
 
@@ -266,8 +267,7 @@ def quad_caputo_integrated(
     and coef = alpha/Gamma(1-alpha), and its ``tol`` and ``stats``; the
     error estimate, and a failure's best estimate, are in value units.
     """
-    al = _check_alpha(alpha)
-    _check_interpolant(p)
+    al, t_n, tol = _check_call(p, t_n, alpha, tol, stats)
     last = p.pieces[-1]
     if not math.isclose(last.node_times[-1], t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(
@@ -289,9 +289,7 @@ def exact_caputo_monomial(p: int, t: float, alpha: float) -> float:
     """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) t^(p-alpha),
     and zero for the constant p = 0.  The degree p is an integer in 0..170,
     where Gamma(p+1) is a float; any other p, or a value past float range, raises ValueError."""
-    _check_count(p, "monomial degree")
-    if not 0 <= p <= 170:
-        raise ValueError(f"monomial degree must lie in 0..170, got {p}")
+    _check_count(p, "monomial degree", 0, 170)
     if not 0.0 <= _check_real(t, "time"):
         raise ValueError(f"time must be nonnegative, got {t!r}")
     al = _check_alpha(alpha)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import gamma
 from typing import Callable, Sequence
 
-from .holder import UniformGrid, _check_alpha
+from .holder import UniformGrid, _check_alpha, _check_count, _check_real
 from .interp import _DERIV, MAX_DEGREE, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes
 from .interp import _runs, build_interpolant, divided_coeff
 
@@ -90,14 +90,11 @@ def _check_moment(t: float, a: float, b: float, c: float, q: int, alpha: float) 
     """Check a moment's window, centre, degree and alpha; return the
     checked alpha."""
     al = _check_alpha(alpha)
-    if not t < math.inf:
-        raise ValueError(f"kernel moment needs a finite evaluation time t, got t={t!r}")
-    if not math.isfinite(c):
-        raise ValueError(f"kernel moment needs a finite expansion centre c, got c={c!r}")
+    t, c = _check_real(t, "evaluation time t"), _check_real(c, "expansion centre c")
+    a, b = _check_real(a, "window start a"), _check_real(b, "window end b")
     if not 0.0 <= a <= b <= t:
         raise ValueError(f"kernel moment needs 0 <= a <= b <= t, got a={a}, b={b}, t={t}")
-    if not 0 <= q <= MAX_DEGREE:
-        raise ValueError(f"monomial degree must lie in 0..{MAX_DEGREE}, got {q}")
+    _check_count(q, "monomial degree q", 0, MAX_DEGREE)
     return al
 
 
@@ -142,7 +139,8 @@ def kernel_moments(
     each degree is a direct binomial sum; farther away the kernel is
     expanded in a geometric series around t - c, which evaluates the
     identical quantities without the cancellation the binomial form
-    suffers there.  Inputs are checked as by ``KernelMoment``.
+    suffers there.  Inputs are checked as by ``KernelMoment``; a moment
+    past float range raises ValueError.
     """
     al = _check_moment(t, a, b, c, degree, alpha)
     if a == b:
@@ -160,23 +158,29 @@ def kernel_moments(
     w0 = t - c
     vmax = max(abs(a - c), abs(b - c))
     if not (w0 >= 2.0 * vmax and w0 > 0.0):
-        return tuple(_moment_closed(t, a, b, c, q, al) for q in range(degree + 1))
-    r1 = (a - c) / w0
-    r2 = (b - c) / w0
-    rmax = max(vmax / w0, 1e-300)
-    terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
-    moments = []
-    p1, h = r1, 1.0
-    w0_power = w0 ** (1.0 - al) * (b - a) / w0
-    for row in _series_coefficients(al)[: degree + 1]:
-        s2 = d = 0.0
-        for j in range(terms - 1, -1, -1):
-            d = d * r1 + s2
-            s2 = s2 * r2 + row[j]
-        moments.append(w0_power * (h * s2 + p1 * d))
-        h = h * r2 + p1
-        p1 *= r1
-        w0_power *= w0
+        try:
+            moments = [_moment_closed(t, a, b, c, q, al) for q in range(degree + 1)]
+        except (OverflowError, ValueError):  # float ** or fsum past float range
+            moments = [math.inf]
+    else:
+        r1 = (a - c) / w0
+        r2 = (b - c) / w0
+        rmax = max(vmax / w0, 1e-300)
+        terms = min(_SERIES_MAX_TERMS, math.ceil(_LOG_SERIES_TAIL / math.log(rmax)))
+        moments = []
+        p1, h = r1, 1.0
+        w0_power = w0 ** (1.0 - al) * (b - a) / w0
+        for row in _series_coefficients(al)[: degree + 1]:
+            s2 = d = 0.0
+            for j in range(terms - 1, -1, -1):
+                d = d * r1 + s2
+                s2 = s2 * r2 + row[j]
+            moments.append(w0_power * (h * s2 + p1 * d))
+            h = h * r2 + p1
+            p1 *= r1
+            w0_power *= w0
+    if not all(map(math.isfinite, moments)):
+        raise ValueError(f"a kernel moment of degree {degree} or less overflows")
     return tuple(moments)
 
 
@@ -348,7 +352,11 @@ class CaputoWeights:
         # correctly rounded, so the order of the products is immaterial
         products = [*map(operator.mul, vals[n : h - 1 : -1], row), *map(operator.mul, vals, head)]
         try:
-            value = math.fsum(products) * grid.tau ** (-self.alpha) / gamma(1.0 - self.alpha)
+            scale = grid.tau ** (-self.alpha)
+        except OverflowError:
+            raise ValueError(f"step tau = {grid.tau!r} is too small: tau^-alpha overflows") from None
+        try:
+            value = math.fsum(products) * scale / gamma(1.0 - self.alpha)
         except (OverflowError, ValueError):  # the sum overflows, or meets inf - inf
             value = math.nan
         if not math.isfinite(value):

@@ -50,7 +50,7 @@ class TestSchemeValue:
     @pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
     def test_rejects_non_finite_node_quotient(self, t):
         """t = inf once escaped the CLI's handler as OverflowError."""
-        with pytest.raises(ValueError, match="is not a node"):
+        with pytest.raises(ValueError, match=r"is not a node|time t must be a real number in \(-inf, inf\)"):
             scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 0.125, t)
 
     def test_rejects_incompatible_step(self):
@@ -58,7 +58,7 @@ class TestSchemeValue:
             scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 0.3, 0.3)
 
     def test_rejects_origin(self):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match=r"evaluation node n must be an integer in 1\.\."):
             scheme_value(SchemeKind.l1(), 0.5, lambda t: t, 2.0**-4, 0.0)
 
     @pytest.mark.parametrize("tau", [0.0, -0.25, math.nan, math.inf])
@@ -579,7 +579,7 @@ class TestReproduceTable:
         """reproduce_table(1.0), (3.0) and (True) once returned tables 1, 3
         and 1."""
         for table_id in (0, 5):
-            with pytest.raises(ValueError, match="unknown table id"):
+            with pytest.raises(ValueError, match=r"table id must be an integer in 1\.\.4, got "):
                 reproduce_table(table_id)
         for table_id in (1.0, 3.0, "1", True):
             with pytest.raises(ValueError, match="table id must be an integer"):

@@ -8,16 +8,16 @@ import re
 
 import pytest
 
-from caputo_lk.harness import order_fixed_time, order_first_node, order_interior
+from caputo_lk.harness import order_fixed_time, order_first_node, order_interior, reproduce_table
 from caputo_lk.holder import (
     HolderTestFunction,
     RegularityClass,
     UniformGrid,
     _check_alpha,
 )
-from caputo_lk.interp import SchemeKind
-from caputo_lk.oracle import exact_caputo_monomial
-from caputo_lk.schemes import discrete_caputo
+from caputo_lk.interp import PiecewisePolynomial, SchemeKind, build_interpolant, divided_coeff
+from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
+from caputo_lk.schemes import KernelMoment, discrete_caputo, kernel_moment, kernel_moments
 
 
 def derivative(u: HolderTestFunction, order: int, t: float) -> float:
@@ -61,7 +61,8 @@ class TestUniformGrid:
         """An infinite or NaN t / tau once escaped as OverflowError or as
         round()'s ValueError about NaN, not as the node error naming t."""
         g = UniformGrid(horizon=1.0, steps=8)
-        with pytest.raises(ValueError, match=re.escape(f"time {t!r} is not a node")):
+        with pytest.raises(ValueError, match=re.escape(f"time {t!r} is not a node") + "|"
+                           + re.escape(f"time t must be a real number in (-inf, inf), got {t!r}")):
             g.node_index(t)
 
     def test_bad_construction(self):
@@ -203,6 +204,35 @@ class TestModulusProbe:
 
 _GRID = UniformGrid(horizon=1.0, steps=8)
 _PROBE = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+# the L1 interpolant of the probe for node 4 of _GRID, at t_n = 0.5
+_INTERP = build_interpolant(SchemeKind.l1(), _GRID, _PROBE, 4)
+
+# every count parameter: the name its refusal gives it, and a call that takes it
+_COUNTS = [
+    ("Lk degree k", lambda k: float(SchemeKind.lk(k).degree)),
+    ("grid steps", lambda steps: UniformGrid(1.0, steps).tau),
+    ("node index", lambda n: _GRID.time(n)),
+    ("evaluation node n", lambda n: discrete_caputo(SchemeKind.l1(), _GRID, _PROBE, n, 0.5).value),
+    ("derivative count m", lambda m: RegularityClass(m, 0.5).beta),
+    ("monomial degree", lambda p: exact_caputo_monomial(p, 1.0, 0.5)),
+    ("table id", lambda table_id: reproduce_table(table_id).xi),
+    ("stencil degree k", lambda k: float(divided_coeff(k, 0))),
+    ("stencil node l", lambda l: float(divided_coeff(6, l))),
+    ("monomial degree q", lambda q: kernel_moment(KernelMoment(1.0, 0.0, 0.5, 0.0, q, 0.5))),
+]
+
+# every real parameter once compared before it was checked, likewise
+_REALS = [
+    ("evaluation time t_n", lambda t: quad_caputo_piecewise(_INTERP, t, 0.5)),
+    ("evaluation time t_n", lambda t: quad_caputo_integrated(_INTERP, t, 0.5)),
+    ("tolerance", lambda tol: quad_caputo_piecewise(_INTERP, 0.5, 0.5, tol=tol)),
+    ("tolerance", lambda tol: quad_caputo_integrated(_INTERP, 0.5, 0.5, tol=tol)),
+    ("time t", lambda t: float(_GRID.node_index(t))),
+    ("evaluation time t", lambda t: kernel_moments(t, 0.0, 0.5, 0.0, 1, 0.5)[1]),
+    ("window start a", lambda a: kernel_moments(1.0, a, 0.5, 0.0, 1, 0.5)[1]),
+    ("window end b", lambda b: kernel_moments(1.0, 0.0, b, 0.0, 1, 0.5)[1]),
+    ("expansion centre c", lambda c: kernel_moment(KernelMoment(1.0, 0.0, 0.5, c, 1, 0.5))),
+]
 
 
 def _finite_or_value_error(call) -> None:
@@ -252,6 +282,49 @@ class TestInputContract:
         with pytest.raises(ValueError, match=r"fractional order must be .* \(0, 1\), got 1\.5"):
             _check_alpha(1.5)
 
+    @pytest.mark.parametrize("huge", [10**5000, -(10**5000)], ids=["10**5000", "-10**5000"])
+    @pytest.mark.parametrize("what, call", _COUNTS, ids=[what for what, _ in _COUNTS])
+    def test_count_past_the_digit_limit_is_named(self, what, call, huge):
+        """An int of 5001 digits once broke most of these refusals' own
+        messages with 'Exceeds the limit (4300 digits)', naming no parameter."""
+        got = re.escape(what) + r" must be an integer in \S+, got an int past 1e308$"
+        with pytest.raises(ValueError, match=got):
+            call(huge)
+
+    @pytest.mark.parametrize("bad", [None, "1", math.nan, 1j], ids=repr)
+    @pytest.mark.parametrize("what, call", _REALS, ids=[f"{i}-{w}" for i, (w, _) in enumerate(_REALS)])
+    def test_real_parameter_is_checked_before_use(self, what, call, bad):
+        """None, "1" and 1j once raised TypeError from a comparison or from
+        math.isfinite, and nan was refused, if at all, as some other fault."""
+        with pytest.raises(ValueError, match=re.escape(what) + " must be a real number in "):
+            call(bad)
+
+    def test_step_whose_power_overflows_is_named(self):
+        """tau^-alpha overflows for tau = 1e-320 at alpha = 0.99, and the
+        refusal once blamed the node values 0 and 1; at alpha = 0.1 it is finite."""
+        grid = UniformGrid(1e-320, 1)
+        with pytest.raises(ValueError, match=r"step tau = 1e-320 is too small: tau\^-alpha overflows"):
+            discrete_caputo(SchemeKind.l1(), grid, [0.0, 1.0], 1, 0.99)
+        assert math.isfinite(discrete_caputo(SchemeKind.l1(), grid, [0.0, 1.0], 1, 0.1).value)
+
+    @pytest.mark.parametrize("route", [quad_caputo_piecewise, quad_caputo_integrated])
+    def test_stats_is_checked_before_the_integrand(self, route, monkeypatch):
+        """stats=[] once ran the whole integral, then raised AttributeError."""
+
+        def unread(self, s):
+            raise AssertionError(f"the interpolant was read at {s!r}")
+
+        monkeypatch.setattr(PiecewisePolynomial, "piece_at", unread)
+        with pytest.raises(ValueError, match="stats must be a dict or None, got type list"):
+            route(_INTERP, 0.5, 0.5, stats=[])
+
+    @pytest.mark.parametrize("t, c", [(1.0, 1e300), (1e300, 0.0)], ids=["binomial", "series"])
+    def test_kernel_moment_past_float_range_is_refused(self, t, c):
+        """The binomial sum once raised OverflowError from float **, and the
+        far-field series returned inf."""
+        with pytest.raises(ValueError, match="kernel moment of degree 6 or less overflows"):
+            kernel_moments(t, 0.0, 0.5, c, 6, 0.5)
+
     def test_probe_past_float_range_is_not_finite(self):
         """float ** raises OverflowError where the product would be inf; the
         probe gives +-inf, which the node check refuses by index."""
@@ -270,7 +343,9 @@ class TestInputContract:
     def test_property(self):
         """Arbitrary ints, bools, floats (nan, +-inf, subnormal, huge),
         strings, None and complex values as alpha, grid and probe
-        parameters, node values and exact_caputo_monomial's arguments."""
+        parameters, node values, exact_caputo_monomial's arguments, every
+        count of _COUNTS and every real of _REALS.  The table ids 1..4 are
+        left out, as each runs a whole study."""
         hp = pytest.importorskip("hypothesis")
         st = hp.strategies
         anything = st.one_of(
@@ -299,8 +374,11 @@ class TestInputContract:
             values=st.lists(st.one_of(st.floats(-1e308, 1e308), anything), min_size=5, max_size=5),
             p=st.one_of(st.integers(-1, 200), anything),
             t=positive,
+            counts=st.tuples(*(st.one_of(st.integers(-1, 9), anything) for _ in _COUNTS)),
+            reals=st.tuples(*(st.one_of(st.floats(-1.0, 2.0), st.just(0.5), anything) for _ in _REALS)),
+            window=st.lists(st.one_of(st.floats(-1.0, 2.0), anything), min_size=4, max_size=4),
         )
-        def check(alpha, horizon, steps, m, beta, xi, values, p, t):
+        def check(alpha, horizon, steps, m, beta, xi, values, p, t, counts, reals, window):
             l1 = SchemeKind.l1()
             for call in (
                 lambda: discrete_caputo(l1, _GRID, values, 4, 0.5).value,
@@ -309,7 +387,11 @@ class TestInputContract:
                 lambda: discrete_caputo(l1, _GRID, HolderTestFunction(m, beta, xi), 4, 0.5).value,
                 lambda: RegularityClass.from_total(beta).beta,
                 lambda: exact_caputo_monomial(p, t, alpha),
+                lambda: kernel_moments(*window, counts[-1], alpha)[-1],
             ):
                 _finite_or_value_error(call)
+            for (what, call), x in zip(_COUNTS + _REALS, counts + reals):
+                if what != "table id" or not (type(x) is int and 1 <= x <= 4):
+                    _finite_or_value_error(lambda: call(x))
 
         check()

@@ -246,7 +246,7 @@ class TestDiscreteCaputo:
         TypeError from range for a callable."""
         g = UniformGrid(horizon=1.0, steps=8)
         for u in ([0.1 * i for i in range(9)], lambda t: t):
-            with pytest.raises(ValueError, match=f"evaluation node n must be an integer, got {n!r}"):
+            with pytest.raises(ValueError, match=f"evaluation node n must be an integer in 1..8, got {n!r}"):
                 discrete_caputo(SchemeKind.l2(), g, u, n, 0.5)
 
     def test_against_quadrature_oracle(self):

@@ -3,9 +3,11 @@
 Subcommands: ``order-table`` writes one built-in convergence study, as
 ``harness.render`` gives it, to stdout or ``--out``; ``order`` measures
 a single interior convergence order, ``first-node`` the error and order
-at the first grid node, and ``verify`` runs the self-check suite.  Exit
-codes: 0 on success, 1 when a verification or order measurement fails,
-2 on usage errors and on an output path that cannot be written.
+at the first grid node, and ``verify`` runs the self-check suite.  A
+scheme is named by its label without dashes, in lower case: l1, l2,
+l12, l123, ..., l123456.  Exit codes: 0 on success, 1 when a
+verification or order measurement fails, 2 on usage errors and on an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -13,28 +15,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (
-    DegenerateDifferenceError,
-    order_first_node,
-    order_interior,
-    render,
-    reproduce_table,
-)
-from .holder import HolderTestFunction
-from .interp import SchemeKind
+from .harness import DegenerateDifferenceError, order_first_node, order_interior, render
+from .harness import reproduce_table
+from .holder import HolderTestFunction, _check_count
+from .interp import _ALL_SCHEMES
 from .verify import run_verification
 
 __all__ = ["main"]
 
+_SCHEMES = {scheme.label.replace("-", "").lower(): scheme for scheme in _ALL_SCHEMES}
 
-def _scheme_from_args(name: str, k: int | None) -> SchemeKind:
-    if name == "lk":
-        if k is None:
-            raise ValueError("--scheme lk needs --k")
-        return SchemeKind.lk(k)
-    if k is not None:
-        raise ValueError(f"--k only applies to --scheme lk, not {name}")
-    return {"l1": SchemeKind.l1, "l2": SchemeKind.l2, "l12": SchemeKind.l12}[name]()
+
+def _step(tau_exp: int) -> float:
+    """The coarsest step 2^-E, a positive float for E in 0..1074."""
+    return 2.0 ** -_check_count(tau_exp, "--tau-exp", 0, 1074)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,40 +38,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser(
-        "order-table", help="render one of the built-in convergence studies"
-    )
+    p_table = sub.add_parser("order-table", help="render one of the built-in convergence studies")
     p_table.add_argument("--table", type=int, required=True, choices=(1, 2, 3, 4))
     p_table.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p_table.add_argument("--out", default=None, help="output path (default: stdout)")
     p_table.set_defaults(handler=_cmd_order_table)
 
-    p_order = sub.add_parser(
-        "order", help="measure one interior convergence order at the kink"
-    )
-    p_order.add_argument(
-        "--scheme", required=True, choices=("l1", "l2", "l12", "lk")
-    )
-    p_order.add_argument("--k", type=int, default=None, help="degree for --scheme lk")
-    p_order.add_argument("--alpha", type=float, required=True)
+    # order and first-node share the scheme, alpha, beta and step options
+    p_order = sub.add_parser("order", help="measure one interior convergence order at the kink")
+    p_first = sub.add_parser("first-node", help="measure the error and order at the first grid node")
+    for p, handler in ((p_order, _cmd_order), (p_first, _cmd_first_node)):
+        p.add_argument("--scheme", required=True, choices=_SCHEMES)
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--tau-exp", type=int, default=7, help="coarsest step is 2^-E (default 7)")
+        p.set_defaults(handler=handler)
     p_order.add_argument("--m", type=int, required=True)
-    p_order.add_argument("--beta", type=float, required=True)
     p_order.add_argument("--xi", type=float, default=0.5)
-    p_order.add_argument(
-        "--tau-exp", type=int, default=7, help="coarsest step is 2^-E (default 7)"
-    )
-    p_order.set_defaults(handler=_cmd_order)
-
-    p_first = sub.add_parser(
-        "first-node", help="measure the error and order at the first grid node"
-    )
-    p_first.add_argument("--scheme", required=True, choices=("l2", "l12"))
-    p_first.add_argument("--alpha", type=float, required=True)
-    p_first.add_argument("--beta", type=float, required=True)
-    p_first.add_argument(
-        "--tau-exp", type=int, default=7, help="coarsest step is 2^-E (default 7)"
-    )
-    p_first.set_defaults(handler=_cmd_first_node)
 
     sub.add_parser("verify", help="run the self-check suite").set_defaults(handler=_cmd_verify)
     return parser
@@ -94,9 +71,8 @@ def _cmd_order_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
-    scheme = _scheme_from_args(args.scheme, args.k)
     f = HolderTestFunction(m=args.m, beta=args.beta, xi=args.xi)
-    row = order_interior(scheme, f, args.alpha, 2.0 ** -args.tau_exp)
+    row = order_interior(_SCHEMES[args.scheme], f, args.alpha, _step(args.tau_exp))
     print(
         f"scheme={row.scheme.label} alpha={row.alpha:g} m={row.m} beta={row.beta:g} "
         f"xi={row.xi:g} tau=2^-{args.tau_exp} "
@@ -106,9 +82,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_first_node(args: argparse.Namespace) -> int:
-    scheme = _scheme_from_args(args.scheme, None)
     f = HolderTestFunction(m=2, beta=args.beta, xi=0.5)
-    row = order_first_node(scheme, f, args.alpha, 2.0 ** -args.tau_exp)
+    row = order_first_node(_SCHEMES[args.scheme], f, args.alpha, _step(args.tau_exp))
     print(
         f"scheme={row.scheme.label} alpha={row.alpha:g} beta={row.beta:g} "
         f"tau=2^-{args.tau_exp} error={row.error:.6e} "
@@ -131,12 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegenerateDifferenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateDifferenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DegenerateDifferenceError) else 2
 
 
 if __name__ == "__main__":

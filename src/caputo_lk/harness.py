@@ -32,6 +32,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .holder import HolderTestFunction, RegularityClass, UniformGrid, _check_count, _check_real
+from .holder import _check_type
 from .interp import SchemeKind, _check_nodes
 from .schemes import discrete_caputo
 
@@ -153,6 +154,13 @@ def _samples(f, tau: float, t: float) -> array | list[float]:
     return _memo(f, tau, n) if n < _MEMO_NODES else _check_nodes(grid, f, n)
 
 
+def _check_probe(f):
+    """f, or ValueError unless it is a callable with the fields m, beta and xi."""
+    if type(f) is HolderTestFunction or callable(f) and all(hasattr(f, a) for a in ("m", "beta", "xi")):
+        return f
+    raise ValueError(f"probe must be callable with fields m, beta, xi, got type {type(f).__name__}")
+
+
 def scheme_value(scheme: SchemeKind, alpha: float, u, tau: float, t: float) -> float:
     """Discrete Caputo value of u at physical time t on the step-tau grid
     over [0, 1], under the given scheme and alpha.
@@ -187,9 +195,9 @@ def order_interior(
     difference falls below 1e-15; a scheme that is exact on the probe has
     no measurable order.
     """
-    xi = f.xi
+    xi = _check_probe(f).xi
     n_coarse = _unit_grid(tau).node_index(xi)
-    if n_coarse < scheme.degree:
+    if n_coarse < _check_type(scheme, SchemeKind, "scheme").degree:
         raise ValueError(
             f"need xi >= {scheme.degree} * tau for {scheme.label}, "
             f"got xi/tau = {n_coarse}"
@@ -267,9 +275,9 @@ def order_first_node(
     refusal: DegenerateDifferenceError when an error is at or below the
     round-off floor of its reference node value, which scales with u.
     """
-    if scheme not in (SchemeKind.l2(), SchemeKind.l12()):
+    if _check_type(scheme, SchemeKind, "scheme") not in (SchemeKind.l2(), SchemeKind.l12()):
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
-    if f.m != 2:
+    if _check_probe(f).m != 2:
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
     h = _check_real(tau, "step tau", 0.0) / _FIRST_NODE_REFINEMENT
     grids = ((tau, tau, h), (tau / 2.0, tau / 2.0, h / 2.0))
@@ -312,7 +320,7 @@ def order_fixed_time(
         )
     tau_ref = t / _FIXED_TIME_REFINEMENT
     grids = ((tau, t, tau_ref), (tau / 2.0, t, tau_ref))
-    return _reference_row(SchemeKind.l1(), alpha, f, grids, "fixed-time error")
+    return _reference_row(SchemeKind.l1(), alpha, _check_probe(f), grids, "fixed-time error")
 
 
 @dataclass(frozen=True)
@@ -494,6 +502,7 @@ def _markdown_lines(report: Report) -> list[str]:
 
 def render(report: Report, format: str = "markdown") -> str:
     """Render a report to a string with deterministic bytes."""
+    _check_type(report, Report, "report")
     if format == "csv":
         lines = _csv_lines(report)
     elif format == "markdown":

@@ -54,6 +54,13 @@ def _check_count(value, what: str, low: int, high: float) -> int:
     return n
 
 
+def _check_type(value, cls: type, what: str):
+    """value, or ValueError naming what unless it is a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, got type {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniform time grid t_n = n * tau on [0, horizon]."""

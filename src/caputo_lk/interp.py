@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
 
-from .holder import UniformGrid, _check_count, _check_real
+from .holder import UniformGrid, _check_count, _check_real, _check_type
 
 __all__ = [
     "SchemeKind",
@@ -73,6 +73,10 @@ class SchemeKind:
         if self.k is None:
             return "L2"
         return "L" + "-".join(str(i) for i in range(1, self.k + 1))
+
+
+# every scheme, once: L1, L2, then L1-2 (k = 2) and Lk for k = 3..6
+_ALL_SCHEMES = (SchemeKind.l1(), SchemeKind.l2(), *map(SchemeKind.lk, range(2, MAX_DEGREE + 1)))
 
 
 def divided_coeff(k: int, l: int) -> int:
@@ -155,15 +159,18 @@ class LagrangePiece:
                 f"stencil needs 2..{MAX_DEGREE + 1} node times and one value per node,"
                 f" got {nodes} times and {values} values"
             )
-        if not all(map(math.isfinite, self.node_values)):
-            raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
         _check_real(self.tau, "grid step tau", 0.0)
-        # evaluate reads the node times, monomial_coefficients only tau; times tau apart are finite
-        for a, b in zip(self.node_times, self.node_times[1:]):
-            if not abs(b - a - self.tau) <= 1e-9 * self.tau:
-                raise ValueError(
-                    f"stencil node times must ascend tau={self.tau!r} apart, got {a!r} then {b!r}"
-                )
+        try:
+            # evaluate reads the node times: a first one in float range keeps the rest, tau apart, finite
+            finite = all(map(math.isfinite, (self.node_times[0], *self.node_values)))
+            for a, b in zip(self.node_times, self.node_times[1:]):
+                if not -1e-9 * self.tau <= b - a - self.tau <= 1e-9 * self.tau:
+                    raise ValueError(f"stencil node times must ascend tau={self.tau!r} apart, "
+                                     f"got {a!r} then {b!r}")
+        except (TypeError, OverflowError):  # a str, None or complex; an int past float range
+            raise ValueError("stencil node times and values must be reals in float range") from None
+        if not finite:
+            raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
         lo, hi = (_check_real(end, "validity interval end") for end in self.interval)
         if not lo < hi:
             raise ValueError(f"empty validity interval {self.interval!r}")
@@ -231,10 +238,13 @@ class PiecewisePolynomial:
     def piece_at(self, s: float) -> LagrangePiece:
         """The first piece whose interval ends at or after s; a point on an
         interior node belongs to the piece that ends there."""
-        if not 0.0 <= s <= self.t_end * (1.0 + 1e-12):
-            raise ValueError(f"point {s!r} outside [0, {self.t_end}]")
-        i = bisect.bisect_left(self.right_ends, s)
-        return self.pieces[min(i, len(self.pieces) - 1)]
+        try:
+            if 0.0 <= s <= self.t_end * (1.0 + 1e-12):
+                return self.pieces[min(bisect.bisect_left(self.right_ends, s), len(self.pieces) - 1)]
+        except TypeError:  # no number: refused below, by name
+            pass
+        got = s if type(s) is float else _check_real(s, "point s")  # a long int is not printed
+        raise ValueError(f"point {got!r} outside [0, {self.t_end}]")
 
     def __call__(self, s: float) -> float:
         return self.piece_at(s)(s)
@@ -254,13 +264,19 @@ def _piece(grid: UniformGrid, vals: list[float], degree: int, anchor: int, j: in
 def _check_nodes(grid: UniformGrid, values, n: int) -> list[float]:
     """Check node n and the real, finite values u^0..u^n, a sequence or a
     callable sampled at the nodes, for evaluation at node n; return them as floats."""
-    _check_count(n, "evaluation node n", 1, grid.steps)
+    # one isinstance and no call when grid and n are good; the refusals name them
+    if not (isinstance(grid, UniformGrid) and type(n) is int and 1 <= n <= grid.steps):
+        _check_count(n, "evaluation node n", 1, _check_type(grid, UniformGrid, "grid").steps)
     if callable(values):
         # node i at i * tau, the bits of grid.time(i)
         tau = grid.tau
         values = [values(i * tau) for i in range(n + 1)]
-    if len(values) < n + 1:
-        raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
+    try:
+        if len(values) < n + 1:
+            raise ValueError(f"need node values u^0..u^{n}, got {len(values)} values")
+    except TypeError:  # no len(): neither a sequence nor a callable
+        raise ValueError(f"node values must be a sequence or a callable, "
+                         f"got type {type(values).__name__}") from None
     try:
         out = list(map(float, itertools.islice(values, n + 1)))
     except (TypeError, ValueError, OverflowError):
@@ -316,7 +332,7 @@ def build_interpolant(
     return PiecewisePolynomial(
         tuple(
             _piece(grid, vals, degree, j + offset, j)
-            for degree, offset, first, last in _runs(scheme, n)
+            for degree, offset, first, last in _runs(_check_type(scheme, SchemeKind, "scheme"), n)
             for j in range(first, last + 1)
         )
     )

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import gamma
 from typing import Callable, Sequence
 
-from .holder import UniformGrid, _check_alpha, _check_count, _check_real
+from .holder import UniformGrid, _check_alpha, _check_count, _check_real, _check_type
 from .interp import _DERIV, MAX_DEGREE, LagrangePiece, SchemeKind, _basis_numerators, _check_nodes
 from .interp import _runs, build_interpolant, divided_coeff
 
@@ -285,9 +285,14 @@ def caputo_of_piece(
     a, b = interval
     lo, hi = piece.interval
     slack = piece.tau * 1e-9
-    if a < lo - slack or b > hi + slack:
-        raise ValueError(f"integration window {interval!r} outside piece validity {piece.interval!r}")
-    if b > t_n + slack:
+    try:
+        outside, late = a < lo - slack or b > hi + slack, b > t_n + slack
+    except (TypeError, OverflowError):  # refused below, by name
+        outside = True
+    if outside:  # the refusal names a, b or t_n if one is no real number in float range
+        a, b, _ = map(_check_real, (a, b, t_n), ("window start a", "window end b", "evaluation time t"))
+        raise ValueError(f"integration window {(a, b)!r} outside piece validity {piece.interval!r}")
+    if late:
         raise ValueError(f"integration window {interval!r} reaches past the evaluation time {t_n!r}")
     b = min(b, t_n)
     al = _check_alpha(alpha)
@@ -328,7 +333,7 @@ class CaputoWeights:
     """
 
     def __init__(self, scheme: SchemeKind, alpha: float) -> None:
-        self.scheme = scheme
+        self.scheme = _check_type(scheme, SchemeKind, "scheme")
         self.alpha = _check_alpha(alpha)
         self._lo = scheme.degree
         self._store = ([], array("d"))
@@ -414,7 +419,10 @@ def discrete_caputo(
     and k weights per node up to the deepest node asked for: at most
     16 x 2.6 MB, for L1-...-6 at n = 2^15.  It returns DiscreteCaputoValue(value).
     """
-    weights = _shared_weights(scheme, _check_alpha(alpha))
+    try:
+        weights = _shared_weights(scheme, _check_alpha(alpha))
+    except TypeError:  # an unhashable scheme, which CaputoWeights refuses
+        weights = CaputoWeights(scheme, alpha)
     value = weights.value(grid, u, n)
     return DiscreteCaputoValue(value)
 

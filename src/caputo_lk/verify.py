@@ -25,6 +25,7 @@ from .interp import (
     LagrangePiece,
     PiecewisePolynomial,
     SchemeKind,
+    _ALL_SCHEMES,
     _runs,
     build_interpolant,
     divided_coeff,
@@ -36,9 +37,6 @@ from .harness import order_first_node, order_interior
 __all__ = ["CheckResult", "run_check", "run_verification"]
 
 _SEED = 20260817
-
-# L1, L2, then L1-2 (k = 2) and Lk for k = 3..6
-_ALL_SCHEMES = (SchemeKind.l1(), SchemeKind.l2(), *map(SchemeKind.lk, range(2, 7)))
 
 
 @dataclass(frozen=True)

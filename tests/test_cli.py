@@ -32,12 +32,88 @@ def test_order_subcommand(capsys):
     assert "theoretical=2.0000" in out
 
 
-def test_order_lk_requires_k(capsys):
-    code = main(
-        ["order", "--scheme", "lk", "--alpha", "0.5", "--m", "2", "--beta", "0.5"]
+_ORDER_ARGS = ["--alpha", "0.5", "--m", "2", "--beta", "0.3", "--xi", "0.25"]
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("l1", "scheme=L1 measured_R=1.7410"),
+        ("l2", "scheme=L2 measured_R=1.8010"),
+        ("l12", "scheme=L1-2 measured_R=1.7915"),
+        ("l123", "scheme=L1-2-3 measured_R=1.7810"),
+        ("l1234", "scheme=L1-2-3-4 measured_R=1.7706"),
+        ("l12345", "scheme=L1-2-3-4-5 measured_R=1.7611"),
+        ("l123456", "scheme=L1-2-3-4-5-6 measured_R=1.7525"),
+    ],
+)
+def test_each_scheme_has_one_name(capsys, name, line):
+    """Each scheme is named by its label without dashes, in lower case; the
+    lines are those that `--scheme l2` and `--scheme lk --k k` printed
+    before the names were joined."""
+    label, rate = line.split()
+    assert main(["order", "--scheme", name, *_ORDER_ARGS]) == 0
+    assert capsys.readouterr().out == (
+        f"{label} alpha=0.5 m=2 beta=0.3 xi=0.25 tau=2^-7 {rate} theoretical=1.8000\n"
     )
-    assert code == 2
-    assert "needs --k" in capsys.readouterr().err
+
+
+def test_order_help_lists_the_seven_names(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["order", "--help"])
+    assert info.value.code == 0
+    assert "{l1,l2,l12,l123,l1234,l12345,l123456}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--scheme", "lk", "--k", "3", *_ORDER_ARGS],
+        ["order", "--scheme", "lk", *_ORDER_ARGS],
+        ["order", "--scheme", "l1", "--k", "3", *_ORDER_ARGS],
+        ["order", "--scheme", "L1-2", *_ORDER_ARGS],
+        ["order", "--scheme", "l1234567", *_ORDER_ARGS],
+        ["first-node", "--scheme", "lk", "--alpha", "0.5", "--beta", "0.5"],
+    ],
+    ids=["lk-k", "lk", "k", "label", "l1234567", "first-node-lk"],
+)
+def test_other_scheme_spellings_are_usage_errors(capsys, argv):
+    """`--k` and `--scheme lk` are gone; an unknown name is refused by the
+    parser, before any measurement."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+def test_first_node_refuses_a_linear_scheme(capsys):
+    """first-node takes every name; the quadratic-only rule is the
+    harness's own refusal."""
+    assert main(["first-node", "--scheme", "l1", "--alpha", "0.5", "--beta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: first-node study is defined for L2 and L1-2, got L1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--scheme", "l1", "--alpha", "0.5", "--m", "1", "--beta", "0.5"],
+        ["first-node", "--scheme", "l2", "--alpha", "0.5", "--beta", "0.5"],
+    ],
+    ids=["order", "first-node"],
+)
+@pytest.mark.parametrize("tau_exp", ["-2000", "-1", "1075", str(10**400)], ids=len)
+def test_tau_exp_out_of_range_is_a_usage_error(capsys, argv, tau_exp):
+    """--tau-exp -2000 once escaped as an OverflowError traceback from
+    2.0 ** 2000, with exit code 1; 1075 gave a zero step."""
+    assert main([*argv, "--tau-exp", tau_exp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    got = tau_exp if len(tau_exp) < 16 else "an int past 1e308"
+    assert captured.err == f"error: --tau-exp must be an integer in 0..1074, got {got}\n"
 
 
 def test_order_rejects_bad_alpha(capsys):

@@ -8,16 +8,36 @@ import re
 
 import pytest
 
-from caputo_lk.harness import order_fixed_time, order_first_node, order_interior, reproduce_table
+from caputo_lk.harness import (
+    order_fixed_time,
+    order_first_node,
+    order_interior,
+    render,
+    reproduce_table,
+)
 from caputo_lk.holder import (
     HolderTestFunction,
     RegularityClass,
     UniformGrid,
     _check_alpha,
 )
-from caputo_lk.interp import PiecewisePolynomial, SchemeKind, build_interpolant, divided_coeff
+from caputo_lk.interp import (
+    _ALL_SCHEMES,
+    LagrangePiece,
+    PiecewisePolynomial,
+    SchemeKind,
+    build_interpolant,
+    divided_coeff,
+)
 from caputo_lk.oracle import exact_caputo_monomial, quad_caputo_integrated, quad_caputo_piecewise
-from caputo_lk.schemes import KernelMoment, discrete_caputo, kernel_moment, kernel_moments
+from caputo_lk.schemes import (
+    CaputoWeights,
+    KernelMoment,
+    caputo_of_piece,
+    discrete_caputo,
+    kernel_moment,
+    kernel_moments,
+)
 
 
 def derivative(u: HolderTestFunction, order: int, t: float) -> float:
@@ -235,6 +255,46 @@ _REALS = [
 ]
 
 
+# one piece of _INTERP, on (0.125, 0.25)
+_PIECE = _INTERP.pieces[1]
+
+# an object of the wrong kind where each kind enters the package: the
+# parameter its refusal names, and a call that passes it
+_KINDS = [
+    ("scheme must be a SchemeKind", lambda s: discrete_caputo(s, _GRID, _PROBE, 4, 0.5).value),
+    ("scheme must be a SchemeKind", lambda s: CaputoWeights(s, 0.5).alpha),
+    ("scheme must be a SchemeKind", lambda s: build_interpolant(s, _GRID, _PROBE, 4).t_end),
+    ("scheme must be a SchemeKind", lambda s: order_interior(s, _PROBE, 0.5, 0.125).measured_R),
+    ("scheme must be a SchemeKind", lambda s: order_first_node(s, _PROBE, 0.5, 0.125).error),
+    ("grid must be a UniformGrid", lambda g: discrete_caputo(SchemeKind.l1(), g, _PROBE, 4, 0.5).value),
+    ("grid must be a UniformGrid", lambda g: build_interpolant(SchemeKind.l1(), g, _PROBE, 4).t_end),
+    ("node values must be a sequence or a callable",
+     lambda u: discrete_caputo(SchemeKind.l1(), _GRID, u, 4, 0.5).value),
+    ("node values must be a sequence or a callable",
+     lambda u: build_interpolant(SchemeKind.l1(), _GRID, u, 4).t_end),
+    ("probe must be callable", lambda f: order_interior(SchemeKind.l2(), f, 0.5, 0.125).measured_R),
+    ("probe must be callable", lambda f: order_first_node(SchemeKind.l2(), f, 0.5, 0.125).error),
+    ("probe must be callable", lambda f: order_fixed_time(f, 0.5, 2.0**-8, 2.0**-7).error),
+    ("report must be a Report", lambda r: float(len(render(r)))),
+]
+
+# every real of a piece, a point on an interpolant and the reference
+# route's window, which were compared before they were checked
+_PIECE_REALS = [
+    ("stencil node times and values must be reals",
+     lambda t: LagrangePiece((t, 0.25), (0.0, 1.0), (0.125, 0.25), 0.125).tau),
+    ("stencil node times and values must be reals",
+     lambda v: LagrangePiece((0.125, 0.25), (0.0, v), (0.125, 0.25), 0.125).tau),
+    ("point s must be a real number", lambda s: _INTERP.piece_at(s).tau),
+    ("window start a must be a real number",
+     lambda a: caputo_of_piece(_PIECE, (a, 0.25), 0.5, 0.5)),
+    ("window end b must be a real number",
+     lambda b: caputo_of_piece(_PIECE, (0.125, b), 0.5, 0.5)),
+    ("evaluation time t must be a real number",
+     lambda t: caputo_of_piece(_PIECE, (0.125, 0.25), t, 0.5)),
+]
+
+
 def _finite_or_value_error(call) -> None:
     """call() returns a finite float or raises ValueError; any other
     exception, TypeError and OverflowError included, propagates."""
@@ -299,6 +359,52 @@ class TestInputContract:
         with pytest.raises(ValueError, match=re.escape(what) + " must be a real number in "):
             call(bad)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: discrete_caputo("L1", _GRID, _PROBE, 4, 0.5), "scheme must be a SchemeKind, got type str"),
+            (lambda: discrete_caputo([1], _GRID, _PROBE, 4, 0.5), "scheme must be a SchemeKind, got type list"),
+            (lambda: CaputoWeights("L1", 0.5), "scheme must be a SchemeKind, got type str"),
+            (lambda: order_interior("L2", _PROBE, 0.5, 2.0**-7), "scheme must be a SchemeKind, got type str"),
+            (lambda: order_first_node("L2", _PROBE, 0.5, 2.0**-7), "scheme must be a SchemeKind, got type str"),
+            (lambda: discrete_caputo(SchemeKind.l1(), "g", _PROBE, 4, 0.5),
+             "grid must be a UniformGrid, got type str"),
+        ],
+        ids=["str", "unhashable", "weights", "interior", "first-node", "grid"],
+    )
+    def test_refusal_names_the_kind(self, call, message):
+        """A scheme given by its label or as a list, and a grid given as a
+        string, once raised AttributeError or TypeError."""
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
+
+    @pytest.mark.parametrize("bad", [None, 5, object()], ids=lambda x: type(x).__name__)
+    @pytest.mark.parametrize("what, call", _KINDS, ids=[f"{i}-{w.split()[0]}" for i, (w, _) in enumerate(_KINDS)])
+    def test_object_of_another_kind_is_named(self, what, call, bad):
+        """A scheme, grid, container of node values, probe or report of
+        another kind once raised AttributeError or TypeError ("has no
+        len()", "unhashable type"), or, in order_first_node, failed while
+        formatting its own refusal."""
+        with pytest.raises(ValueError, match=re.escape(what)):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [None, "1", 10**5000, 1j], ids=lambda x: type(x).__name__)
+    @pytest.mark.parametrize("what, call", _PIECE_REALS,
+                             ids=[f"{i}-{w.split()[0]}" for i, (w, _) in enumerate(_PIECE_REALS)])
+    def test_piece_real_is_named(self, what, call, bad):
+        """None, "1" and 1j once raised TypeError from a comparison or from
+        math.isfinite, and 10**5000 OverflowError; a LagrangePiece refused
+        numeric strings with TypeError, though node values take them."""
+        with pytest.raises(ValueError, match=re.escape(what)):
+            call(bad)
+
+    def test_stencil_times_past_float_range_are_named(self):
+        """Ints past float range one step apart once passed as node times,
+        and the piece raised OverflowError when evaluated."""
+        big = 10**400
+        with pytest.raises(ValueError, match="stencil node times and values must be reals"):
+            LagrangePiece((big, big + 1), (0.0, 1.0), (0.0, 1.0), 1.0)
+
     def test_step_whose_power_overflows_is_named(self):
         """tau^-alpha overflows for tau = 1e-320 at alpha = 0.99, and the
         refusal once blamed the node values 0 and 1; at alpha = 0.1 it is finite."""
@@ -344,8 +450,10 @@ class TestInputContract:
         """Arbitrary ints, bools, floats (nan, +-inf, subnormal, huge),
         strings, None and complex values as alpha, grid and probe
         parameters, node values, exact_caputo_monomial's arguments, every
-        count of _COUNTS and every real of _REALS.  The table ids 1..4 are
-        left out, as each runs a whole study."""
+        count of _COUNTS and every real of _REALS and _PIECE_REALS; any of
+        those, and unhashable lists, as a scheme or a grid, and None, ints or
+        lists as the container of node values.  The table ids 1..4 are left
+        out, as each runs a whole study."""
         hp = pytest.importorskip("hypothesis")
         st = hp.strategies
         anything = st.one_of(
@@ -377,10 +485,18 @@ class TestInputContract:
             counts=st.tuples(*(st.one_of(st.integers(-1, 9), anything) for _ in _COUNTS)),
             reals=st.tuples(*(st.one_of(st.floats(-1.0, 2.0), st.just(0.5), anything) for _ in _REALS)),
             window=st.lists(st.one_of(st.floats(-1.0, 2.0), anything), min_size=4, max_size=4),
+            scheme=st.one_of(st.sampled_from(_ALL_SCHEMES), anything, st.lists(st.integers(), max_size=2)),
+            grid=st.one_of(st.just(_GRID), anything),
+            container=st.one_of(st.none(), st.integers(), st.lists(st.floats(-1.0, 1.0), max_size=6)),
+            piece_reals=st.tuples(*(st.one_of(st.floats(0.0, 0.5), anything) for _ in _PIECE_REALS)),
         )
-        def check(alpha, horizon, steps, m, beta, xi, values, p, t, counts, reals, window):
+        def check(alpha, horizon, steps, m, beta, xi, values, p, t, counts, reals, window,
+                  scheme, grid, container, piece_reals):
             l1 = SchemeKind.l1()
             for call in (
+                lambda: discrete_caputo(scheme, _GRID, _PROBE, 4, 0.5).value,
+                lambda: build_interpolant(scheme, grid, container, 4).t_end,
+                lambda: discrete_caputo(l1, grid, container, 4, 0.5).value,
                 lambda: discrete_caputo(l1, _GRID, values, 4, 0.5).value,
                 lambda: discrete_caputo(SchemeKind.l2(), _GRID, _PROBE, 4, alpha).value,
                 lambda: discrete_caputo(l1, UniformGrid(horizon, steps), abs, 1, 0.5).value,
@@ -390,7 +506,7 @@ class TestInputContract:
                 lambda: kernel_moments(*window, counts[-1], alpha)[-1],
             ):
                 _finite_or_value_error(call)
-            for (what, call), x in zip(_COUNTS + _REALS, counts + reals):
+            for (what, call), x in zip(_COUNTS + _REALS + _PIECE_REALS, counts + reals + piece_reals):
                 if what != "table id" or not (type(x) is int and 1 <= x <= 4):
                     _finite_or_value_error(lambda: call(x))
 

@@ -14,7 +14,13 @@ import pytest
 
 from caputo_lk import oracle, schemes
 from caputo_lk.holder import HolderTestFunction, UniformGrid
-from caputo_lk.interp import LagrangePiece, PiecewisePolynomial, SchemeKind, build_interpolant
+from caputo_lk.interp import (
+    _ALL_SCHEMES,
+    LagrangePiece,
+    PiecewisePolynomial,
+    SchemeKind,
+    build_interpolant,
+)
 from caputo_lk.oracle import (
     QuadratureConvergenceError,
     exact_caputo_monomial,
@@ -22,7 +28,7 @@ from caputo_lk.oracle import (
     quad_caputo_piecewise,
 )
 from caputo_lk.schemes import discrete_caputo
-from caputo_lk.verify import _ALL_SCHEMES, run_check
+from caputo_lk.verify import run_check
 
 
 def monomial_interpolant(p: int, t_end: float) -> PiecewisePolynomial:

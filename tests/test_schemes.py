@@ -7,6 +7,7 @@ import gc
 import math
 import operator
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -81,6 +82,15 @@ class TestCaputoOfPiece:
         )
         with pytest.raises(ValueError):
             caputo_of_piece(piece, (0.0, 0.5), 0.25, 0.5)
+
+    @pytest.mark.parametrize("window", [(-0.25, 0.25), (0.25, 0.75)])
+    def test_window_outside_the_piece_is_named(self, window):
+        """A real window past the piece's interval is refused as such, and
+        not as a kernel moment's window, though -0.25 is below 0 too."""
+        piece = LagrangePiece((0.0, 0.5), (0.0, 1.0), (0.0, 0.5), 0.5)
+        message = f"integration window {window!r} outside piece validity (0.0, 0.5)"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            caputo_of_piece(piece, window, 1.0, 0.5)
 
 
 def _l1_row(n, alpha):

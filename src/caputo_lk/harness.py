@@ -1,13 +1,14 @@
 """Convergence-order measurement for the discrete Caputo schemes.
 
-``order_interior`` estimates the convergence order at a fixed interior
-time by Richardson extrapolation over three nested grids.
-``order_first_node`` measures the error of the very first time step
-against a 128-fold refinement, ``order_fixed_time`` the error at one
-fixed time against a grid 64 times finer than that time, the construction
-behind the published first-node table; each turns the decay of its error
-under grid halving into an order, in one ``ReferenceErrorRow`` that
-carries both errors, refused only by each error's round-off floor.
+Each measurement is one ``OrderRow``: the errors of a step-tau and a
+step-tau/2 grid, each against a finer reference grid, and the order their
+decay under grid halving reads.  ``order_interior`` estimates the order at a
+fixed interior time by Richardson extrapolation over three nested grids,
+``order_first_node`` the error of the very first time step against a
+128-fold refinement, ``order_fixed_time`` the error at one fixed time against
+a grid 64 times finer than that time, the construction behind the published
+first-node table.  One core samples the probe once, evaluates each grid once
+and refuses an error only at or below its reference's round-off floor.
 
 Measurements sample a probe through one thread-safe ``lru_cache`` keyed by
 (probe, step, node count), the probe by hash and equality, so no other class
@@ -38,8 +39,7 @@ from .schemes import discrete_caputo
 
 __all__ = [
     "DASH",
-    "ConvergenceRow",
-    "ReferenceErrorRow",
+    "OrderRow",
     "InteriorCell",
     "FirstNodeCell",
     "Report",
@@ -56,19 +56,15 @@ __all__ = [
 # no convergence order is claimed.
 DASH = "-"
 
-# Successive refinements closer than this are indistinguishable from
-# round-off and cannot support a log-ratio.
-_MIN_DIFF = 1e-15
-
 # Refinement factor for the first-node reference grid.
 _FIRST_NODE_REFINEMENT = 128
 
-# An error at time t below this many units eps max(|u(0)|, |u(t)|)
-# h^-alpha / Gamma(2 - alpha) of its step-h reference is round-off; the weights
-# grow like 1/(1 - alpha).  Pure first-node round-off measured at most 18 units
-# (L2, L1-2, alpha 0.01..0.99, beta 0.01..1, tau 2^-34..2^-900); L2 at
+# An error at time t below 64 units eps max(|u(0)|, |u(t)|) h^-alpha /
+# Gamma(2 - alpha) of its step-h reference is round-off; the weights grow like
+# 1/(1 - alpha).  Pure first-node round-off measured at most 18 units (L2,
+# L1-2, alpha 0.01..0.99, beta 0.01..1, tau 2^-34..2^-900); L2 at
 # alpha = beta = 0.5 and tau = 2^-21 reads 226.
-_REFERENCE_NOISE = 64.0
+_REFERENCE_NOISE = 64.0 * sys.float_info.epsilon
 
 # Steps per unit of the fixed time on the fixed-time reference grid.
 _FIXED_TIME_REFINEMENT = 64
@@ -80,46 +76,44 @@ _INTERIOR_TAU_EXP = 7
 
 
 class DegenerateDifferenceError(ArithmeticError):
-    """Raised when a refinement difference is too small to carry an order."""
+    """Raised when an error is too small to carry an order."""
 
 
 @dataclass(frozen=True, slots=True)
-class ConvergenceRow:
-    """One interior-point order measurement."""
-
-    scheme: SchemeKind
-    alpha: float
-    m: int
-    beta: float
-    xi: float
-    tau_base: float
-    measured_R: float
-    theoretical_order: float
-
-
-@dataclass(frozen=True, slots=True)
-class ReferenceErrorRow:
-    """One error and order measurement against a reference grid.
+class OrderRow:
+    """One order measurement: two errors and the rate of their decay.
 
     ``error`` and ``error_half`` are the errors of the step-tau and
-    step-tau/2 grids at time t, and ``measured_R`` is log2 of their ratio.
+    step-tau/2 grids at time t, and ``measured_R`` is log2 of their ratio,
+    derived from them rather than stored, which keeps a row 32 bytes smaller.
     ``t`` and ``tau_ref`` belong to the step-tau grid: its error is taken
-    at t against the step-tau_ref grid.  A first-node row halves both for
-    its step-tau/2 grid, which is read at its own first node; a fixed-time
-    row keeps them, and its ``scheme`` is L1.
+    at t against the step-tau_ref grid.  An interior row reads both grids at
+    t = xi, each against the grid of half its step, so tau_ref = tau/2; a
+    first-node row halves t and tau_ref for its step-tau/2 grid, which is
+    read at its own first node; a fixed-time row keeps them, and its
+    ``scheme`` is L1.
     """
 
     scheme: SchemeKind
     alpha: float
-    beta: float
     m: int
+    beta: float
     xi: float
     t: float
     tau: float
     tau_ref: float
     error: float
     error_half: float
-    measured_R: float
+
+    @property
+    def measured_R(self) -> float:
+        """log2(error / error_half), the same bits on every read."""
+        return math.log2(self.error / self.error_half)
+
+    @property
+    def theoretical_order(self) -> float:
+        """m + beta - alpha, the order an interior row is measured against."""
+        return self.m + self.beta - self.alpha
 
 
 def _unit_grid(tau: float) -> UniformGrid:
@@ -175,12 +169,41 @@ def scheme_value(scheme: SchemeKind, alpha: float, u, tau: float, t: float) -> f
     return discrete_caputo(scheme, grid, u, n, alpha).value
 
 
-def order_interior(
-    scheme: SchemeKind,
-    f: HolderTestFunction,
-    alpha: float,
-    tau: float,
-) -> ConvergenceRow:
+def _measure(scheme: SchemeKind, alpha: float, f, grids, what: str) -> OrderRow:
+    """The row of two grids (tau, t, h): the errors of the step-tau values at
+    time t less the step-h ones, each refused at or below its reference's
+    round-off floor alone, which scales with u, and their rate.
+
+    The second grid halves the first's step, and its h must be the finest
+    step, a whole fraction of every other, and the first grid's t the latest
+    time: f is sampled once, on the step-h grid up to that time, through the
+    probe memo, and every grid reads those values at its stride, bit for
+    bit.  Each (step, time) is evaluated once: only the first grid's
+    reference can recur, as the second grid's value or its reference.
+    """
+    (tau, t, h), (tau2, t2, fine) = grids
+    try:
+        u = _samples(f, fine, t)
+    except ValueError:  # a step tau that does not divide the unit horizon is named as tau
+        _unit_grid(tau)
+        raise
+    n, n2 = round(t / fine) + 1, round(t2 / fine) + 1
+    d = scheme_value(scheme, alpha, u[: n : round(tau / fine)], tau, t)
+    ref = scheme_value(scheme, alpha, u[: n : round(h / fine)], h, t)
+    d2 = ref if t2 == t and tau2 == h else scheme_value(scheme, alpha, u[: n2 : round(tau2 / fine)], tau2, t2)
+    ref2 = ref if t2 == t and fine == h else scheme_value(scheme, alpha, u[:n2], fine, t2)
+    noise = _REFERENCE_NOISE / math.gamma(2.0 - alpha)  # alpha checked by scheme_value
+    err, err2 = abs(d - ref), abs(d2 - ref2)
+    floor = noise * max(abs(u[0]), abs(u[n - 1])) * h**-alpha
+    floor2 = noise * max(abs(u[0]), abs(u[n2 - 1])) * fine**-alpha
+    if not (err > floor and err2 > floor2):
+        bad, low, step = (err2, floor2, tau2) if err > floor else (err, floor, tau)
+        raise DegenerateDifferenceError(f"{what} {bad:.3e} at tau={step!r} is at or below "
+                                        f"the round-off floor {low:.3e} of its reference")
+    return OrderRow(scheme, alpha, f.m, f.beta, f.xi, t, tau, h, err, err2)
+
+
+def order_interior(scheme: SchemeKind, f: HolderTestFunction, alpha: float, tau: float) -> OrderRow:
     """Estimate the convergence order at the kink of the test function.
 
     The operator is evaluated at the kink xi on grids with steps
@@ -192,74 +215,19 @@ def order_interior(
     ``scheme.degree`` steps into it, so all three grids evaluate past the
     scheme's startup region.  f is sampled once, on the finest grid,
     through the probe memo.  Raises DegenerateDifferenceError when either
-    difference falls below 1e-15; a scheme that is exact on the probe has
-    no measurable order.
+    difference is at or below the round-off floor of its finer value, which
+    scales with u; a scheme that is exact on the probe has no measurable
+    order.
     """
     xi = _check_probe(f).xi
     n_coarse = _unit_grid(tau).node_index(xi)
     if n_coarse < _check_type(scheme, SchemeKind, "scheme").degree:
-        raise ValueError(
-            f"need xi >= {scheme.degree} * tau for {scheme.label}, "
-            f"got xi/tau = {n_coarse}"
-        )
-
-    # one sampling of f on the finest grid serves all three: node i of the
-    # step-tau/r grid is node 4i/r of the step-tau/4 grid, bit for bit
-    vals = _samples(f, tau / 4.0, xi)
-    d1, d2, d4 = (scheme_value(scheme, alpha, vals[:: 4 // r], tau / r, xi) for r in (1, 2, 4))
-    coarse, fine = abs(d1 - d2), abs(d2 - d4)
-    if coarse < _MIN_DIFF or fine < _MIN_DIFF:
-        raise DegenerateDifferenceError(f"refinement differences {coarse:.3e} / {fine:.3e} are below "
-                                        f"the round-off floor at alpha={alpha}, m={f.m}, beta={f.beta}")
-    return ConvergenceRow(
-        scheme=scheme,
-        alpha=alpha,
-        m=f.m,
-        beta=f.beta,
-        xi=xi,
-        tau_base=tau,
-        measured_R=math.log2(coarse / fine),
-        theoretical_order=f.m + f.beta - alpha,
-    )
+        raise ValueError(f"need xi >= {scheme.degree} * tau for {scheme.label}, got xi/tau = {n_coarse}")
+    grids = ((tau, xi, tau / 2.0), (tau / 2.0, xi, tau / 4.0))
+    return _measure(scheme, alpha, f, grids, "refinement difference")
 
 
-def _reference_row(scheme: SchemeKind, alpha: float, f: HolderTestFunction, grids, what: str):
-    """The row of two grids (tau, t, h): the errors of the step-tau values at
-    time t less the step-h ones, each refused at or below its reference's
-    round-off floor alone, which scales with u, and their rate."""
-    errs = []
-    for tau, t, h in grids:
-        vals = _samples(f, tau, t)
-        value = scheme_value(scheme, alpha, vals, tau, t)
-        err = abs(value - scheme_value(scheme, alpha, _samples(f, h, t), h, t))
-        floor = _REFERENCE_NOISE * sys.float_info.epsilon * max(abs(vals[0]), abs(vals[-1]))
-        floor *= h**-alpha / math.gamma(2.0 - alpha)  # alpha checked by scheme_value
-        if not err > floor:
-            raise DegenerateDifferenceError(f"{what} {err:.3e} at tau={tau!r} is at or below "
-                                            f"the round-off floor {floor:.3e} of its reference")
-        errs.append(err)
-    tau, t, h = grids[0]
-    return ReferenceErrorRow(
-        scheme=scheme,
-        alpha=alpha,
-        beta=f.beta,
-        m=f.m,
-        xi=f.xi,
-        t=t,
-        tau=tau,
-        tau_ref=h,
-        error=errs[0],
-        error_half=errs[1],
-        measured_R=math.log2(errs[0] / errs[1]),
-    )
-
-
-def order_first_node(
-    scheme: SchemeKind,
-    f: HolderTestFunction,
-    alpha: float,
-    tau: float,
-) -> ReferenceErrorRow:
+def order_first_node(scheme: SchemeKind, f: HolderTestFunction, alpha: float, tau: float) -> OrderRow:
     """Measure the first-node error at t = tau and its decay order.
 
     The error of each grid is taken at that grid's own first node against
@@ -271,9 +239,10 @@ def order_first_node(
     Only the quadratic schemes are admitted; their first interval is the
     linear first step, whose error order 2 - alpha is the quantity under
     test.  The probe must have m = 2 so the kink does not interfere with
-    the first node; each grid samples it through the probe memo.  Its one
-    refusal: DegenerateDifferenceError when an error is at or below the
-    round-off floor of its reference node value, which scales with u.
+    the first node; it is sampled once, on the finest reference grid,
+    through the probe memo.  Its one refusal: DegenerateDifferenceError
+    when an error is at or below the round-off floor of its reference node
+    value, which scales with u.
     """
     if _check_type(scheme, SchemeKind, "scheme") not in (SchemeKind.l2(), SchemeKind.l12()):
         raise ValueError(f"first-node study is defined for L2 and L1-2, got {scheme.label}")
@@ -281,15 +250,10 @@ def order_first_node(
         raise ValueError(f"first-node probe needs m = 2, got m={f.m}")
     h = _check_real(tau, "step tau", 0.0) / _FIRST_NODE_REFINEMENT
     grids = ((tau, tau, h), (tau / 2.0, tau / 2.0, h / 2.0))
-    return _reference_row(scheme, alpha, f, grids, "first-node error")
+    return _measure(scheme, alpha, f, grids, "first-node error")
 
 
-def order_fixed_time(
-    f: HolderTestFunction,
-    alpha: float,
-    tau: float,
-    t: float,
-) -> ReferenceErrorRow:
+def order_fixed_time(f: HolderTestFunction, alpha: float, tau: float, t: float) -> OrderRow:
     """Measure the L1 error at the fixed time t and its decay order.
 
     The error of the step-h L1 grid is taken at t against L1 on the grid
@@ -298,10 +262,11 @@ def order_fixed_time(
 
         R = log2 E(tau) / E(tau/2),  E(h) = |d_h(t) - d_{t/64}(t)|.
 
-    t must be a node of the step-tau grid, and the step-tau/2 grid must be
-    coarser than the reference grid, so t / tau < 32.  Each grid samples f
-    through the probe memo.  Its one refusal: DegenerateDifferenceError when
-    an error is at or below the reference value's round-off floor.
+    t must be 1, 2, 4, 8 or 16 steps tau, so that both grids read the one
+    sampling of f on the reference grid, through the probe memo, at a
+    stride, and the step-tau/2 grid is coarser than the reference grid.
+    Its one refusal: DegenerateDifferenceError when an error is at or below
+    the reference value's round-off floor.
 
     With t = 2^-7 and tau in {2^-7, 2^-8} this reproduces all 18 errors
     of the published first-node table to their printed digits, and its
@@ -313,14 +278,11 @@ def order_fixed_time(
     reference, against 2e-5 for L1 (alpha = 0.3).
     """
     t, tau = _check_real(t, "fixed time t", 0.0), _check_real(tau, "step tau", 0.0)
-    if t / tau >= _FIXED_TIME_REFINEMENT / 2:
-        raise ValueError(
-            f"step {tau!r} halved is not coarser than the reference step "
-            f"{t!r}/{_FIXED_TIME_REFINEMENT}"
-        )
+    if t / tau not in (1.0, 2.0, 4.0, 8.0, 16.0):
+        raise ValueError(f"fixed time {t!r} must be 1, 2, 4, 8 or 16 steps {tau!r}")
     tau_ref = t / _FIXED_TIME_REFINEMENT
     grids = ((tau, t, tau_ref), (tau / 2.0, t, tau_ref))
-    return _reference_row(SchemeKind.l1(), alpha, _check_probe(f), grids, "fixed-time error")
+    return _measure(SchemeKind.l1(), alpha, _check_probe(f), grids, "fixed-time error")
 
 
 @dataclass(frozen=True)
@@ -333,23 +295,18 @@ class InteriorCell:
 
     alpha: float
     total: float
-    row: ConvergenceRow | None
+    row: OrderRow | None
 
 
 @dataclass(frozen=True)
 class FirstNodeCell:
-    """One (alpha, tau, beta) cell of a first-node table.
-
-    ``row`` measures each grid at its own first node; ``fixed_time``
-    measures L1 at the study's coarsest step, the construction of the
-    published table.  Only ``row`` is rendered.
-    """
+    """One (alpha, tau, beta) cell of a first-node table; ``row`` measures
+    each grid at its own first node."""
 
     alpha: float
     tau_exp: int
     beta: float
-    row: ReferenceErrorRow
-    fixed_time: ReferenceErrorRow
+    row: OrderRow
 
 
 @dataclass(frozen=True)
@@ -397,22 +354,13 @@ def _interior_report(scheme: SchemeKind, xi: float, alphas, totals) -> Report:
 def _first_node_report(alphas, tau_exps, betas) -> Report:
     scheme = SchemeKind.l2()
     xi = 0.5
-    t_fixed = 2.0 ** (-min(tau_exps))
     cells = []
     for alpha in alphas:
         for tau_exp in tau_exps:
             for beta in betas:
                 f = HolderTestFunction(m=2, beta=beta, xi=xi)
-                tau = 2.0 ** (-tau_exp)
-                cells.append(
-                    FirstNodeCell(
-                        alpha=alpha,
-                        tau_exp=tau_exp,
-                        beta=beta,
-                        row=order_first_node(scheme, f, alpha, tau),
-                        fixed_time=order_fixed_time(f, alpha, tau, t_fixed),
-                    )
-                )
+                row = order_first_node(scheme, f, alpha, 2.0 ** (-tau_exp))
+                cells.append(FirstNodeCell(alpha=alpha, tau_exp=tau_exp, beta=beta, row=row))
     return Report(
         title="first-node errors and orders at t = tau (m = 2, xi = 0.5)",
         scheme=scheme,
@@ -436,9 +384,10 @@ def reproduce_table(table_id: int) -> Report:
     1: interior orders of L2 at xi = 0.5 over ten regularity classes.
     2: the same study for L1-2.
     3: first-node errors and orders of the quadratic schemes at m = 2,
-       steps 2^-7 and 2^-8, beta in {0.2, 0.5, 0.8}; each cell also
-       carries the L1 error and order at the fixed time 2^-7 against a
-       2^-13 grid, which reproduce the published errors and 2^-7 rates.
+       steps 2^-7 and 2^-8, beta in {0.2, 0.5, 0.8}: four node evaluations
+       per cell, 72 in all.  ``order_fixed_time`` at the fixed time 2^-7,
+       the L1 error against a 2^-13 grid, reproduces the published errors
+       and 2^-7 rates of these cells.
     4: interior orders of L1-2-3 at xi = 0.25 over nine classes.
 
     The interior studies take their coarsest step as 2^-7.  The builders

@@ -61,7 +61,7 @@ class SchemeKind:
 
     @classmethod
     def lk(cls, k: int) -> "SchemeKind":
-        return cls(k)
+        return cls(_check_count(k, "Lk degree k", 1, MAX_DEGREE))
 
     @property
     def degree(self) -> int:
@@ -153,25 +153,28 @@ class LagrangePiece:
     tau: float
 
     def __post_init__(self) -> None:
-        nodes, values = len(self.node_times), len(self.node_values)
-        if not 2 <= nodes <= MAX_DEGREE + 1 or values != nodes:
-            raise ValueError(
-                f"stencil needs 2..{MAX_DEGREE + 1} node times and one value per node,"
-                f" got {nodes} times and {values} values"
-            )
         _check_real(self.tau, "grid step tau", 0.0)
         try:
+            nodes, values = len(self.node_times), len(self.node_values)
+            if not 2 <= nodes <= MAX_DEGREE + 1 or values != nodes:
+                raise ValueError(
+                    f"stencil needs 2..{MAX_DEGREE + 1} node times and one value per node,"
+                    f" got {nodes} times and {values} values"
+                )
             # evaluate reads the node times: a first one in float range keeps the rest, tau apart, finite
             finite = all(map(math.isfinite, (self.node_times[0], *self.node_values)))
             for a, b in zip(self.node_times, self.node_times[1:]):
                 if not -1e-9 * self.tau <= b - a - self.tau <= 1e-9 * self.tau:
                     raise ValueError(f"stencil node times must ascend tau={self.tau!r} apart, "
                                      f"got {a!r} then {b!r}")
-        except (TypeError, OverflowError):  # a str, None or complex; an int past float range
+        except (TypeError, OverflowError):  # a str, None or complex; an int past float range; no len()
             raise ValueError("stencil node times and values must be reals in float range") from None
         if not finite:
             raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
-        lo, hi = (_check_real(end, "validity interval end") for end in self.interval)
+        try:
+            lo, hi = (_check_real(end, "validity interval end") for end in self.interval)
+        except TypeError:  # None or a number: no ends to check
+            raise ValueError(f"validity interval must be a pair of reals, got {self.interval!r}") from None
         if not lo < hi:
             raise ValueError(f"empty validity interval {self.interval!r}")
 
@@ -221,9 +224,12 @@ class PiecewisePolynomial:
     def __post_init__(self) -> None:
         if not self.pieces:
             raise ValueError("a piecewise polynomial needs at least one piece")
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if not math.isclose(left.interval[1], right.interval[0], rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError("piece validity intervals must be contiguous")
+        try:
+            for left, right in zip(self.pieces, self.pieces[1:]):
+                if not math.isclose(left.interval[1], right.interval[0], rel_tol=0.0, abs_tol=1e-12):
+                    raise ValueError("piece validity intervals must be contiguous")
+        except (AttributeError, TypeError):  # no intervals: pieces of another kind
+            raise ValueError(f"pieces must be LagrangePieces, got {self.pieces!r:.80}") from None
 
     @property
     def t_end(self) -> float:

@@ -398,7 +398,7 @@ class CaputoWeights:
 
 @functools.lru_cache(maxsize=16)
 def _shared_weights(scheme: SchemeKind, alpha: float) -> CaputoWeights:
-    # room for the 14 (scheme, alpha) of the four built-in studies
+    # room for the 11 (scheme, alpha) of the four built-in studies
     return CaputoWeights(scheme, alpha)
 
 
@@ -415,7 +415,7 @@ def discrete_caputo(
     values covering u^0..u^n.  At n = 1 every scheme collapses to the
     linear (L1) first step.  The value is a fresh ``CaputoWeights``'s, bit
     for bit, read from a cache of the last 16 (scheme, alpha) pairs (the
-    four built-in studies use 14), each holding its row to the deepest lag
+    four built-in studies use 11), each holding its row to the deepest lag
     and k weights per node up to the deepest node asked for: at most
     16 x 2.6 MB, for L1-...-6 at n = 2^15.  It returns DiscreteCaputoValue(value).
     """

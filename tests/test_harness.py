@@ -16,11 +16,10 @@ import pytest
 import caputo_lk.harness
 from caputo_lk.harness import (
     DASH,
-    ConvergenceRow,
     DegenerateDifferenceError,
     FirstNodeCell,
     InteriorCell,
-    ReferenceErrorRow,
+    OrderRow,
     Report,
     _memo,
     _samples,
@@ -293,9 +292,21 @@ class TestOrderFirstNode:
         with pytest.raises(DegenerateDifferenceError, match="first-node error"):
             order_first_node(SchemeKind.l2(), f, 0.5, 2.0**-tau_exp)
 
-    def test_each_grid_value_is_evaluated_once(self, monkeypatch):
-        """Each grid and each reference is evaluated once, a grid before
-        its reference: four node evaluations per measurement."""
+    @pytest.mark.parametrize(
+        "measure, want",
+        [
+            (lambda f: order_interior(SchemeKind.l2(), f, 0.3, 2.0**-7), [(128, 64), (256, 128), (512, 256)]),
+            (lambda f: order_first_node(SchemeKind.l2(), f, 0.3, 2.0**-7),
+             [(128, 1), (16384, 128), (256, 1), (32768, 128)]),
+            (lambda f: order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7), [(256, 2), (8192, 64), (512, 4)]),
+        ],
+        ids=["interior", "first-node", "fixed-time"],
+    )
+    def test_each_grid_value_is_evaluated_once(self, monkeypatch, measure, want):
+        """Each (step, time) a measurement reads is evaluated once, a grid
+        before its reference: the interior grid of step tau/2 is the first
+        error's reference and the second's grid, and both fixed-time errors
+        share one reference, so 3, 4 and 3 node evaluations."""
         calls = []
         original = caputo_lk.harness.discrete_caputo
 
@@ -304,9 +315,22 @@ class TestOrderFirstNode:
             return original(scheme, grid, u, n, alpha)
 
         monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
-        f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
-        order_first_node(SchemeKind.l2(), f, 0.3, 2.0**-7)
-        assert calls == [(128, 1), (16384, 128), (256, 1), (32768, 128)]
+        measure(HolderTestFunction(m=2, beta=0.2, xi=0.5))
+        assert calls == want
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda f: order_first_node(SchemeKind.l2(), f, 0.5, 0.3),
+            lambda f: order_fixed_time(f, 0.5, 0.3, 0.6),
+        ],
+        ids=["first-node", "fixed-time"],
+    )
+    def test_step_that_does_not_divide_is_named(self, measure):
+        """The probe is sampled on the finest reference step, which the
+        refusal does not name: tau is checked on that failure alone."""
+        with pytest.raises(ValueError, match=r"^step 0\.3 does not divide the unit horizon$"):
+            measure(HolderTestFunction(m=2, beta=0.5, xi=0.5))
 
     def test_rejects_non_quadratic_scheme(self):
         f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
@@ -336,24 +360,24 @@ class TestOrderFixedTime:
         assert row.error == abs(scheme_value(l1, 0.5, f, t, t) - ref)
         assert row.error_half == abs(scheme_value(l1, 0.5, f, t / 2, t) - ref)
 
-    def test_reference_node_is_read_twice_to_the_same_bits(self, monkeypatch):
-        """Each error reads its own reference, a grid before its reference:
-        four node evaluations per measurement, and both reads of the shared
-        2^-13 reference return the same bits."""
+    def test_reference_node_is_read_once_for_both_errors(self, monkeypatch):
+        """The shared 2^-13 reference is evaluated once, after the step-tau
+        grid, and both errors subtract that one value."""
         calls, values = [], []
         original = caputo_lk.harness.discrete_caputo
 
         def recorded(scheme, grid, u, n, alpha):
             calls.append((grid.steps, n))
             result = original(scheme, grid, u, n, alpha)
-            values.append(result.value.hex())
+            values.append(result.value)
             return result
 
         monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
         f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
-        order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7)
-        assert calls == [(256, 2), (8192, 64), (512, 4), (8192, 64)]
-        assert values[1] == values[3]
+        row = order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7)
+        assert calls == [(256, 2), (8192, 64), (512, 4)]
+        assert row.error == abs(values[0] - values[1])
+        assert row.error_half == abs(values[2] - values[1])
 
     def test_l2_differs_from_l1_past_the_first_node(self):
         # node 2 of the 2^-8 grid: L2 is already quadratic there, so the
@@ -388,6 +412,13 @@ class TestOrderFixedTime:
         with pytest.raises(ValueError):
             order_fixed_time(f, 0.5, 2.0**-12, 2.0**-7)
 
+    def test_rejects_a_time_of_three_steps(self):
+        """t = 3 tau is a node of both grids, but the step-tau grid is no
+        stride of the one reference sampling; t/tau < 32 once admitted it."""
+        f = HolderTestFunction(m=2, beta=0.5, xi=0.5)
+        with pytest.raises(ValueError, match="must be 1, 2, 4, 8 or 16 steps"):
+            order_fixed_time(f, 0.5, 2.0**-8, 3 * 2.0**-8)
+
 
 def _count_probe_calls(monkeypatch) -> list[int]:
     """Count HolderTestFunction calls, with the probe memo emptied so the
@@ -420,17 +451,18 @@ class _Scaled(HolderTestFunction):
 
 
 class TestScaleInvariance:
-    """A reference row is refused by its own round-off floor only, which
-    scales with u; an absolute floor once refused these rows, whose errors
-    sit near 1e-23."""
+    """A row is refused by its own round-off floor only, which scales with
+    u; an absolute floor once refused these rows, whose errors sit near
+    1e-23 (interior differences 1.7e-24 and 3.6e-25)."""
 
     @pytest.mark.parametrize(
         "measure",
         [
+            lambda f: order_interior(SchemeKind.l2(), f, 0.3, 2.0**-7),
             lambda f: order_first_node(SchemeKind.l2(), f, 0.3, 2.0**-7),
             lambda f: order_fixed_time(f, 0.3, 2.0**-8, 2.0**-7),
         ],
-        ids=["first-node", "fixed-time"],
+        ids=["interior", "first-node", "fixed-time"],
     )
     @pytest.mark.parametrize("beta", [0.2, 0.8])
     def test_scaled_probe_keeps_its_rate(self, measure, beta):
@@ -454,13 +486,15 @@ class TestProbeMemo:
         assert _memo.cache_info().currsize == 1
 
     def test_reference_grids_are_sampled_once(self, monkeypatch):
-        """Two first-node cells sample each grid and reference once: nodes
-        0..1 of two grids and 0..128 of their two references."""
+        """Two first-node cells read one sampling, nodes 0..256 of the finest
+        reference grid, which both grids and the other reference read at a
+        stride."""
         calls = _count_probe_calls(monkeypatch)
         f = HolderTestFunction(m=2, beta=0.2, xi=0.5)
         for scheme, alpha in ((SchemeKind.l2(), 0.3), (SchemeKind.l12(), 0.5)):
             order_first_node(scheme, f, alpha, 2.0**-7)
-        assert calls[0] == 2 + 129 + 2 + 129
+        assert calls[0] == 257
+        assert _memo.cache_info().currsize == 1
 
     @pytest.mark.parametrize("other", [_CapProbe(0.5, 1, 0.5, 2), _Shifted(1, 0.5, 0.5)],
                              ids=["cap", "shifted"])
@@ -488,15 +522,13 @@ class TestProbeMemo:
 
     def test_warm_rows_equal_cold_rows_bit_for_bit(self):
         warm = [reproduce_table(i) for i in (1, 2, 3, 4)]
-        assert _memo.cache_info().currsize >= 46
+        assert _memo.cache_info().currsize >= 25
         _memo.cache_clear()
         cold = [reproduce_table(i) for i in (1, 2, 3, 4)]
         assert [render(r, "csv") for r in warm] == [render(r, "csv") for r in cold]
         for w, c in zip(warm, cold):
-            rows = [(a.row, b.row) for a, b in zip(w.interior_cells, c.interior_cells) if a.row]
-            for a, b in zip(w.first_node_cells, c.first_node_cells):
-                rows += [(a.row, b.row), (a.fixed_time, b.fixed_time)]
-            for a, b in rows:
+            pairs = zip(w.interior_cells + w.first_node_cells, c.interior_cells + c.first_node_cells)
+            for a, b in ((a.row, b.row) for a, b in pairs if a.row):
                 assert a == b and a.measured_R.hex() == b.measured_R.hex()
 
     def test_threads_share_the_memo_bit_for_bit(self):
@@ -572,8 +604,23 @@ class TestReproduceTable:
         assert rep.interior_cells == ()
         assert len(rep.first_node_cells) == 18
         for c in rep.first_node_cells:
-            assert c.fixed_time.t == 2.0**-7
-            assert c.fixed_time.tau == c.row.tau == 2.0**-c.tau_exp
+            assert c.row.t == c.row.tau == 2.0**-c.tau_exp
+            assert c.row.tau_ref == c.row.tau / 128
+
+    def test_first_node_study_evaluates_four_nodes_per_cell(self, monkeypatch):
+        """Each of the 18 cells evaluates its two grids and two references
+        once: 72 node evaluations, where 144 once also measured each cell
+        at a fixed time that no table prints."""
+        calls = [0]
+        original = caputo_lk.harness.discrete_caputo
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", counted)
+        reproduce_table(3)
+        assert calls[0] == 72
 
     def test_unknown_table_rejected(self):
         """reproduce_table(1.0), (3.0) and (True) once returned tables 1, 3
@@ -647,17 +694,15 @@ class TestRendering:
         l2 = SchemeKind.l2()
         interior = (
             InteriorCell(alpha=0.5, total=0.3, row=None),
-            InteriorCell(alpha=0.5, total=1.5, row=ConvergenceRow(l2, 0.5, 1, 0.5, 0.5, 0.0625, 0.987, 1.0)),
+            InteriorCell(alpha=0.5, total=1.5,
+                         row=OrderRow(l2, 0.5, 1, 0.5, 0.5, 0.5, 0.0625, 0.03125, 0.01, 0.01 * 2.0**-0.987)),
         )
         first_node = tuple(
             FirstNodeCell(
                 alpha=0.3,
                 tau_exp=4,
                 beta=beta,
-                row=ReferenceErrorRow(l2, 0.3, beta, 2, 0.5, 0.0625, 0.0625, 2.0**-11, error, 0.0, r),
-                fixed_time=ReferenceErrorRow(
-                    SchemeKind.l1(), 0.3, beta, 2, 0.5, 0.0625, 0.0625, 2.0**-10, 0.0, 0.0, 0.0
-                ),
+                row=OrderRow(l2, 0.3, 2, beta, 0.5, 0.0625, 0.0625, 2.0**-11, error, error * 2.0**-r),
             )
             for beta, error, r in ((0.2, 0.00125, 1.704), (0.8, 0.0025, 1.6))
         )

@@ -276,6 +276,10 @@ _KINDS = [
     ("probe must be callable", lambda f: order_first_node(SchemeKind.l2(), f, 0.5, 0.125).error),
     ("probe must be callable", lambda f: order_fixed_time(f, 0.5, 2.0**-8, 2.0**-7).error),
     ("report must be a Report", lambda r: float(len(render(r)))),
+    ("stencil node times and values must be reals", lambda x: LagrangePiece(x, (0.0, 1.0), (0.0, 1.0), 1.0).tau),
+    ("stencil node times and values must be reals", lambda x: LagrangePiece((0.0, 1.0), x, (0.0, 1.0), 1.0).tau),
+    ("validity interval must be a pair of reals", lambda x: LagrangePiece((0.0, 1.0), (0.0, 1.0), x, 1.0).tau),
+    ("pieces must be LagrangePieces", lambda x: PiecewisePolynomial((x, x)).t_end),
 ]
 
 # every real of a piece, a point on an interpolant and the reference
@@ -384,7 +388,8 @@ class TestInputContract:
         """A scheme, grid, container of node values, probe or report of
         another kind once raised AttributeError or TypeError ("has no
         len()", "unhashable type"), or, in order_first_node, failed while
-        formatting its own refusal."""
+        formatting its own refusal; so did a piece's stencil or interval and
+        an interpolant's pieces of another kind."""
         with pytest.raises(ValueError, match=re.escape(what)):
             call(bad)
 

@@ -74,6 +74,11 @@ class TestSchemeKind:
         assert SchemeKind() == SchemeKind.l2()
         assert hash(SchemeKind()) == hash(SchemeKind.l2())
 
+    def test_lk_refuses_a_missing_degree(self):
+        """lk(None) once returned L2; l2() is the one way to get it."""
+        with pytest.raises(ValueError, match=r"Lk degree k must be an integer in 1\.\.6, got None"):
+            SchemeKind.lk(None)
+
     @pytest.mark.parametrize("k", [2.0, 2.5, True])
     def test_lk_refuses_a_non_integer_k(self, k):
         """lk(2.0) was once accepted: its label raised TypeError, and

@@ -586,7 +586,7 @@ class TestSharedWeights:
             assert keys == [], scheme.label
 
     def test_second_round_of_the_studies_fills_no_steady_lag(self, monkeypatch):
-        """The four built-in studies use 14 (scheme, alpha) pairs, which the
+        """The four built-in studies use 11 (scheme, alpha) pairs, which the
         cache holds at once, so a second round in the same process asks
         only for nodes the first round asked for, and evaluates no column."""
         keys = _record_moment_keys(monkeypatch)
@@ -599,7 +599,7 @@ class TestSharedWeights:
 
         monkeypatch.setattr(caputo_lk.harness, "discrete_caputo", recorded)
         first = [reproduce_table(i) for i in (1, 2, 3, 4)]
-        assert caputo_lk.schemes._shared_weights.cache_info().currsize == 14
+        assert caputo_lk.schemes._shared_weights.cache_info().currsize == 11
         keys.clear()
         nodes.clear()
         assert [reproduce_table(i) for i in (1, 2, 3, 4)] == first

@@ -14,6 +14,8 @@ Measurements sample a probe through one thread-safe ``lru_cache`` keyed by
 (probe, step, node count), the probe by hash and equality, so no other class
 reads a ``HolderTestFunction``'s samples.  It keeps up to 64 samplings of under
 513 nodes as ``array('d')``, under 0.3 MB; others are sampled on every call.
+Each step's grid is built once, in a cache of the last 32 steps keyed on
+the step as checked, so every refusal still runs on every call.
 
 ``reproduce_table`` packages the four built-in studies over the Holder
 test family into ``Report`` objects, and ``render`` turns a report into
@@ -118,7 +120,12 @@ class OrderRow:
 
 def _unit_grid(tau: float) -> UniformGrid:
     """The step-tau grid over [0, 1]; 1/tau must be integral."""
-    tau = _check_real(tau, "step tau", 0.0)
+    return _grid_of_step(_check_real(tau, "step tau", 0.0))
+
+
+# keyed on the checked float, so True, which equals 1.0, is refused above
+@functools.lru_cache(maxsize=32)
+def _grid_of_step(tau: float) -> UniformGrid:
     if _HORIZON / tau == math.inf:
         raise ValueError(f"step tau={tau!r} is too small: 1/tau overflows")
     steps = round(_HORIZON / tau)

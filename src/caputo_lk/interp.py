@@ -172,9 +172,10 @@ class LagrangePiece:
         if not finite:
             raise ValueError(f"stencil node values must be finite, got {self.node_values!r}")
         try:
-            lo, hi = (_check_real(end, "validity interval end") for end in self.interval)
-        except TypeError:  # None or a number: no ends to check
+            lo, hi = self.interval
+        except (TypeError, ValueError):  # None, a number, or a sequence of another length
             raise ValueError(f"validity interval must be a pair of reals, got {self.interval!r}") from None
+        lo, hi = _check_real(lo, "validity interval end"), _check_real(hi, "validity interval end")
         if not lo < hi:
             raise ValueError(f"empty validity interval {self.interval!r}")
 

@@ -19,10 +19,11 @@ column of convolution weights (Gao, Sun & Zhang 2014 for L1-2; Lv & Xu
 alpha) and every grid and node, one weight per node value, the fsum of
 the column entries on it: the convolution row c(m) that weighs u^(n-m),
 extended on demand, and per node asked a head of at most k weights on its
-first node values.  A warm node is one slice product over c, one over its
-head and one ``math.fsum``.  A column entry at lag >= 1 is one Horner pass
-of a series about the window's midpoint, with exact rational coefficients
-per (degree, offset) (``_columns``); lag 0 folds the closed-form moments.
+first node values.  A warm node is one ``math.fsum`` over one iterator of
+its products with c and with its head, made as fsum reads them.  A column
+entry at lag >= 1 is one Horner pass of a series about the window's
+midpoint, with exact rational coefficients per (degree, offset)
+(``_columns``); lag 0 folds the closed-form moments.
 ``discrete_caputo`` reads one object per (scheme, alpha) from a cache.
 
 The tests' reference is the per-window route, ``caputo_of_piece``: kernel
@@ -42,6 +43,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import gamma
 from typing import Callable, Sequence
 
@@ -353,9 +355,10 @@ class CaputoWeights:
         # the row may be one published by a call that reached fewer lags
         if not head or math.isnan(head[0]) or len(row) <= n - h:
             row, head = self._fill(n)
-        # u^n..u^h against c(0..n-h), u^0..u^(h-1) against the head; fsum is
-        # correctly rounded, so the order of the products is immaterial
-        products = [*map(operator.mul, vals[n : h - 1 : -1], row), *map(operator.mul, vals, head)]
+        # u^n..u^h against c(0..n-h), u^0..u^(h-1) against the head, made as fsum
+        # reads them; fsum is correctly rounded, so their order is immaterial
+        products = chain(map(operator.mul, reversed(vals), islice(row, n - h + 1)),
+                         map(operator.mul, vals, head))
         try:
             scale = grid.tau ** (-self.alpha)
         except OverflowError:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -21,6 +22,7 @@ from caputo_lk.harness import (
     InteriorCell,
     OrderRow,
     Report,
+    _grid_of_step,
     _memo,
     _samples,
     _unit_grid,
@@ -88,6 +90,33 @@ class TestUnitGrid:
 
     def test_smallest_step_with_a_finite_reciprocal(self):
         assert _unit_grid(2.0**-1023).steps == 2**1023
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            (True, "step tau must be a real number in (0, inf), got type bool"),
+            ("0.5", "step tau must be a real number in (0, inf), got type str"),
+            (0.0, "step tau must be a real number in (0, inf), got 0.0"),
+            (math.nan, "step tau must be a real number in (0, inf), got nan"),
+            (2.0**-1024, f"step tau={2.0**-1024!r} is too small: 1/tau overflows"),
+            (0.3, "step 0.3 does not divide the unit horizon"),
+        ],
+        ids=["bool", "str", "zero", "nan", "tiny", "no-divisor"],
+    )
+    def test_cached_steps_leave_every_refusal_in_place(self, tau, message):
+        """The grid cache is keyed on the step as checked: True equals 1.0
+        and hashes alike, yet with 1.0 and 0.5 cached it is refused, as is
+        every other bad step, on every call, with the same message."""
+        one, half = _unit_grid(1.0), _unit_grid(0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _unit_grid(tau)
+        assert _unit_grid(1.0) is one and _unit_grid(0.5) is half
+        assert _unit_grid(1) is one and (one.steps, half.steps) == (1, 2)
+
+    def test_grid_cache_is_bounded(self):
+        maxsize = _grid_of_step.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
 
 
 class TestRows:
@@ -436,10 +465,13 @@ def _count_probe_calls(monkeypatch) -> list[int]:
 
 
 class _Shifted(HolderTestFunction):
-    """The test family plus one: equal fields and hash, another class."""
+    """The test family plus 0.1 t^2.5: equal fields and hash, another class.
+    No scheme is exact on t^2.5, so its rate is not the family's, by far
+    more than round-off; a constant or a linear term every scheme takes
+    exactly, and only round-off would tell the two apart."""
 
     def __call__(self, t):
-        return HolderTestFunction.__call__(self, t) + 1.0
+        return HolderTestFunction.__call__(self, t) + 0.1 * t**2.5
 
 
 class _Scaled(HolderTestFunction):
@@ -505,7 +537,7 @@ class TestProbeMemo:
         _memo.cache_clear()
         plain = order_interior(SchemeKind.l2(), f, 0.3, 2.0**-7)
         assert order_interior(SchemeKind.l2(), other, 0.3, 2.0**-7) == cold
-        assert cold.measured_R != plain.measured_R
+        assert abs(cold.measured_R - plain.measured_R) > 1e-5
         assert _memo.cache_info().currsize == 2
 
     def test_an_unhashable_probe_is_sampled_anew(self, monkeypatch):

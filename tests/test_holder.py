@@ -403,6 +403,14 @@ class TestInputContract:
         with pytest.raises(ValueError, match=re.escape(what)):
             call(bad)
 
+    @pytest.mark.parametrize("interval", [(0.0, 0.5, 1.0), (0.0,)], ids=["three", "one"])
+    def test_interval_of_another_length_is_named(self, interval):
+        """An interval of three ends or one once failed with the unpacking's
+        own ValueError, "too many" or "not enough values to unpack"."""
+        what = f"validity interval must be a pair of reals, got {interval!r}"
+        with pytest.raises(ValueError, match=re.escape(what)):
+            LagrangePiece((0.0, 0.5), (1.0, 2.0), interval, 0.5)
+
     def test_stencil_times_past_float_range_are_named(self):
         """Ints past float range one step apart once passed as node times,
         and the piece raised OverflowError when evaluated."""

@@ -469,6 +469,32 @@ class TestNodeWeights:
 
         check()
 
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_value_is_the_fsum_of_the_kept_weights_bit_for_bit(self, order):
+        """A node value is the fsum of its node values times the kept row
+        and head, scaled, bit for bit; nodes asked ascending fill the row a
+        lag at a time, and shuffled, most read what a deeper node filled.
+        The values mix signs about a large offset, so a sum in another order
+        would round otherwise."""
+        rng = random.Random(37)
+        g = UniformGrid(horizon=1.0, steps=300)
+        vals = [1e6 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 7) for _ in range(301)]
+        nodes = list(range(1, 301))
+        if order == "shuffled":
+            rng.shuffle(nodes)
+        for scheme in ALL_SCHEMES:
+            for alpha in (0.1, 0.5, 0.9):
+                weights = CaputoWeights(scheme, alpha)
+                lo = weights._lo
+                for n in nodes:
+                    got = weights.value(g, vals, n)
+                    h = min(n + 1, lo)
+                    row, heads = weights._store
+                    head = heads[n * lo : n * lo + h]
+                    products = [*map(operator.mul, vals[n : h - 1 : -1], row), *map(operator.mul, vals, head)]
+                    want = math.fsum(products) * g.tau**-alpha / math.gamma(1.0 - alpha)
+                    assert got.hex() == want.hex(), (scheme.label, alpha, n)
+
     def test_second_pass_evaluates_no_column(self, monkeypatch):
         """A node's head is kept from its first evaluation, so a second
         pass over nodes 1..64 of every scheme makes no ``_columns`` call

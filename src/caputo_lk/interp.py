@@ -9,7 +9,7 @@ node from the interval.  ``_basis_numerators`` holds the Lagrange
 basis in grid units exactly, ``_BASIS``/``_DERIV`` it and its derivative in
 floats: all ``schemes.CaputoWeights`` needs.  ``LagrangePiece`` stores one
 piece with its stencil (ascending node times/values) and evaluates it at a
-batch of points by ``_horner`` on the Newton form of divided differences
+batch of points by Horner's rule on the Newton form of divided differences
 computed once per piece, which the quadrature oracle reads too.
 """
 
@@ -126,18 +126,6 @@ _DERIV: dict[int, tuple[tuple[float, ...], ...]] = {
 }
 
 
-def _horner(top: float, xs: Sequence[float], cs: Sequence[float], points) -> list[float]:
-    """Horner's rule p = p * (s - x) + c over zip(xs, cs) from p = top, at each point."""
-    steps = tuple(zip(xs, cs))
-    out = []
-    for s in points:
-        p = top
-        for x, c in steps:
-            p = p * (s - x) + c
-        out.append(p)
-    return out
-
-
 @dataclass(frozen=True)
 class LagrangePiece:
     """One polynomial piece of a scheme interpolant.
@@ -210,7 +198,15 @@ class LagrangePiece:
         p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)); the last step
         leaves c_0, so the anchor value comes back exactly."""
         c = self.newton
-        return _horner(c[-1], self.node_times[1:], c[-2::-1], points)
+        top = c[-1]
+        steps = tuple(zip(self.node_times[1:], c[-2::-1]))
+        out = []
+        for s in points:
+            p = top
+            for x, ci in steps:
+                p = p * (s - x) + ci
+            out.append(p)
+        return out
 
     def __call__(self, s: float) -> float:
         return self.evaluate((s,))[0]

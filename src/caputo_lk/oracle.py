@@ -13,15 +13,16 @@ singularity exactly, with the pieces' ends as break points
 Neither route touches ``kernel_moment``: the adaptive Gauss-Kronrod pair
 below is self-contained, and both routes read an interpolant through its
 pieces' Newton form (``LagrangePiece.newton``, divided differences of the
-stencil data): the integrated route through ``interp._horner``, the pass
-of ``piece.evaluate``, and on the last piece over the form less its first
-term; the piecewise route through the derivative of the same form.  The
+stencil data): the integrated route by the Horner pass of
+``piece.evaluate``, on the last piece over the form less its first term;
+the piecewise route through the derivative of the same form.  The
 adaptive routine follows QUADPACK's QAGP: one starting region per pair of
 consecutive break points, then global bisection of the worst region within
 a per-call budget; it returns why it stopped short, and only
-``_w_integral`` raises.  Integrands take a batch: each Gauss-Kronrod region
-passes its 15 nodes in one call and gets their values back as a list, so
-an interpolant's piece is looked up once per region.
+``_w_integral`` raises.  Each piece has one GK15 rule per route, built
+once with the piece's Horner steps: its starting region and every region
+bisected from it call that rule, which evaluates its 15 nodes in one loop,
+so no region looks its piece up.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gamma
 from typing import Callable, Sequence
 
 from .holder import _check_alpha, _check_count, _check_real
-from .interp import LagrangePiece, PiecewisePolynomial, _horner
+from .interp import LagrangePiece, PiecewisePolynomial
 
 __all__ = [
     "QuadratureConvergenceError",
@@ -72,12 +73,13 @@ _WG = (
     0.381830050505119,
     0.417959183673469,
 )
-# The nodes' offsets from the centre in half-widths, in the order a batch
-# integrand receives them: the centre, then each Kronrod abscissa as a
-# (-x, +x) pair, outermost first.
+# The nodes' offsets from the centre in half-widths, in the order a rule
+# evaluates them and a batch integrand receives them: the centre, then each
+# Kronrod abscissa as a (-x, +x) pair, outermost first.
 _OFFSETS = (0.0, *(x for a in _XK[:7] for x in (-a, a)))
 
 Integrand = Callable[[Sequence[float]], Sequence[float]]
+Rule = Callable[[float, float], tuple[float, float]]  # (a, b) -> (value, error estimate)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -91,38 +93,43 @@ class QuadratureConvergenceError(RuntimeError):
         return f"{self.args[0]} (best estimate {self.best!r})"
 
 
-def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    v = f([mid + half * x for x in _OFFSETS])
-    kron = _WK[7] * v[0]
-    gauss = _WG[3] * v[0]
-    for i in range(7):
-        pair = v[2 * i + 1] + v[2 * i + 2]
-        kron += _WK[i] * pair
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * pair
-    kron *= half
-    gauss *= half
+def _sums(v: Sequence[float], half: float) -> tuple[float, float]:
+    # the Kronrod value and |Kronrod - Gauss| of one region from its 15 values in
+    # _OFFSETS order, each sum added in that order, pair by pair, outermost first
+    (k0, k1, k2, k3, k4, k5, k6, k7), (g0, g1, g2, g3) = _WK, _WG
+    p1, p3, p5 = v[3] + v[4], v[7] + v[8], v[11] + v[12]
+    kron = (k7 * v[0] + k0 * (v[1] + v[2]) + k1 * p1 + k2 * (v[5] + v[6])
+            + k3 * p3 + k4 * (v[9] + v[10]) + k5 * p5 + k6 * (v[13] + v[14])) * half
+    gauss = (g3 * v[0] + g0 * p1 + g1 * p3 + g2 * p5) * half
     return kron, abs(kron - gauss)
 
 
-def _adaptive(f: Integrand, points: Sequence[float], tol: float) -> tuple[float, str | None, dict]:
+def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return _sums(f([mid + half * x for x in _OFFSETS]), half)
+
+
+def _adaptive(rules: Sequence[Rule], points: Sequence[float], tol: float) -> tuple[float, str | None, dict]:
     """Globally adaptive Gauss-Kronrod over the ascending break points:
     one GK15 region per pair of consecutive points to start, then
     bisection of the worst region until the summed error estimate meets tol.
-    ``f`` maps a batch of points to their values.  Returns the sum of the
-    final regions, the reason refinement stopped short of tol or None, and
-    the counts: the summed error estimate, the regions and ``evaluations``,
-    the points passed to ``f``."""
+    ``rules[i]`` maps a region (a, b) within points[i]..points[i + 1] to its
+    GK15 value and error estimate, and both halves of a bisected region
+    inherit its rule.  Returns the sum of the final regions, the reason
+    refinement stopped short of tol or None, and the counts: the summed
+    error estimate, the regions and ``evaluations``, 15 per rule call.
+    The constants are QUADPACK's cut to 15 digits (Kronrod weights sum to
+    2 - 6.0e-15, Gauss to 2 + 9.4e-16), so |K - G| has a floor near 3.5e-15
+    of the integral of |f| that bisection never lowers: a tol under it spends the budget."""
     tol = max(tol, _MIN_TOL)
     heap = []
     total_err = 0.0
-    for lo, hi in zip(points, points[1:]):
+    for i, (lo, hi) in enumerate(zip(points, points[1:])):
         if lo == hi:
             continue
-        value, err = _gk15(f, lo, hi)
-        heap.append((-err, lo, hi, value, 0))
+        value, err = rules[i](lo, hi)
+        heap.append((-err, lo, hi, value, 0, i))
         total_err += err
     heapq.heapify(heap)
     starting = evaluated = len(heap)  # GK15 regions
@@ -135,12 +142,12 @@ def _adaptive(f: Integrand, points: Sequence[float], tol: float) -> tuple[float,
         if heap[0][4] >= _MAX_DEPTH:
             failure = f"adaptive quadrature exceeded depth {_MAX_DEPTH}"
             break
-        neg_err, lo, hi, val, depth = heapq.heappop(heap)
+        neg_err, lo, hi, val, depth, i = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        heapq.heappush(heap, (-e1, lo, mid, v1, depth + 1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1))
+        v1, e1 = rules[i](lo, mid)
+        v2, e2 = rules[i](mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1, depth + 1, i))
+        heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1, i))
         total_err += e1 + e2 + neg_err
         evaluated += 2
     try:
@@ -151,32 +158,55 @@ def _adaptive(f: Integrand, points: Sequence[float], tol: float) -> tuple[float,
                             "evaluations": len(_OFFSETS) * evaluated}
 
 
-def _piece_derivative(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
-    # p'(s) at each point, for the Newton form
-    # p(s) = c_0 + (s - x_0)(c_1 + (s - x_1)(c_2 + ...)), by Horner's rule
-    # for p and p' together on the piece's cached differences, so nothing
-    # is shared with the monomial path
+def _piece_derivative(piece: LagrangePiece, t_n: float, gamma_exp: float) -> Rule:
+    # the rule for gamma_exp * p'(s), s = t_n - w^gamma_exp, on one piece: Horner's
+    # rule for p and p' together on the Newton form p(s) = c_0 + (s - x_0)(c_1 + ...),
+    # the piece's cached differences, so nothing is shared with the monomial path
     c = piece.newton
     top = c[-1]
     steps = tuple(zip(piece.node_times[1:], c[-2::-1]))
-    out = []
-    for s in points:
-        p = top
-        dp = 0.0
-        for x, ci in steps:
-            d = s - x
-            dp = dp * d + p
-            p = p * d + ci
-        out.append(dp)
-    return out
+
+    def rule(a: float, b: float) -> tuple[float, float]:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        values = []
+        for x in _OFFSETS:
+            s = t_n - (mid + half * x) ** gamma_exp
+            p = top
+            dp = 0.0
+            for xi, ci in steps:
+                d = s - xi
+                dp = dp * d + p
+                p = p * d + ci
+            values.append(gamma_exp * dp)
+        return _sums(values, half)
+
+    return rule
 
 
-def _secant_slope(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
-    # (p(x_0) - p(s)) / (x_0 - s) at each point, x_0 the anchor: the Newton
-    # form less its first term, c_1 + (s - x_1)(c_2 + ...), by evaluate's
-    # Horner pass, so nothing cancels as s nears x_0
+def _secant_slope(piece: LagrangePiece, t_n: float, gamma_exp: float, u_t: float | None) -> Rule:
+    # the rule for gamma_exp * (u_t - p(s)) / (t_n - s), p(s) by piece.evaluate's
+    # Horner pass; on the last piece (u_t None), anchored at x_0 = t_n, the Newton
+    # form less its first term, c_1 + (s - x_1)(c_2 + ...), so nothing cancels at t_n
     c = piece.newton
-    return _horner(c[-1], piece.node_times[1:-1], c[-2:0:-1], points)
+    top = c[-1]
+    steps = tuple(zip(piece.node_times[1:], c[-2::-1]))
+    if u_t is None:
+        steps = steps[:-1]
+
+    def rule(a: float, b: float) -> tuple[float, float]:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        values = []
+        for x in _OFFSETS:
+            s = t_n - (mid + half * x) ** gamma_exp
+            p = top
+            for xi, ci in steps:
+                p = p * (s - xi) + ci
+            values.append(gamma_exp * (p if u_t is None else (u_t - p) / (t_n - s)))
+        return _sums(values, half)
+
+    return rule
 
 
 def _check_call(p, t_n: float, alpha: float, tol: float, stats: dict | None) -> tuple[float, ...]:
@@ -193,32 +223,28 @@ def _w_integral(
     p: PiecewisePolynomial,
     t_n: float,
     al: float,
-    factor: Callable[[LagrangePiece, Sequence[float]], Sequence[float]],
+    rule: Callable[[LagrangePiece, float, float], Rule],
     tol: float,
     stats: dict | None,
     head: float,
     coef: float,
 ) -> float:
-    """head + coef * I, I = int_0^t_n (t_n - s)^(-alpha) f(s) ds and
-    ``factor(piece, points)`` f at a batch of points on one piece of p: a
-    route's value.  I is one adaptive integral in w = (t_n - s)^(1-alpha),
-    which removes the endpoint singularity exactly, with the pieces' ends
-    as break points and ``tol`` bounding I.  A ``stats`` dict receives
-    ``regions``, ``evaluations`` (15 per region) and ``err_estimate``, the
+    """head + coef * I, I = int_0^t_n (t_n - s)^(-alpha) f(s) ds, f a route's
+    integrand: a route's value.  I is one adaptive integral in
+    w = (t_n - s)^(1-alpha), which removes the endpoint singularity exactly,
+    with the pieces' ends as break points and ``tol`` bounding I; each piece's
+    regions call its ``rule(piece, t_n, gamma_exp)``, the GK15 rule in w of
+    gamma_exp * f, gamma_exp = 1/(1-alpha).  A ``stats`` dict receives ``regions``,
+    ``evaluations`` (15 per rule call) and ``err_estimate``, the
     summed final Gauss-Kronrod error estimates times coef, settled or not.
     A value that is not finite raises ValueError naming t_n, before a stall
     raises QuadratureConvergenceError with head + coef * (I's best estimate)."""
     if not math.isclose(p.t_end, t_n, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"interpolant ends at {p.t_end!r}, expected the evaluation time {t_n!r}")
     gamma_exp = 1.0 / (1.0 - al)
-
-    def f(ws: Sequence[float]) -> list[float]:
-        ss = [t_n - w**gamma_exp for w in ws]
-        return [gamma_exp * v for v in factor(p.piece_at(ss[0]), ss)]
-
-    # w = 0 at t_n; a region's centre, its first point, names its piece
-    points = [0.0, *((t_n - q.interval[0]) ** (1.0 - al) for q in reversed(p.pieces))]
-    w, failure, counts = _adaptive(f, points, tol)
+    pieces = p.pieces[::-1]  # w = 0 at t_n: the last piece comes first
+    points = [0.0, *((t_n - q.interval[0]) ** (1.0 - al) for q in pieces)]
+    w, failure, counts = _adaptive([rule(q, t_n, gamma_exp) for q in pieces], points, tol)
     if stats is not None:
         stats.update(counts, err_estimate=coef * counts["err_estimate"])
     value = head + coef * w
@@ -275,10 +301,8 @@ def quad_caputo_integrated(
         )
     u_t = last.newton[0]  # p(t_n), the node value at the anchor
 
-    def slope(piece: LagrangePiece, points: Sequence[float]) -> list[float]:
-        if piece is last:
-            return _secant_slope(piece, points)
-        return [(u_t - v) / (t_n - s) for s, v in zip(points, piece.evaluate(points))]
+    def slope(piece: LagrangePiece, t_n: float, gamma_exp: float) -> Rule:
+        return _secant_slope(piece, t_n, gamma_exp, None if piece is last else u_t)
 
     g = gamma(1.0 - al)
     head = (u_t - p(0.0)) / (g * t_n**al)

@@ -428,12 +428,13 @@ class TestInputContract:
 
     @pytest.mark.parametrize("route", [quad_caputo_piecewise, quad_caputo_integrated])
     def test_stats_is_checked_before_the_integrand(self, route, monkeypatch):
-        """stats=[] once ran the whole integral, then raised AttributeError."""
+        """stats=[] once ran the whole integral, then raised AttributeError.
+        Both routes read the interpolant through its pieces' Newton form."""
 
-        def unread(self, s):
-            raise AssertionError(f"the interpolant was read at {s!r}")
+        def unread(piece):
+            raise AssertionError(f"the piece on {piece.interval!r} was read")
 
-        monkeypatch.setattr(PiecewisePolynomial, "piece_at", unread)
+        monkeypatch.setattr(LagrangePiece, "newton", property(unread))
         with pytest.raises(ValueError, match="stats must be a dict or None, got type list"):
             route(_INTERP, 0.5, 0.5, stats=[])
 

@@ -70,6 +70,23 @@ def scalar_gk15(f, a, b):
     return kron, abs(kron - gauss)
 
 
+def adaptive(f, points, tol):
+    """``oracle._adaptive`` on a batch integrand: the GK15 rule of ``f`` on
+    every starting region."""
+    return oracle._adaptive([lambda a, b: oracle._gk15(f, a, b)] * (len(points) - 1), points, tol)
+
+
+def rule_values(rule, a, b):
+    """The 15 values, in ``oracle._OFFSETS`` order, that a rule sums for
+    the region (a, b)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_sums", lambda values, half: seen.append(list(values)) or (0.0, 0.0))
+        rule(a, b)
+    (values,) = seen
+    return values
+
+
 class TestAdaptiveCore:
     def test_batched_rule_matches_scalar_reference(self):
         rng = random.Random(2)
@@ -134,12 +151,12 @@ class TestAdaptiveCore:
             assert err <= 1e-11 * max(1.0, abs(exact))
 
     def test_adaptive_smooth(self):
-        got, failure, _ = oracle._adaptive(batch(math.exp), [0.0, 1.0], 1e-13)
+        got, failure, _ = adaptive(batch(math.exp), [0.0, 1.0], 1e-13)
         assert failure is None
         assert got == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_adaptive_oscillatory(self):
-        got, failure, _ = oracle._adaptive(batch(lambda s: math.sin(20.0 * s)), [0.0, 2.0], 1e-12)
+        got, failure, _ = adaptive(batch(lambda s: math.sin(20.0 * s)), [0.0, 2.0], 1e-12)
         want = (1.0 - math.cos(40.0)) / 20.0
         assert failure is None
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -152,7 +169,7 @@ class TestAdaptiveCore:
         p = 1.0 - al
         # int_0^t (t-s)^-al s ds via the substitution, against the exact
         # Beta-function value t^(2-al) / ((1-al)(2-al))
-        got, failure, _ = oracle._adaptive(batch(lambda w: t - w ** (1.0 / p)), [0.0, t**p], 1e-13)
+        got, failure, _ = adaptive(batch(lambda w: t - w ** (1.0 / p)), [0.0, t**p], 1e-13)
         want = t ** (2 - al) / ((1 - al) * (2 - al))
         assert failure is None
         assert got / p == pytest.approx(want, rel=1e-12)
@@ -162,7 +179,7 @@ class TestAdaptiveCore:
         # bisection refinement at this tolerance; the returned sum is still
         # the accumulated estimate, beside the reason refinement stopped
         c = 1.0 / math.sqrt(7.0)
-        best, failure, _ = oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
+        best, failure, _ = adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
         assert failure is not None
         want = 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c))
         assert best == pytest.approx(want, rel=1e-3)
@@ -178,7 +195,7 @@ class TestAdaptiveCore:
             calls += 1
             return abs(s - c)
 
-        got, failure, _ = oracle._adaptive(batch(kink), [0.0, c, 1.0], 1e-14)
+        got, failure, _ = adaptive(batch(kink), [0.0, c, 1.0], 1e-14)
         assert failure is None
         assert got == pytest.approx(0.5 * (c * c + (1.0 - c) ** 2), rel=0.0, abs=1e-13)
         assert calls <= 60
@@ -186,13 +203,13 @@ class TestAdaptiveCore:
     def test_depth_error_names_the_limit(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_DEPTH", 3)
         c = 1.0 / math.sqrt(7.0)
-        _, failure, _ = oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
+        _, failure, _ = adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
         assert failure.endswith("exceeded depth 3")
 
     def test_depth_limit_still_reports_stats(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_DEPTH", 3)
         c = 1.0 / math.sqrt(7.0)
-        _, failure, stats = oracle._adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
+        _, failure, stats = adaptive(batch(lambda s: abs(s - c) ** -0.5), [0.0, 1.0], 1e-14)
         assert failure is not None
         assert stats.keys() == {"err_estimate", "regions", "evaluations"}
         # one starting region; each bisection adds one region and evaluates two
@@ -338,13 +355,12 @@ class TestNewtonDerivative:
             piece = LagrangePiece(times, values, (times[-2], times[-1]), tau)
             assert piece.newton is piece.newton  # computed once per piece
             mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
-            points = [*times, *mids, times[0] - tau, times[-1] + tau]
-            batched = oracle._piece_derivative(piece, points)
-            for s, got in zip(points, batched, strict=True):
+            for s in [*times, *mids, times[0] - tau, times[-1] + tau]:
+                # at t_n = s and gamma_exp = 1 the region (0, 0) puts every node at s
+                got, *rest = rule_values(oracle._piece_derivative(piece, s, 1.0), 0.0, 0.0)
+                assert rest == [got] * 14
                 want, scale = _exact_stencil_derivative(times, values, s)
                 assert abs(Fraction(got) - want) <= 1e-12 * scale, (k, tau, s)
-                # a point's value does not depend on the batch around it
-                assert oracle._piece_derivative(piece, [s]) == [got]
 
 
 class TestPiecewiseOracle:
@@ -478,25 +494,26 @@ class TestIntegratedOracle:
         result = run_check("derivative-form and integrated-form quadratures agree")
         assert result.ok, result.detail
 
-    def test_one_piece_lookup_per_region(self, monkeypatch):
-        """Crosscheck case c140/L1 (n = 31, kink at node 28): every point
-        is one of 15 in a Gauss-Kronrod region's batch, read from the one
-        piece the region looks up; p(0) is the one single-point read."""
-        points = lookups = reads = 0
-        evaluate = LagrangePiece.evaluate
+    def test_one_piece_lookup_per_call(self, monkeypatch):
+        """Crosscheck case c140/L1 (n = 31, kink at node 28): each piece has
+        one rule, built once, and every point is one of the 15 a rule call
+        takes; p(0) is the one point read by a piece lookup."""
+        builds = rule_calls = lookups = reads = 0
         secant = oracle._secant_slope
         piece_at = PiecewisePolynomial.piece_at
         read = PiecewisePolynomial.__call__
 
-        def counted_evaluate(piece, ss):
-            nonlocal points
-            points += len(ss)
-            return evaluate(piece, ss)
+        def counted_secant(*args):
+            nonlocal builds
+            builds += 1
+            rule = secant(*args)
 
-        def counted_secant(piece, ss):
-            nonlocal points
-            points += len(ss)
-            return secant(piece, ss)
+            def counted_rule(a, b):
+                nonlocal rule_calls
+                rule_calls += 1
+                return rule(a, b)
+
+            return counted_rule
 
         def counted_piece_at(interp, s):
             nonlocal lookups
@@ -513,19 +530,16 @@ class TestIntegratedOracle:
         alpha = 0.6648678540080026
         p = build_interpolant(SchemeKind.l1(), g, [u(g.time(i)) for i in range(32)], 31)
         want = quad_caputo_piecewise(p, g.time(31), alpha, tol=1e-12)
-        monkeypatch.setattr(LagrangePiece, "evaluate", counted_evaluate)
         monkeypatch.setattr(oracle, "_secant_slope", counted_secant)
         monkeypatch.setattr(PiecewisePolynomial, "piece_at", counted_piece_at)
         monkeypatch.setattr(PiecewisePolynomial, "__call__", counted_read)
         stats = {}
         got = quad_caputo_integrated(p, g.time(31), alpha, tol=1e-11, stats=stats)
-        assert points <= 1500
         assert got == pytest.approx(want, rel=1e-9)
-        regions, rest = divmod(stats["evaluations"], 15)
-        assert rest == 0 and regions >= stats["regions"]
-        assert reads == 1
-        assert points == stats["evaluations"] + reads
-        assert lookups == regions + reads
+        assert builds == len(p.pieces) == 31
+        assert rule_calls >= stats["regions"]
+        assert stats["evaluations"] == 15 * rule_calls <= 1500
+        assert reads == lookups == 1
 
     def test_c113_l2_integrated_form(self):
         """Crosscheck case c113/L2 (alpha = 0.738), whose quadratic last
@@ -575,7 +589,8 @@ class TestIntegratedOracle:
 
         for s in (times[0], 0.5 * (times[-2] + times[-1]), times[-1] - 1e-9):
             want = (exact(times[-1]) - exact(s)) / (x[-1] - Fraction(s))
-            (got,) = oracle._secant_slope(piece, [s])
+            # the last piece's form, at t_n = s and gamma_exp = 1 on the region (0, 0)
+            got = rule_values(oracle._secant_slope(piece, s, 1.0, None), 0.0, 0.0)[0]
             assert got == pytest.approx(float(want), rel=1e-11, abs=1e-12), s
 
     def test_rejects_a_callable(self):
@@ -616,7 +631,8 @@ class TestIntegratedOracle:
 
 class TestEvaluationCounts:
     """``stats["evaluations"]`` is the number of integrand points taken,
-    counted here at the batch evaluator each route reads the pieces by."""
+    counted here at the rules each route builds, one per piece: 15 points
+    per rule call."""
 
     def _interpolant(self):
         g = UniformGrid(horizon=1.0, steps=12)
@@ -624,44 +640,163 @@ class TestEvaluationCounts:
         values = [u(g.time(i)) for i in range(11)]
         return build_interpolant(SchemeKind.lk(3), g, values, 10), g.time(10)
 
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Patch the rule builder ``oracle.<name>``; return the counts of
+        its builds, of its rules' calls and of piece lookups."""
+        counted = {"builds": 0, "rule calls": 0, "lookups": 0}
+        build = getattr(oracle, name)
+        piece_at = PiecewisePolynomial.piece_at
+
+        def counting(*args):
+            counted["builds"] += 1
+            rule = build(*args)
+
+            def counting_rule(a, b):
+                counted["rule calls"] += 1
+                return rule(a, b)
+
+            return counting_rule
+
+        def counting_piece_at(interp, s):
+            counted["lookups"] += 1
+            return piece_at(interp, s)
+
+        monkeypatch.setattr(oracle, name, counting)
+        monkeypatch.setattr(PiecewisePolynomial, "piece_at", counting_piece_at)
+        return counted
+
     def test_piecewise_counts_derivative_points(self, monkeypatch):
         p, t = self._interpolant()
-        counted = 0
-        derivative = oracle._piece_derivative
-
-        def counting(piece, points):
-            nonlocal counted
-            counted += len(points)
-            return derivative(piece, points)
-
-        monkeypatch.setattr(oracle, "_piece_derivative", counting)
+        counted = self._count(monkeypatch, "_piece_derivative")
         stats = {"evaluations": 99}
         quad_caputo_piecewise(p, t, 0.4, tol=1e-12, stats=stats)
-        assert len(p.pieces) == 10
-        assert stats["evaluations"] == counted > 0
+        assert counted["builds"] == len(p.pieces) == 10
+        assert stats["evaluations"] == 15 * counted["rule calls"] > 0
+        assert counted["lookups"] == 0
 
     def test_integrated_counts_batch_points(self, monkeypatch):
         p, t = self._interpolant()
-        counted = {"evaluate": 0, "secant": 0}
-        evaluate = LagrangePiece.evaluate
-        secant = oracle._secant_slope
-
-        def counting_evaluate(piece, points):
-            if len(points) > 1:  # the single-point read of p(0) is no integrand point
-                counted["evaluate"] += len(points)
-            return evaluate(piece, points)
-
-        def counting_secant(piece, points):
-            counted["secant"] += len(points)
-            return secant(piece, points)
-
-        monkeypatch.setattr(LagrangePiece, "evaluate", counting_evaluate)
-        monkeypatch.setattr(oracle, "_secant_slope", counting_secant)
+        counted = self._count(monkeypatch, "_secant_slope")
         stats = {}
         quad_caputo_integrated(p, t, 0.4, tol=1e-11, stats=stats)
-        assert counted["evaluate"] > 0 and counted["secant"] > 0
-        assert stats["evaluations"] == counted["evaluate"] + counted["secant"]
-        assert stats["evaluations"] % 15 == 0
+        assert counted["builds"] == len(p.pieces) == 10
+        assert stats["evaluations"] == 15 * counted["rule calls"] > 0
+        # the one lookup reads p(0), for the first term
+        assert counted["lookups"] == 1
+
+
+def batch_derivative(piece, points):
+    """p'(s) at each point by Horner's rule for p and p' on the Newton form:
+    the piecewise route's batch evaluator before its rules."""
+    c = piece.newton
+    steps = tuple(zip(piece.node_times[1:], c[-2::-1]))
+    out = []
+    for s in points:
+        p, dp = c[-1], 0.0
+        for x, ci in steps:
+            d = s - x
+            dp = dp * d + p
+            p = p * d + ci
+        out.append(dp)
+    return out
+
+
+def batch_slope(last, u_t, t_n):
+    """The integrated route's batch evaluator before its rules: the secant
+    slope from ``piece.evaluate``, and on the last piece the Newton form
+    less its first term."""
+    def slope(piece, points):
+        if piece is not last:
+            return [(u_t - v) / (t_n - s) for s, v in zip(points, piece.evaluate(points))]
+        c = piece.newton
+        steps = tuple(zip(piece.node_times[1:-1], c[-2:0:-1]))
+        out = []
+        for s in points:
+            p = c[-1]
+            for x, ci in steps:
+                p = p * (s - x) + ci
+            out.append(p)
+        return out
+
+    return slope
+
+
+def per_region_route(p, t_n, alpha, derivative, tol):
+    """A route before its rules: each GK15 region looks up the piece of its
+    centre with ``piece_at`` and takes gamma_exp times a batch over s.
+    Returns the value and the stats the public route reports."""
+    gamma_exp = 1.0 / (1.0 - alpha)
+    g = math.gamma(1.0 - alpha)
+    if derivative:
+        factor, head, coef = batch_derivative, 0.0, 1.0 / g
+    else:
+        u_t = p.pieces[-1].newton[0]
+        factor = batch_slope(p.pieces[-1], u_t, t_n)
+        head, coef = (u_t - p(0.0)) / (g * t_n**alpha), alpha / g
+
+    def f(ws):
+        ss = [t_n - w**gamma_exp for w in ws]
+        return [gamma_exp * v for v in factor(p.piece_at(ss[0]), ss)]
+
+    points = [0.0, *((t_n - q.interval[0]) ** (1.0 - alpha) for q in reversed(p.pieces))]
+    w, failure, counts = adaptive(f, points, tol)
+    assert failure is None
+    return head + coef * w, dict(counts, err_estimate=coef * counts["err_estimate"])
+
+
+class TestRulesKeepEveryBit:
+    """One rule per piece gives the bits of the per-region route it
+    replaced: values, error estimates and counts."""
+
+    @staticmethod
+    def _sweep(seed, count):
+        rng = random.Random(seed)
+        for i in range(count):
+            scheme = _ALL_SCHEMES[i % len(_ALL_SCHEMES)]
+            alpha = rng.uniform(0.05, 0.95)
+            n = rng.randrange(1, 65)
+            g = UniformGrid(horizon=1.0, steps=n + rng.randrange(0, 4))
+            # the kink on the evaluated node, on another node, or off the grid
+            xi = rng.choice([g.time(n), g.time(rng.randrange(1, n + 1)), rng.uniform(0.01, 1.0)])
+            u = HolderTestFunction(m=rng.randrange(0, 3), beta=rng.uniform(0.1, 1.0), xi=xi)
+            values = [u(g.time(j)) for j in range(n + 1)]
+            yield build_interpolant(scheme, g, values, n), g.time(n), alpha
+
+    @pytest.mark.parametrize(
+        "route, derivative, tol",
+        [(quad_caputo_piecewise, True, 1e-12), (quad_caputo_integrated, False, 1e-10)],
+        ids=["piecewise", "integrated"],
+    )
+    def test_routes_match_the_per_region_route(self, route, derivative, tol):
+        for p, t_n, alpha in self._sweep(38, 70):
+            stats = {}
+            got = route(p, t_n, alpha, tol=tol, stats=stats)
+            want, want_stats = per_region_route(p, t_n, alpha, derivative, tol)
+            assert (got, stats) == (want, want_stats), (len(p.pieces), alpha)
+
+    def test_each_rule_is_gk15_of_its_batch_integrand(self):
+        rng = random.Random(15)
+        for p, t_n, alpha in self._sweep(7, 21):
+            gamma_exp = 1.0 / (1.0 - alpha)
+            last = p.pieces[-1]
+            u_t = last.newton[0]
+            slope = batch_slope(last, u_t, t_n)
+            for piece in p.pieces:
+                rules = [
+                    (oracle._piece_derivative(piece, t_n, gamma_exp), batch_derivative),
+                    (oracle._secant_slope(piece, t_n, gamma_exp, None if piece is last else u_t), slope),
+                ]
+                for rule, factor in rules:
+                    def f(ws, factor=factor):
+                        ss = [t_n - w**gamma_exp for w in ws]
+                        return [gamma_exp * v for v in factor(piece, ss)]
+
+                    # inside the piece's span in w, where no node reaches s = t_n
+                    ends = [(t_n - e) ** (1.0 - alpha) for e in piece.interval]
+                    for _ in range(3):
+                        a, b = sorted(rng.uniform(*ends) for _ in range(2))
+                        assert rule(a, b) == oracle._gk15(f, a, b), (a, b)
 
 
 # Names of the closed-form route; the oracle must reach its values without them.
